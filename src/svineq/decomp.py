@@ -17,12 +17,14 @@ import numpy as np
 
 from .numkernel import (
     DEFAULT_TOL,
-    SpectralDecomposition,
     Tolerance,
-    _eigvalsh,
+    _adj,
+    _apply,
+    _fro,
+    _hermitian_eig,
+    _min_eig,
     _square,
     abs_op,
-    frobenius_norm,
     hermitian_eig,
 )
 
@@ -44,13 +46,17 @@ def cartesian(a) -> CartesianPair:
     Both parts are exactly Hermitian (they are re-symmetrised after the
     arithmetic), and a1 + i*a2 reproduces A up to round-off.
     """
-    m = _square(a)
-    adj = m.conj().T
-    a1 = (m + adj) / 2.0
-    a1 = (a1 + a1.conj().T) / 2.0
-    a2 = (m - adj) / 2j
-    a2 = (a2 + a2.conj().T) / 2.0
-    return CartesianPair(a1=a1, a2=a2)
+    return CartesianPair(*_cartesian(_square(a)))
+
+
+def _cartesian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian and skew parts of a matrix or of a stack of matrices."""
+    adj = _adj(x)
+    a1 = (x + adj) / 2.0
+    a1 = (a1 + _adj(a1)) / 2.0
+    a2 = (x - adj) / 2j
+    a2 = (a2 + _adj(a2)) / 2.0
+    return a1, a2
 
 
 @dataclass(frozen=True)
@@ -65,12 +71,6 @@ class JordanPair:
         return self.plus - self.minus
 
 
-def _halves_from_spectrum(dec: SpectralDecomposition) -> JordanPair:
-    plus = dec.apply(lambda w: np.clip(w, 0.0, None))
-    minus = dec.apply(lambda w: np.clip(-w, 0.0, None))
-    return JordanPair(plus=plus, minus=minus)
-
-
 def jordan(a) -> JordanPair:
     """Positive/negative part splitting of a Hermitian matrix.
 
@@ -79,7 +79,14 @@ def jordan(a) -> JordanPair:
     on orthogonal eigenspaces).  Raises NotHermitian for non-Hermitian
     input.
     """
-    return _halves_from_spectrum(hermitian_eig(a))
+    plus, minus = _jordan(_square(a)[None], "plus", "minus")
+    return JordanPair(plus=plus[0], minus=minus[0])
+
+
+def _jordan(x: np.ndarray, *halves: str) -> list[np.ndarray]:
+    """The requested halves ("plus", "minus") of a Hermitian stack."""
+    w, v, _ = _hermitian_eig(x)
+    return [_apply(w, v, np.maximum(w if h == "plus" else -w, 0.0)) for h in halves]
 
 
 def jordan_via_abs(a) -> JordanPair:
@@ -102,7 +109,7 @@ def commutator_defect(x, y) -> float:
     """||xy - yx||_F for equally sized square matrices."""
     a = _square(x, "first operand")
     b = _square(y, "second operand")
-    return frobenius_norm(a @ b - b @ a)
+    return float(_fro((a @ b - b @ a)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -127,6 +134,33 @@ class ClassFlags:
     hyponormal_defect: float
 
 
+def _hermitian_grade(x: np.ndarray, tol: Tolerance):
+    """Per slice: ||A - A*||_F, the Hermitian flag, and the tolerance at
+    ||A||_F that grades it."""
+    defect = _fro(x - _adj(x))
+    herm_tol = tol.effective(_fro(x))
+    return defect, defect <= herm_tol, herm_tol
+
+
+def _psd_grade(x: np.ndarray, tol: Tolerance):
+    """Per slice: ||A - A*||_F, the smallest eigenvalue of the Hermitian
+    part, and the Hermitian and PSD flags."""
+    defect, hermitian, herm_tol = _hermitian_grade(x, tol)
+    min_eig = _min_eig((x + _adj(x)) / 2.0)
+    return defect, min_eig, hermitian, hermitian & (min_eig >= -herm_tol)
+
+
+def _normality_grade(x: np.ndarray, tol: Tolerance):
+    """Per slice: ||A*A - AA*||_F, the normal flag, the self-commutator
+    A*A - AA* and the tolerance at ||A||_F^2 that grades it."""
+    norm = _fro(x)
+    adj = _adj(x)
+    self_comm = adj @ x - x @ adj
+    defect = _fro(self_comm)
+    sq_tol = tol.effective(norm * norm)
+    return defect, defect <= sq_tol, self_comm, sq_tol
+
+
 def classify(a, tol: Tolerance = DEFAULT_TOL) -> ClassFlags:
     """Classify a square matrix into the operator classes used by the
     inequality checkers.
@@ -137,33 +171,18 @@ def classify(a, tol: Tolerance = DEFAULT_TOL) -> ClassFlags:
     implies Hermitian, and normal implies hyponormal under the same
     tolerance.
     """
-    m = _square(a)
-    norm = frobenius_norm(m)
-    adj = m.conj().T
-
-    herm_defect = float(np.linalg.norm(m - adj))
-    herm_tol = tol.effective(norm)
-    hermitian = herm_defect <= herm_tol
-
-    hpart = (m + adj) / 2.0
-    min_eig = float(_eigvalsh(hpart)[0]) if hpart.any() else 0.0
-    psd = hermitian and min_eig >= -herm_tol
-
-    self_comm = adj @ m - m @ adj
-    normality = float(np.linalg.norm(self_comm))
-    sc_sym = (self_comm + self_comm.conj().T) / 2.0
-    hypo_min = float(_eigvalsh(sc_sym)[0]) if sc_sym.any() else 0.0
-    sq_tol = tol.effective(norm * norm)
-    normal = normality <= sq_tol
-    hyponormal = hypo_min >= -sq_tol
-
+    x = _square(a)[None]
+    herm_defect, min_eig, hermitian, psd = _psd_grade(x, tol)
+    normality, normal, self_comm, sq_tol = _normality_grade(x, tol)
+    hypo_min = float(_min_eig((self_comm + _adj(self_comm)) / 2.0)[0])
+    hyponormal = hypo_min >= -sq_tol[0]
     return ClassFlags(
-        hermitian=hermitian,
-        psd=psd,
-        normal=normal,
-        hyponormal=hyponormal,
-        hermitian_defect=herm_defect,
-        min_eigenvalue=min_eig,
-        normality_defect=normality,
+        hermitian=bool(hermitian[0]),
+        psd=bool(psd[0]),
+        normal=bool(normal[0]),
+        hyponormal=bool(hyponormal),
+        hermitian_defect=float(herm_defect[0]),
+        min_eigenvalue=float(min_eig[0]),
+        normality_defect=float(normality[0]),
         hyponormal_defect=hypo_min,
     )

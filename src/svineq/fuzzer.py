@@ -5,7 +5,9 @@ number of trials per dimension.  Trial ``t`` (numbered globally across
 the campaign in deterministic order: targets outermost, then dimensions,
 then repetitions) draws its inputs from ``prng_stream(seed, t)``, so the
 result is a pure function of the config and independent of execution
-order.
+order.  The trials of one (target, dimension) block are drawn and checked
+as stacks of at most ``CHUNK_ELEMENTS // n**2`` trials; the chunk size
+never shows in the result.
 
 Searches target statements that are false (or of unknown truth) in
 general: random restarts from an ambient parameterisation that preserves
@@ -24,13 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import randgen
-from .decomp import cartesian
+from .decomp import _cartesian
 from .inequalities import (
+    ArityMismatch,
     CatalogEntry,
+    Checked,
     InequalityReport,
     Tolerance,
     UnknownInequality,
-    Verdict,
     catalog_entry,
     check,
 )
@@ -40,9 +43,12 @@ from .numkernel import (
     InvalidMatrix,
     MAX_DIM,
     NotHermitian,
-    hermitian_defect,
 )
-from .inequalities import ArityMismatch
+
+
+# Matrix entries per operand stack a campaign checks at once: bounds the
+# memory of one chunk (blocks of 2n x 2n entries and their temporaries).
+CHUNK_ELEMENTS = 1 << 14
 
 
 class ConfigInvalid(ValueError):
@@ -107,11 +113,6 @@ class SideStats:
 
     min_margin: float = math.inf
     max_abs_margin: float = 0.0
-
-    def update(self, side) -> None:
-        self.min_margin = min(self.min_margin, side.min_margin)
-        extreme = max(abs(e.margin) for e in side.entries) if side.entries else 0.0
-        self.max_abs_margin = max(self.max_abs_margin, extreme)
 
 
 @dataclass(frozen=True)
@@ -196,10 +197,10 @@ def _input_plan(entry: CatalogEntry, class_tag: str) -> str:
 def _build_inputs(
     entry: CatalogEntry, class_tag: str, plan: str, dim: int, stream, scale: float
 ) -> tuple[np.ndarray, ...]:
+    """One (k, n, n) stack per checker operand, drawn from a stacked stream."""
     if plan == "split":
         (m,) = randgen.sample(class_tag, dim, stream, scale)
-        parts = cartesian(m)
-        return (parts.a1, parts.a2)
+        return _cartesian(m)
     if plan == "native":
         return randgen.sample(class_tag, dim, stream, scale)
     mats = []
@@ -237,44 +238,80 @@ def _plan(config: CampaignConfig) -> list[tuple[CatalogEntry, str, str, tuple[in
 
 
 class _TargetAggregator:
+    """Folds the chunks of one target, in trial order, into a TargetResult.
+
+    Every fold keeps the first of equal values, as the sequential ``min``
+    and strict ``<`` over single trials do, so the result does not depend
+    on how the trials were chunked.
+    """
+
     def __init__(self, entry: CatalogEntry, class_tag: str, dims: tuple[int, ...]):
         self.entry = entry
         self.class_tag = class_tag
         self.dims = dims
         self.trials = 0
-        self.counts = {Verdict.HOLDS: 0, Verdict.VIOLATED: 0, Verdict.HYPOTHESIS_VIOLATED: 0}
+        self.holds = 0
+        self.violated = 0
+        self.hypothesis_violated = 0
         self.histogram = MarginHistogram()
         self.side_stats: dict[str, SideStats] = {}
         self.margin_floor = math.inf
         self.saw_margins = False
         self.worst_violation = math.inf
-        self.worst_witness: Witness | None = None
+        self.worst: tuple[int, int, tuple[np.ndarray, ...]] | None = None
 
-    def add(self, trial: int, dim: int, seed: int, tol: Tolerance, mats, report: InequalityReport):
+    def add_structural(self) -> None:
+        """A trial whose checker rejected an operand as not Hermitian."""
         self.trials += 1
-        self.counts[report.verdict] += 1
-        if report.sides:
-            self.saw_margins = True
-            self.margin_floor = min(self.margin_floor, report.min_margin)
-            self.histogram.add(report.min_margin)
-            for side in report.sides:
-                self.side_stats.setdefault(side.label, SideStats()).update(side)
-        if report.verdict is Verdict.VIOLATED and report.min_margin < self.worst_violation:
-            self.worst_violation = report.min_margin
-            self.worst_witness = Witness(
+        self.hypothesis_violated += 1
+
+    def add(self, first_trial: int, dim: int, mats, checked: Checked) -> None:
+        k = len(checked)
+        hyp = checked.graded.hypothesis_ok
+        violated = int(np.count_nonzero(checked.violated))
+        hypothesis_violated = 0 if hyp is None else k - int(np.count_nonzero(hyp))
+        self.trials += k
+        self.violated += violated
+        self.hypothesis_violated += hypothesis_violated
+        self.holds += k - violated - hypothesis_violated
+        self.saw_margins = True
+        margins = checked.min_margin
+        self.margin_floor = min(self.margin_floor, float(margins[margins.argmin()]))
+        for margin in margins.tolist():
+            self.histogram.add(margin)
+        for side in checked.graded.sides:
+            present = slice(None) if side.present is None else side.present
+            side_min = side.min_margin[present]
+            if side_min.size == 0:
+                continue
+            stats = self.side_stats.setdefault(side.label, SideStats())
+            stats.min_margin = min(stats.min_margin, float(side_min[side_min.argmin()]))
+            extreme = float(np.abs(side.margin[present]).max())
+            stats.max_abs_margin = max(stats.max_abs_margin, extreme)
+        if violated:
+            i = int(np.where(checked.violated, margins, np.inf).argmin())
+            if margins[i] < self.worst_violation:
+                self.worst_violation = float(margins[i])
+                self.worst = (first_trial + i, dim, tuple(m[i].copy() for m in mats))
+
+    def finish(self, seed: int, tol: Tolerance) -> TargetResult:
+        worst_witness = None
+        if self.worst is not None:
+            trial, dim, inputs = self.worst
+            # Rebuilt through the one-input path, so the stored report is
+            # what replay() recomputes.
+            report = self.entry.run([m[None] for m in inputs], tol).report(0)
+            worst_witness = Witness(
                 ineq_id=self.entry.ineq_id,
                 class_tag=self.class_tag,
                 dim=dim,
                 seed=seed,
                 trial=trial,
                 tol=tol,
-                inputs=tuple(mats),
+                inputs=inputs,
                 report=report,
             )
-
-    def finish(self) -> TargetResult:
-        violated = self.counts[Verdict.VIOLATED]
-        if violated:
+        if self.violated:
             min_margin = self.worst_violation
         elif self.saw_margins:
             min_margin = self.margin_floor
@@ -285,35 +322,35 @@ class _TargetAggregator:
             class_tag=self.class_tag,
             dims=self.dims,
             trials=self.trials,
-            holds=self.counts[Verdict.HOLDS],
-            violated=violated,
-            hypothesis_violated=self.counts[Verdict.HYPOTHESIS_VIOLATED],
+            holds=self.holds,
+            violated=self.violated,
+            hypothesis_violated=self.hypothesis_violated,
             expected_to_hold=self.entry.expected_to_hold(self.class_tag),
             min_margin=min_margin,
             histogram=self.histogram,
             side_stats=self.side_stats,
-            worst_witness=self.worst_witness,
+            worst_witness=worst_witness,
         )
 
 
-def _structural_hypothesis_report(entry, mats, tol: Tolerance) -> InequalityReport:
-    """Stand-in report for checkers that reject an input structurally.
+def _check_chunk(agg: _TargetAggregator, first_trial: int, dim: int, mats, tol: Tolerance):
+    """Check one chunk of trials and fold it into ``agg``.
 
-    Checkers whose statement needs a Hermitian operand raise NotHermitian
-    instead of grading; campaigns count such trials as hypothesis
-    violations so generator defects remain visible.
+    A checker rejects a whole stack when one operand is not Hermitian; the
+    chunk is then checked trial by trial, and each rejected trial counts as
+    a hypothesis violation while the others are graded as usual.
     """
-    residuals = {"hermitian_defect": max(hermitian_defect(m) for m in mats)}
-    return InequalityReport(
-        ineq_id=entry.ineq_id,
-        dims=tuple(m.shape[0] for m in mats),
-        verdict=Verdict.HYPOTHESIS_VIOLATED,
-        min_margin=None,
-        tol_used=tol.effective(1.0),
-        sides=(),
-        skipped=("all",),
-        hypothesis_residuals=residuals,
-    )
+    try:
+        checked = agg.entry.run(mats, tol)
+    except NotHermitian:
+        k = mats[0].shape[0]
+        if k == 1:
+            agg.add_structural()
+            return
+        for i in range(k):
+            _check_chunk(agg, first_trial + i, dim, [m[i : i + 1] for m in mats], tol)
+        return
+    agg.add(first_trial, dim, mats, checked)
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
@@ -324,16 +361,16 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     for entry, class_tag, plan, dims in jobs:
         agg = _TargetAggregator(entry, class_tag, dims)
         for dim in dims:
-            for _ in range(config.trials_per_dim):
-                stream = randgen.prng_stream(config.seed, trial)
+            chunk = max(1, CHUNK_ELEMENTS // (dim * dim))
+            for start in range(0, config.trials_per_dim, chunk):
+                k = min(chunk, config.trials_per_dim - start)
+                first = trial + start
+                indices = np.arange(first, first + k, dtype=np.uint64)
+                stream = randgen.prng_stream(config.seed, indices)
                 mats = _build_inputs(entry, class_tag, plan, dim, stream, config.scale)
-                try:
-                    report = check(entry.ineq_id, mats, config.tol)
-                except NotHermitian:
-                    report = _structural_hypothesis_report(entry, mats, config.tol)
-                agg.add(trial, dim, config.seed, config.tol, mats, report)
-                trial += 1
-        results.append(agg.finish())
+                _check_chunk(agg, first, dim, mats, config.tol)
+            trial += config.trials_per_dim
+        results.append(agg.finish(config.seed, config.tol))
     return CampaignResult(config=config, targets=tuple(results))
 
 
@@ -408,38 +445,39 @@ def search_counterexample(target: SearchTarget, seed: int) -> Witness | None:
 
     Restart ``r`` draws from ``prng_stream(seed, r)`` and cycles through
     the target's dimensions, so the search is a pure function of
-    (target, seed).
+    (target, seed).  Candidates are scored one at a time by the stacked
+    checker on a stack of one; only the witness gets a full report.
     """
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise ConfigInvalid(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     dims = target.dims or _DEFAULT_SEARCH_DIMS[target.target_id]
+    entry = catalog_entry(target.target_id)
     tol = DEFAULT_TOL
 
-    def qualifying(report: InequalityReport) -> bool:
-        return report.min_margin is not None and report.min_margin < -10.0 * report.tol_used
+    def score(mats) -> tuple[float, bool, Checked]:
+        checked = entry.run([m[None] for m in mats], tol)
+        margin = float(checked.min_margin[0])
+        return margin, margin < -10.0 * float(checked.tol_used[0]), checked
 
     for restart in range(target.budget):
         stream = randgen.prng_stream(seed, restart)
         n = dims[restart % len(dims)]
         length = _search_param_length(target.target_id, n)
         params = stream.normals(length)
-        best_mats = _search_build(target.target_id, params, n)
-        best = check(target.target_id, best_mats, tol)
-        found_mats, found = (best_mats, best) if qualifying(best) else (None, None)
-        if found is None:
-            sigma = 0.5
-            for _ in range(target.perturb_steps):
-                candidate = params + sigma * stream.normals(length)
-                mats = _search_build(target.target_id, candidate, n)
-                report = check(target.target_id, mats, tol)
-                if qualifying(report):
-                    found_mats, found = mats, report
-                    break
-                if report.min_margin < best.min_margin:
-                    params, best = candidate, report
-                else:
-                    sigma *= 0.5
-        if found is not None:
+        found_mats = _search_build(target.target_id, params, n)
+        best, qualifies, found = score(found_mats)
+        sigma = 0.5
+        for _ in range(0 if qualifies else target.perturb_steps):
+            candidate = params + sigma * stream.normals(length)
+            found_mats = _search_build(target.target_id, candidate, n)
+            margin, qualifies, found = score(found_mats)
+            if qualifies:
+                break
+            if margin < best:
+                params, best = candidate, margin
+            else:
+                sigma *= 0.5
+        if qualifies:
             return Witness(
                 ineq_id=target.target_id,
                 class_tag=f"search:{target.target_id}",
@@ -448,7 +486,7 @@ def search_counterexample(target: SearchTarget, seed: int) -> Witness | None:
                 trial=restart,
                 tol=tol,
                 inputs=found_mats,
-                report=found,
+                report=found.report(0),
             )
     return None
 
@@ -461,14 +499,6 @@ def replay(witness: Witness) -> InequalityReport:
     entries).
     """
     try:
-        catalog_entry(witness.ineq_id)
-    except UnknownInequality as exc:
-        raise MalformedWitness(str(exc)) from None
-    for m in witness.inputs:
-        arr = np.asarray(m)
-        if not np.all(np.isfinite(arr)):
-            raise MalformedWitness("witness inputs contain non-finite entries")
-    try:
         return check(witness.ineq_id, witness.inputs, witness.tol)
-    except (ArityMismatch, DimensionMismatch, InvalidMatrix) as exc:
+    except (UnknownInequality, ArityMismatch, DimensionMismatch, InvalidMatrix) as exc:
         raise MalformedWitness(str(exc)) from None

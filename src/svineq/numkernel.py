@@ -55,7 +55,7 @@ class Tolerance:
 
     A quantity at scale ``s`` is compared against
     ``tol_abs + tol_rel * max(1, s)`` so that tiny and large problems are
-    treated uniformly.
+    treated uniformly.  ``effective`` also takes an array of scales.
     """
 
     tol_abs: float = 1e-12
@@ -65,8 +65,8 @@ class Tolerance:
         if not (self.tol_abs >= 0 and self.tol_rel >= 0):
             raise ValueError("tolerances must be nonnegative finite numbers")
 
-    def effective(self, scale: float) -> float:
-        return self.tol_abs + self.tol_rel * max(1.0, scale)
+    def effective(self, scale):
+        return self.tol_abs + self.tol_rel * np.maximum(1.0, scale)
 
 
 DEFAULT_TOL = Tolerance()
@@ -115,13 +115,7 @@ def matmul(a, b) -> np.ndarray:
 
 def direct_sum(a, b) -> np.ndarray:
     """Block-diagonal matrix diag(a, b)."""
-    a = _square(a, "first block")
-    b = _square(b, "second block")
-    na, nb = a.shape[0], b.shape[0]
-    out = np.zeros((na + nb, na + nb), dtype=np.complex128)
-    out[:na, :na] = a
-    out[na:, na:] = b
-    return out
+    return _direct_sum(_square(a, "first block"), _square(b, "second block"))
 
 
 def block2(a, b, c, d) -> np.ndarray:
@@ -130,12 +124,7 @@ def block2(a, b, c, d) -> np.ndarray:
     n = blocks[0].shape[0]
     if any(x.shape[0] != n for x in blocks):
         raise DimensionMismatch("all four blocks must share one dimension")
-    out = np.empty((2 * n, 2 * n), dtype=np.complex128)
-    out[:n, :n] = blocks[0]
-    out[:n, n:] = blocks[1]
-    out[n:, :n] = blocks[2]
-    out[n:, n:] = blocks[3]
-    return out
+    return _block2(*blocks)
 
 
 def frobenius_norm(m) -> float:
@@ -149,26 +138,169 @@ def hermitian_defect(m) -> float:
 
 
 def hermitian_part(m) -> np.ndarray:
-    a = _square(m)
-    return (a + a.conj().T) / 2.0
+    return _herm(_square(m))
 
 
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     """Return the symmetrised copy of ``m`` or raise NotHermitian if it
     deviates from symmetry beyond round-off."""
-    a = _square(m, name)
-    defect = float(np.linalg.norm(a - a.conj().T))
-    if defect > HERMITIAN_RTOL * max(1.0, float(np.linalg.norm(a))):
-        raise NotHermitian(f"{name} is not Hermitian (defect {defect:.3e})")
-    return (a + a.conj().T) / 2.0
+    h, _ = _require_hermitian(_square(m, name)[None], name)
+    return h[0]
+
+
+# --- stacked kernels ---------------------------------------------------------
+#
+# The functions below take stacks of shape (k, n, n) and treat each slice
+# exactly as the one-matrix operation would: every result slice is bitwise
+# equal to the result for that matrix alone.  Stacked eigh/eigvalsh/qr and
+# matmul are, per slice, the same LAPACK/BLAS calls; reductions are not,
+# so Frobenius norms go through ``_fro`` and zero-matrix short-circuits are
+# applied per slice.  Elementwise complex products can also round
+# differently when stacking changes which numpy loop runs them (see
+# ``randgen._conjugate_diag``); tests/test_golden.py pins the result.
+
+
+def _adj(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes (a view of a fresh conj)."""
+    return x.conj().swapaxes(-1, -2)
+
+
+def _herm(x: np.ndarray) -> np.ndarray:
+    return (x + _adj(x)) / 2.0
+
+
+def _zero_slices(x: np.ndarray) -> np.ndarray | None:
+    """Mask of the all-zero slices of a stack, or None when there are
+    none."""
+    nonzero = np.logical_or.reduce(x, axis=(-2, -1))
+    if np.count_nonzero(nonzero) == nonzero.size:
+        return None
+    return ~nonzero
+
+
+def _fro(x: np.ndarray) -> np.ndarray:
+    """Per-slice Frobenius norms of a complex stack, bitwise equal to
+    ``np.linalg.norm`` of each slice.
+
+    ``np.linalg.norm`` sums re*re and im*im with one strided BLAS dot each,
+    over the slice in memory order; ``np.vecdot`` over the rows of a
+    C-contiguous (k, n*n) view makes the same dot calls.  A stack of one,
+    the case of ``check`` and of the search, takes the two dots directly,
+    which costs less than the gufunc call.
+    """
+    if not x.flags.c_contiguous:
+        return np.array([np.linalg.norm(s) for s in x])
+    k = x.shape[0]
+    flat = x.reshape(k, x.shape[-2] * x.shape[-1])
+    re, im = flat.real, flat.imag
+    if k == 1:
+        re, im = re[0], im[0]
+        return np.sqrt(re.dot(re) + im.dot(im))[None]
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
+def _require_hermitian(x: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrised stack and its per-slice norms; raises NotHermitian when
+    any slice deviates from symmetry beyond round-off."""
+    adj = _adj(x)
+    norm = _fro(x)
+    defect = _fro(x - adj)
+    bad = defect > HERMITIAN_RTOL * np.maximum(1.0, norm)
+    if np.count_nonzero(bad):
+        raise NotHermitian(f"{name} is not Hermitian (defect {defect[bad.argmax()]:.3e})")
+    return (x + adj) / 2.0, norm
 
 
 def _eigvalsh(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of an (already symmetrised) Hermitian matrix."""
+    """Ascending eigenvalues of (already symmetrised) Hermitian matrices."""
     try:
         return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
+
+
+def _min_eig(h: np.ndarray) -> np.ndarray:
+    """Per-slice smallest eigenvalue; 0 for a zero slice."""
+    w = _eigvalsh(h)[:, 0]
+    zero = _zero_slices(h)
+    if zero is not None:
+        w[zero] = 0.0
+    return w
+
+
+def _hermitian_eig(x: np.ndarray, name: str = "matrix"):
+    """(eigenvalues, eigenvectors, norms) of a Hermitian stack; a zero slice
+    short-circuits to (zeros, identity)."""
+    h, norm = _require_hermitian(x, name)
+    try:
+        w, v = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    zero = _zero_slices(h)
+    if zero is not None:
+        w[zero] = 0.0
+        v[zero] = np.eye(h.shape[-1], dtype=np.complex128)
+    return w, v, norm
+
+
+def _apply(w: np.ndarray, v: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """V f(w) V*, re-symmetrised, for spectra ``fw`` of shape (k, n)."""
+    out = (v * fw[:, None, :]) @ _adj(v)
+    return (out + _adj(out)) / 2.0
+
+
+def _psd_sqrt(x: np.ndarray) -> np.ndarray:
+    w, v, norm = _hermitian_eig(x)
+    clamp = PSD_CLAMP_RTOL * np.maximum(1.0, norm)
+    bad = w[:, 0] < -clamp
+    if np.count_nonzero(bad):
+        i = bad.argmax()
+        raise NotPSD(f"matrix has eigenvalue {w[i, 0]:.6e} below -{clamp[i]:.3e}")
+    return _apply(w, v, np.sqrt(np.maximum(w, 0.0)))
+
+
+def _abs_op(x: np.ndarray) -> np.ndarray:
+    return _psd_sqrt(_adj(x) @ x)
+
+
+def _singular_values(x: np.ndarray) -> np.ndarray:
+    """Nonincreasing singular values per slice, shape (k, n)."""
+    gram = _adj(x) @ x
+    w = _eigvalsh((gram + _adj(gram)) / 2.0)
+    vals = np.sqrt(np.maximum(w[:, ::-1], 0.0))
+    zero = _zero_slices(x)
+    if zero is not None:
+        vals[zero] = 0.0
+    return vals
+
+
+def _direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    na, nb = a.shape[-1], b.shape[-1]
+    out = np.zeros(a.shape[:-2] + (na + nb, na + nb), dtype=np.complex128)
+    out[..., :na, :na] = a
+    out[..., na:, na:] = b
+    return out
+
+
+def _block2(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    n = a.shape[-1]
+    out = np.empty(a.shape[:-2] + (2 * n, 2 * n), dtype=np.complex128)
+    out[..., :n, :n] = a
+    out[..., :n, n:] = b
+    out[..., n:, :n] = c
+    out[..., n:, n:] = d
+    return out
+
+
+def _loewner(x: np.ndarray, y: np.ndarray, tol: "Tolerance"):
+    """(min_eig, tol_used) of the order test X <= Y per slice."""
+    hx, _ = _require_hermitian(x, "left operand")
+    hy, _ = _require_hermitian(y, "right operand")
+    diff = hy - hx
+    return _min_eig(diff), tol.effective(_fro(diff))
+
+
+# --- one-matrix operations ---------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -188,9 +320,7 @@ class SpectralDecomposition:
 
     def apply(self, fn) -> np.ndarray:
         """Apply a real scalar function to the spectrum: V f(w) V*."""
-        w = fn(self.eigenvalues)
-        out = (self.vectors * w) @ self.vectors.conj().T
-        return (out + out.conj().T) / 2.0
+        return _apply(self.eigenvalues[None], self.vectors[None], fn(self.eigenvalues)[None])[0]
 
 
 def hermitian_eig(m) -> SpectralDecomposition:
@@ -200,15 +330,8 @@ def hermitian_eig(m) -> SpectralDecomposition:
     symmetrised internally); larger defects raise NotHermitian.  The zero
     matrix short-circuits to (zeros, identity).
     """
-    h = require_hermitian(m)
-    n = h.shape[0]
-    if not h.any():
-        return SpectralDecomposition(np.zeros(n), np.eye(n, dtype=np.complex128))
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return SpectralDecomposition(w, v.astype(np.complex128, copy=False))
+    w, v, _ = _hermitian_eig(_square(m)[None])
+    return SpectralDecomposition(w[0], v[0])
 
 
 def psd_sqrt(m) -> np.ndarray:
@@ -217,19 +340,12 @@ def psd_sqrt(m) -> np.ndarray:
     Eigenvalues in a small negative round-off band are clamped to zero;
     genuinely negative spectrum raises NotPSD.
     """
-    dec = hermitian_eig(m)
-    clamp = PSD_CLAMP_RTOL * max(1.0, frobenius_norm(m))
-    w = dec.eigenvalues
-    if w[0] < -clamp:
-        raise NotPSD(f"matrix has eigenvalue {w[0]:.6e} below -{clamp:.3e}")
-    return dec.apply(lambda ev: np.sqrt(np.clip(ev, 0.0, None)))
+    return _psd_sqrt(_square(m)[None])[0]
 
 
 def abs_op(m) -> np.ndarray:
     """Operator absolute value |m| = (m* m)^(1/2); defined for any square m."""
-    a = _square(m)
-    gram = a.conj().T @ a
-    return psd_sqrt(gram)
+    return _abs_op(_square(m)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -276,14 +392,7 @@ def singular_values(m) -> SingularSpectrum:
     Round-off negatives in the Gram spectrum are clamped before the square
     root, so the result is always a valid nonincreasing nonnegative tuple.
     """
-    a = _square(m)
-    if not a.any():
-        return SingularSpectrum((0.0,) * a.shape[0])
-    gram = a.conj().T @ a
-    gram = (gram + gram.conj().T) / 2.0
-    w = _eigvalsh(gram)
-    vals = np.sqrt(np.clip(w[::-1], 0.0, None))
-    return SingularSpectrum(tuple(float(v) for v in vals))
+    return SingularSpectrum(tuple(_singular_values(_square(m)[None])[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -306,11 +415,9 @@ def loewner_leq(x, y, tol: Tolerance = DEFAULT_TOL) -> OrderVerdict:
     graded by the smallest eigenvalue of the difference, compared at the
     scale of ||Y - X||_F.
     """
-    hx = require_hermitian(x, "left operand")
-    hy = require_hermitian(y, "right operand")
-    if hx.shape != hy.shape:
-        raise DimensionMismatch(f"cannot order {hx.shape} against {hy.shape}")
-    diff = hy - hx
-    min_eig = float(_eigvalsh(diff)[0]) if diff.any() else 0.0
-    tol_used = tol.effective(float(np.linalg.norm(diff)))
+    x, y = _square(x, "left operand"), _square(y, "right operand")
+    if x.shape != y.shape:
+        raise DimensionMismatch(f"cannot order {x.shape} against {y.shape}")
+    min_eig, tol_used = _loewner(x[None], y[None], tol)
+    min_eig, tol_used = float(min_eig[0]), float(tol_used[0])
     return OrderVerdict(holds=min_eig >= -tol_used, min_eig=min_eig, tol_used=tol_used)

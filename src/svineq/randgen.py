@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import MAX_DIM, abs_op
+from .numkernel import MAX_DIM, _abs_op, _adj, _herm
 
 CLASS_ARITY: dict[str, int] = {
     "ginibre": 1,
@@ -55,32 +55,43 @@ def _check_u64(value: int, name: str) -> int:
 
 def _mix64(x: np.ndarray) -> np.ndarray:
     """SplitMix64-style avalanche of an array of uint64 counters."""
-    x = (x ^ (x >> _U64(30))) * _MIX1
-    x = (x ^ (x >> _U64(27))) * _MIX2
-    return x ^ (x >> _U64(31))
+    x = x ^ (x >> _U64(30))
+    x *= _MIX1
+    x ^= x >> _U64(27)
+    x *= _MIX2
+    x ^= x >> _U64(31)
+    return x
 
 
 class Stream:
-    """Deterministic scalar stream keyed by (seed, stream_index).
+    """Deterministic scalar streams keyed by (seed, stream_index).
 
-    Word i of the stream is mix(key + (i+1)*GOLDEN) where the key itself
-    is a mix of seed and index, so draws at any position can be computed
+    Word i of a stream is mix(key + (i+1)*GOLDEN) where the key itself is a
+    mix of seed and index, so draws at any position can be computed
     independently; the object only tracks how many words were consumed.
+    ``stream_index`` may be an array of k indices: every draw then returns
+    one row per index, and row r equals the draw of ``Stream(seed,
+    stream_index[r])`` on its own.
     """
 
-    def __init__(self, seed: int, stream_index: int):
+    def __init__(self, seed: int, stream_index):
         seed = _check_u64(seed, "seed")
-        stream_index = _check_u64(stream_index, "stream_index")
-        key = _mix64(np.array([seed], dtype=_U64) + _GOLDEN)
-        key ^= _mix64(np.array([stream_index], dtype=_U64) + _SALT)
-        self._key = _mix64(key)
+        self.stacked = np.ndim(stream_index) > 0
+        if self.stacked:
+            indices = np.asarray(stream_index, dtype=_U64)
+        else:
+            indices = np.array([_check_u64(stream_index, "stream_index")], dtype=_U64)
+        # mix(seed + GOLDEN) and mix(index + SALT) in one call.
+        parts = _mix64(np.concatenate((np.array([seed], dtype=_U64) + _GOLDEN, indices + _SALT)))
+        self._key = _mix64(parts[0] ^ parts[1:])[:, None]
         self._pos = 0
 
     def raw(self, count: int) -> np.ndarray:
         """Next ``count`` uint64 words."""
         idx = np.arange(self._pos + 1, self._pos + count + 1, dtype=_U64)
         self._pos += count
-        return _mix64(self._key + idx * _GOLDEN)
+        words = _mix64(self._key + idx * _GOLDEN)
+        return words if self.stacked else words[0]
 
     def uniforms(self, count: int) -> np.ndarray:
         """Uniform doubles in [0, 1) from the top 53 bits of each word."""
@@ -89,20 +100,24 @@ class Stream:
     def normals(self, count: int) -> np.ndarray:
         """Standard real Gaussians via the Box-Muller transform."""
         pairs = (count + 1) // 2
-        u1 = self.uniforms(pairs)
-        u2 = self.uniforms(pairs)
+        u = self.uniforms(2 * pairs)
+        u1, u2 = u[..., :pairs], u[..., pairs:]
         # log(1-u1) is safe: u1 < 1 exactly, and log1p(0) = 0 maps to z = 0.
         radius = np.sqrt(-2.0 * np.log1p(-u1))
         angle = (2.0 * math.pi) * u2
-        return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
+        return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)[
+            ..., :count
+        ]
 
     def complex_normals(self, count: int) -> np.ndarray:
         """Standard complex Gaussians (E|z|^2 = 1)."""
         z = self.normals(2 * count)
-        return (z[:count] + 1j * z[count:]) * (2.0**-0.5)
+        return (z[..., :count] + 1j * z[..., count:]) * (2.0**-0.5)
 
 
-def prng_stream(seed: int, stream_index: int) -> Stream:
+def prng_stream(seed: int, stream_index) -> Stream:
+    """The stream (seed, stream_index); an array of indices gives one
+    stacked stream whose rows are those streams."""
     return Stream(seed, stream_index)
 
 
@@ -129,31 +144,41 @@ class GeneratedInput:
     provenance: tuple[str, int, int]  # (class_tag, dim, seed)
 
 
+# The generators below draw one stack of k inputs from a stream of k rows
+# (k = 1 for a single-index stream); every array they return has shape
+# (k, n, n).
+
+
 def _ginibre(stream: Stream, n: int, scale: float) -> np.ndarray:
-    return stream.complex_normals(n * n).reshape(n, n) * scale
+    return stream.complex_normals(n * n).reshape(-1, n, n) * scale
 
 
 def _hermitian(stream: Stream, n: int, scale: float) -> np.ndarray:
-    g = _ginibre(stream, n, scale)
-    return (g + g.conj().T) / 2.0
+    return _herm(_ginibre(stream, n, scale))
 
 
 def _psd(stream: Stream, n: int, scale: float) -> np.ndarray:
     g = _ginibre(stream, n, scale)
-    p = g.conj().T @ g
-    return (p + p.conj().T) / 2.0
+    return _herm(_adj(g) @ g)
 
 
 def _unitary(stream: Stream, n: int) -> np.ndarray:
     g = _ginibre(stream, n, 1.0)
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     phases = np.where(d == 0, 1.0 + 0j, d / np.abs(d))
-    return q * phases
+    return q * phases[:, None, :]
 
 
 def _conjugate_diag(u: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    return (u * diag) @ u.conj().T
+    if u.shape[-1] == 1:
+        # One 1x1 matrix times a length-1 spectrum runs numpy's
+        # scalar-operand loop; a stack of them would run the vector loop,
+        # which rounds complex products differently.  Keep the former.
+        scaled = np.stack([m * d for m, d in zip(u, diag)])
+    else:
+        scaled = u * diag[:, None, :]
+    return scaled @ _adj(u)
 
 
 def _sample(class_tag: str, dim: int, stream: Stream, scale: float) -> tuple[np.ndarray, ...]:
@@ -168,28 +193,25 @@ def _sample(class_tag: str, dim: int, stream: Stream, scale: float) -> tuple[np.
         return (_unitary(stream, n),)
     if class_tag == "normal":
         u = _unitary(stream, n)
-        d = stream.complex_normals(n) * scale
+        d = stream.complex_normals(n).reshape(-1, n) * scale
         return (_conjugate_diag(u, d),)
     if class_tag == "psd_block2":
-        g = _ginibre(stream, 2 * n, scale)
-        p = g.conj().T @ g
-        p = (p + p.conj().T) / 2.0
-        return (p[:n, :n].copy(), p[:n, n:].copy(), p[n:, n:].copy())
+        p = _psd(stream, 2 * n, scale)
+        return (p[:, :n, :n].copy(), p[:, :n, n:].copy(), p[:, n:, n:].copy())
     if class_tag == "dominated_pair":
         a = _hermitian(stream, n, scale)
         p = _psd(stream, n, scale)
-        b = abs_op(a) + p
-        return (a, (b + b.conj().T) / 2.0)
+        return (a, _herm(_abs_op(a) + p))
     if class_tag == "normal_order_constrained":
         u = _unitary(stream, n)
-        d2 = stream.normals(n) * scale
-        offset = np.abs(stream.normals(n)) * scale
+        d2 = stream.normals(n).reshape(-1, n) * scale
+        offset = np.abs(stream.normals(n).reshape(-1, n)) * scale
         d1 = -d2 + offset
         return (_conjugate_diag(u, d1 + 1j * d2),)
     if class_tag == "normal_pair_shared_basis":
         u = _unitary(stream, n)
-        da = stream.complex_normals(n) * scale
-        db = stream.complex_normals(n) * scale
+        da = stream.complex_normals(n).reshape(-1, n) * scale
+        db = stream.complex_normals(n).reshape(-1, n) * scale
         return (_conjugate_diag(u, da), _conjugate_diag(u, db))
     raise InvalidSpec(f"unknown class_tag {class_tag!r}")
 
@@ -197,18 +219,19 @@ def _sample(class_tag: str, dim: int, stream: Stream, scale: float) -> tuple[np.
 def sample(class_tag: str, dim: int, stream: Stream, scale: float = 1.0) -> tuple[np.ndarray, ...]:
     """Draw one input tuple for ``class_tag`` from an existing stream.
 
-    This is the fuzzer's entry point; ``generate`` wraps it for
-    standalone specs.
+    From a stacked stream of k rows each matrix comes as a (k, n, n)
+    stack whose slice r is the draw from row r alone.  ``generate`` wraps
+    this for standalone specs.
     """
     if class_tag not in CLASS_ARITY:
         raise InvalidSpec(f"unknown class_tag {class_tag!r}")
     if not 1 <= dim <= MAX_DIM:
         raise InvalidSpec(f"dim must be in 1..{MAX_DIM}, got {dim!r}")
-    return _sample(class_tag, dim, stream, scale)
+    mats = _sample(class_tag, dim, stream, scale)
+    return mats if stream.stacked else tuple(m[0] for m in mats)
 
 
 def generate(spec: GeneratorSpec) -> GeneratedInput:
     """Generate the input tuple described by ``spec`` (pure in the spec)."""
-    stream = prng_stream(spec.seed, 0)
-    mats = _sample(spec.class_tag, spec.dim, stream, spec.scale)
+    mats = sample(spec.class_tag, spec.dim, prng_stream(spec.seed, 0), spec.scale)
     return GeneratedInput(matrices=mats, provenance=(spec.class_tag, spec.dim, spec.seed))

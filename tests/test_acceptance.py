@@ -6,6 +6,7 @@ full run always shows the eight verdict lines.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +130,13 @@ def test_criterion_3_catalog_campaign(campaign, verdict):
         f"11 targets x 4000 trials (seed 42), violated={sum(violated.values())}, "
         f"{elapsed:.1f}s (limit 60s)",
     )
+
+
+def test_criterion_3_document_matches_golden(campaign):
+    # Captured before the checkers were stacked; see test_golden.py.
+    _, out, _ = campaign
+    golden = Path(__file__).resolve().parent / "golden" / "criterion-3.json"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_criterion_4_left_side_identity(campaign, verdict):

@@ -13,11 +13,13 @@ from svineq.fuzzer import (
     SEARCH_TARGET_IDS,
     SearchTarget,
     Witness,
+    _TargetAggregator,
+    _check_chunk,
     replay,
     run_campaign,
     search_counterexample,
 )
-from svineq.inequalities import Verdict, check
+from svineq.inequalities import Verdict, catalog_entry, check
 from svineq.numkernel import DEFAULT_TOL, Tolerance
 from svineq.serialize import campaign_document, dumps
 
@@ -125,6 +127,21 @@ def test_structurally_wrong_class_counts_hypothesis_violations():
     assert t.histogram.total == 0  # no sided reports to bin
     assert t.min_margin is None
     assert t.worst_witness is None
+
+
+def test_non_hermitian_trial_in_a_chunk_is_rejected_alone():
+    # The checker rejects the whole stack; the chunk is then checked trial
+    # by trial, so only the non-Hermitian middle trial counts as a
+    # hypothesis violation and the other two are graded as usual.
+    entry = catalog_entry("thm-2.5-plus")
+    good = [draw("hermitian", 2, seed=3, index=i)[0] for i in range(2)]
+    stack = np.stack([good[0], mat([[0, 1], [0, 0]]), good[1]])
+    agg = _TargetAggregator(entry, "hermitian", (2,))
+    _check_chunk(agg, 0, 2, [stack], DEFAULT_TOL)
+    t = agg.finish(0, DEFAULT_TOL)
+    assert (t.trials, t.holds, t.hypothesis_violated) == (3, 2, 1)
+    assert t.histogram.total == 2
+    assert t.min_margin == min(check("thm-2.5-plus", [m]).min_margin for m in good)
 
 
 def test_violating_target_stores_replayable_worst_witness():

@@ -1,0 +1,109 @@
+"""Byte-identity gate: campaign and witness documents against stored goldens.
+
+The documents under ``tests/golden/`` were written by this module before
+the checkers were rewritten over stacked operands, so they pin the exact
+bytes a campaign, a search and a worst witness must keep
+(``criterion-3.json`` is compared in test_acceptance.py).  Regenerate them
+only for a change that is meant to alter the numerics:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from svineq import fuzzer
+from svineq.cli import main
+from svineq.fuzzer import CampaignConfig, SEARCH_TARGET_IDS, replay, run_campaign
+from svineq.serialize import campaign_document, dumps
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# One campaign that reaches every input plan and every outcome: a violated
+# target with a witness, a search-only variant, a structural NotHermitian
+# rejection, graded hypothesis violations (repeat plan), the split plan, a
+# side skipped on some trials only (non-commuting Hermitian pairs), and a
+# two-matrix native class.  Seven trials per dimension leave a ragged last
+# chunk for any chunk size from 2 to 6.
+EDGE_CONFIG = CampaignConfig(
+    targets=(
+        ("loewner-cartesian", "ginibre"),
+        ("thm-2.1-nonnormal", "ginibre"),
+        ("thm-2.5-plus", "ginibre"),
+        ("bk-1.1", "hermitian"),
+        ("proof-facts-2.1", "normal"),
+        ("proof-facts-2.1", "hermitian"),
+        ("ak-1.4", "dominated_pair"),
+    ),
+    dims=(1, 2, 3, 8),
+    trials_per_dim=7,
+    seed=0,
+)
+
+
+def _cli_document(argv: list[str], tmp: Path) -> bytes:
+    out = tmp / "doc.json"
+    if out.exists():
+        out.unlink()
+    main([*argv, "--out", str(out)])
+    return out.read_bytes()
+
+
+def edge_campaign_document() -> bytes:
+    return dumps(campaign_document(run_campaign(EDGE_CONFIG))).encode()
+
+
+def documents(tmp: Path):
+    """(file name, builder) for every golden document."""
+    yield "fuzz-small.json", lambda: _cli_document(
+        ["fuzz", "--ineq", "all", "--dims", "2,3,5,8", "--trials", "8", "--seed", "0"], tmp
+    )
+    yield "fuzz-large.json", lambda: _cli_document(
+        ["fuzz", "--ineq", "all", "--dims", "32,64", "--trials", "2", "--seed", "0"], tmp
+    )
+    yield "edge-campaign.json", edge_campaign_document
+    for target in SEARCH_TARGET_IDS:
+        yield f"search-{target}.json", lambda t=target: _cli_document(
+            ["search", "--target", t, "--seed", "0"], tmp
+        )
+
+
+GOLDEN_NAMES = [name for name, _ in documents(Path("."))]
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_document_matches_golden(name, tmp_path):
+    build = dict(documents(tmp_path))[name]
+    assert build() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("budget", [1, 3, 200, fuzzer.CHUNK_ELEMENTS])
+def test_edge_campaign_does_not_depend_on_chunk_size(budget, monkeypatch):
+    # Budget 3 stacks three 1x1 trials at a time and single trials above;
+    # 200 gives whole blocks at n <= 3 and chunks of 3, 3, 1 at n = 8.
+    monkeypatch.setattr(fuzzer, "CHUNK_ELEMENTS", budget)
+    result = run_campaign(EDGE_CONFIG)
+    document = dumps(campaign_document(result)).encode()
+    assert document == (GOLDEN / "edge-campaign.json").read_bytes()
+    witnesses = [t.worst_witness for t in result.targets if t.worst_witness is not None]
+    assert witnesses
+    for w in witnesses:
+        assert replay(w) == w.report
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    from test_acceptance import C3_FLAGS
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        # The criterion-3 campaign, compared in test_acceptance.py.
+        criterion_3 = ("criterion-3.json", lambda: _cli_document(C3_FLAGS, Path(tmp)))
+        for name, build in [*documents(Path(tmp)), criterion_3]:
+            (GOLDEN / name).write_bytes(build())
+            print(f"wrote {GOLDEN / name}", file=sys.stderr)

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from svineq.decomp import cartesian, commutator_defect
 from svineq.fixtures import fixture
+from svineq.fuzzer import _build_inputs, _input_plan
 from svineq.inequalities import (
     ArityMismatch,
     UnknownInequality,
@@ -41,11 +42,13 @@ from svineq.inequalities import (
 from svineq.numkernel import (
     DEFAULT_TOL,
     DimensionMismatch,
+    InvalidMatrix,
     NotHermitian,
     Tolerance,
     direct_sum,
     frobenius_norm,
 )
+from svineq.randgen import prng_stream
 
 from conftest import PAULI_X, SHIFT_2, draw, mat
 
@@ -669,6 +672,34 @@ def test_check_dispatch_fixed_dim():
 def test_check_dispatch_rejects_imaginary_scalar():
     with pytest.raises(ValueError):
         check("scalar-1.6", [mat([[1j]]), mat([[1]])])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_check_rejects_non_finite_entries(bad):
+    # A NaN used to grade as holds with min_margin nan.
+    a = mat([[1, 2], [3, 4]])
+    a[1, 0] = bad
+    with pytest.raises(InvalidMatrix):
+        check("thm-2.7", [a])
+    with pytest.raises(InvalidMatrix):
+        check("thm-2.8", [np.eye(2), a])
+    with pytest.raises(InvalidMatrix):
+        check("thm-2.7", [np.full((2, 2), bad)])
+
+
+@pytest.mark.parametrize("ineq_id", catalog_ids(include_variants=True))
+def test_stacked_checker_matches_single_checks(ineq_id):
+    # Every slice of a stacked run reports exactly what check() reports
+    # for that input set alone.
+    entry = catalog_entry(ineq_id)
+    n = entry.fixed_dim or 3
+    plan = _input_plan(entry, entry.canonical_class)
+    stream = prng_stream(21, np.arange(40, 45, dtype=np.uint64))
+    mats = _build_inputs(entry, entry.canonical_class, plan, n, stream, 1.0)
+    checked = entry.run(mats, DEFAULT_TOL)
+    assert len(checked) == 5
+    for i in range(5):
+        assert checked.report(i) == check(ineq_id, [m[i] for m in mats])
 
 
 def test_catalog_listing():

@@ -12,6 +12,7 @@ from svineq.randgen import (
     CLASS_ARITY,
     GeneratorSpec,
     InvalidSpec,
+    _unitary,
     generate,
     prng_stream,
     sample,
@@ -22,6 +23,44 @@ indices = st.integers(min_value=0, max_value=2**64 - 1)
 
 
 # --- stream determinism ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 8, 9, 17, 64])
+def test_stacked_stream_rows_match_single_streams(count):
+    indices = np.array([0, 7, 8, 9, 10, 11, 12, 13, 2**64 - 1], dtype=np.uint64)
+    stacked = prng_stream(5, indices)
+    rows = stacked.normals(count), stacked.complex_normals(count), stacked.raw(count)
+    for r, index in enumerate(indices.tolist()):
+        single = prng_stream(5, index)
+        draws = single.normals(count), single.complex_normals(count), single.raw(count)
+        for row, draw in zip(rows, draws):
+            assert np.array_equal(row[r], draw)
+
+
+def test_stacked_1x1_normal_keeps_the_one_matrix_product():
+    # numpy multiplies one 1x1 matrix by a length-1 spectrum with its
+    # scalar-operand loop and a stack of them with its vector loop, which
+    # round complex products differently; each slice must match the former.
+    indices = np.arange(64, dtype=np.uint64)
+    (stacked,) = sample("normal", 1, prng_stream(4, indices))
+    for r, index in enumerate(indices.tolist()):
+        stream = prng_stream(4, index)
+        u = _unitary(stream, 1)[0]
+        d = stream.complex_normals(1)
+        assert np.array_equal(stacked[r], (u * d) @ u.conj().T)
+
+
+@pytest.mark.parametrize("class_tag", CLASS_ARITY)
+def test_stacked_sample_matches_single_samples(class_tag):
+    indices = np.arange(3, 7, dtype=np.uint64)
+    stacked = sample(class_tag, 3, prng_stream(9, indices))
+    assert len(stacked) == CLASS_ARITY[class_tag]
+    for r, index in enumerate(indices.tolist()):
+        single = sample(class_tag, 3, prng_stream(9, index))
+        for s, m in zip(stacked, single):
+            assert s.shape == (4, 3, 3)
+            assert np.array_equal(s[r], m)
+
 
 
 @given(seed=seeds, index=indices)
