@@ -3,11 +3,11 @@ of dense complex matrices.
 
 The package is organised bottom-up:
 
-- ``numkernel``: matrix primitives (products, block assembly, Hermitian
+- ``numkernel``: matrix primitives over (k, n, n) stacks (Hermitian
   eigendecomposition, operator absolute value, singular spectra, the
-  positive-semidefinite order check).
+  positive-semidefinite order check, block assembly).
 - ``decomp``: Hermitian/skew splitting, positive/negative part splitting,
-  and operator-class classification with graded residuals.
+  and graded Hermitian / PSD / normal class tests.
 - ``inequalities``: the checker catalog; every checker returns a structured
   report with per-index margins and a three-way verdict.
 - ``randgen``: counter-based deterministic random matrix generators.

@@ -12,7 +12,8 @@ Four subcommands:
 
 Exit codes are fixed: 0 holds / success, 1 violated (or a fuzz campaign
 with unexpected violations, or a fixture that fails to reproduce),
-2 hypothesis violated, 3 input or usage error, 4 search exhausted.
+2 hypothesis violated, 3 input or usage error (including input on which
+the eigensolver does not converge, ``NoConvergence``), 4 search exhausted.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .decomp import cartesian, classify
+from .decomp import cartesian
 from .fixtures import FIXTURE_KEYS, fixture
 from .fuzzer import (
     CampaignConfig,
@@ -39,19 +40,19 @@ from .fuzzer import (
 from .inequalities import (
     ArityMismatch,
     CATALOG,
+    InequalityReport,
     Tolerance,
     UnknownInequality,
     Verdict,
     catalog_entry,
     check,
-    check_loewner_cartesian,
-    check_thm_2_1,
 )
 from .numkernel import (
     DEFAULT_TOL,
     DimensionMismatch,
     InvalidMatrix,
     MAX_DIM,
+    NoConvergence,
     NotHermitian,
     NotPSD,
     abs_op,
@@ -175,50 +176,67 @@ def cmd_verify(args) -> int:
 
 
 def _order_check(name: str, claim, x, y, tol: Tolerance) -> dict:
-    verdict = loewner_leq(x, y, tol)
+    min_eig, tol_used = (float(v[0]) for v in loewner_leq(x[None], y[None], tol))
+    holds = min_eig >= -tol_used
     return {
         "name": name,
         "lhs": claim.lhs,
         "rhs": claim.rhs,
-        "min_eig": verdict.min_eig,
-        "tol_used": verdict.tol_used,
-        "holds": verdict.holds,
+        "min_eig": min_eig,
+        "tol_used": tol_used,
+        "holds": holds,
         "claimed_holds": claim.claimed_holds,
-        "discrepancy": verdict.holds != claim.claimed_holds,
+        "discrepancy": holds != claim.claimed_holds,
     }
 
 
-def _parts_section(fx, parts, lines: list[str]) -> bool:
-    a1_ok = np.array_equal(parts.a1, fx.claimed_a1)
-    a2_ok = np.array_equal(parts.a2, fx.claimed_a2)
+def _fixture_head(fx, thm_2_1: InequalityReport):
+    """The fixture matrix, its Hermitian/skew parts and its normality (the
+    hypothesis of ``thm_2_1``, the fixture's thm-2.1 report) as lines and
+    document fields; also whether the parts match the documented ones."""
+    a = fx.matrix
+    a1, a2 = (p[0] for p in cartesian(a[None]))
+    a1_ok = np.array_equal(a1, fx.claimed_a1)
+    a2_ok = np.array_equal(a2, fx.claimed_a2)
+    normal = thm_2_1.verdict is not Verdict.HYPOTHESIS_VIOLATED
+    defect = thm_2_1.hypothesis_residuals["normality_defect"]
+    lines = [f"fixture {fx.key}", "A:"]
+    lines.extend(_matrix_lines(a))
     lines.append("A1 (Hermitian part):")
-    lines.extend(_matrix_lines(parts.a1))
+    lines.extend(_matrix_lines(a1))
     lines.append(f"  matches documented value: {'yes' if a1_ok else 'NO'}")
     lines.append("A2 (skew part):")
-    lines.extend(_matrix_lines(parts.a2))
+    lines.extend(_matrix_lines(a2))
     lines.append(f"  matches documented value: {'yes' if a2_ok else 'NO'}")
-    return a1_ok and a2_ok
+    lines.append(
+        f"normality defect |A*A-AA*|_F = {_fmt(defect)}"
+        f" ({'normal' if normal else 'not normal'})"
+    )
+    fields = {
+        "fixture": fx.key,
+        "matrix": matrix_to_json(a),
+        "cartesian": {
+            "a1": matrix_to_json(a1),
+            "a2": matrix_to_json(a2),
+            "matches_documented": bool(a1_ok and a2_ok),
+        },
+        "classification": {"normal": normal, "normality_defect": defect},
+    }
+    return a1, a2, a1_ok and a2_ok, lines, fields
 
 
 def _repro_ex22(tol: Tolerance) -> tuple[list[str], dict, int]:
     fx = fixture("ex-2.2")
     a = fx.matrix
-    parts = cartesian(a)
-    flags = classify(a, tol)
-    lines = [f"fixture ex-2.2", "A:"]
-    lines.extend(_matrix_lines(a))
-    parts_ok = _parts_section(fx, parts, lines)
-    lines.append(
-        f"normality defect |A*A-AA*|_F = {_fmt(flags.normality_defect)}"
-        f" ({'normal' if flags.normal else 'not normal'})"
-    )
+    a1, a2, parts_ok, lines, fields = _fixture_head(fx, check("thm-2.1", (a,), tol))
 
-    abs_a = abs_op(a)
-    lhs_common = _INV_SQRT2 * abs_op(parts.a1 + parts.a2)
+    stack = np.stack([a, a1 + a2, a1 + 1j * a1, a1, a2])
+    abs_a, abs_sum, abs_shown, abs_a1, abs_a2 = abs_op(stack)
+    lhs_common = _INV_SQRT2 * abs_sum
     targets = {
-        "left-as-displayed": (lhs_common, abs_op(parts.a1 + 1j * parts.a1)),
+        "left-as-displayed": (lhs_common, abs_shown),
         "left-corrected": (lhs_common, abs_a),
-        "right": (abs_a, abs_op(parts.a1) + abs_op(parts.a2)),
+        "right": (abs_a, abs_a1 + abs_a2),
     }
     checks = []
     discrepancies = []
@@ -257,21 +275,11 @@ def _repro_ex22(tol: Tolerance) -> tuple[list[str], dict, int]:
         "summary: documented failure of both order inequalities "
         + ("reproduced (as-displayed reading)" if reproduced else "NOT reproduced")
     )
-    catalog_report = check_loewner_cartesian(a, tol)
+    catalog_report = check("loewner-cartesian", (a,), tol)
     doc = document(
         "repro",
         {
-            "fixture": "ex-2.2",
-            "matrix": matrix_to_json(a),
-            "cartesian": {
-                "a1": matrix_to_json(parts.a1),
-                "a2": matrix_to_json(parts.a2),
-                "matches_documented": bool(parts_ok),
-            },
-            "classification": {
-                "normal": bool(flags.normal),
-                "normality_defect": flags.normality_defect,
-            },
+            **fields,
             "order_checks": checks,
             "reports": {"loewner-cartesian": report_to_json(catalog_report)},
             "discrepancies": discrepancies,
@@ -294,25 +302,18 @@ def _eig2_hermitian(m) -> tuple[float, float]:
 def _repro_ex23(tol: Tolerance) -> tuple[list[str], dict, int]:
     fx = fixture("ex-2.3")
     a = fx.matrix
-    parts = cartesian(a)
-    flags = classify(a, tol)
-    lines = [f"fixture ex-2.3", "A:"]
-    lines.extend(_matrix_lines(a))
-    parts_ok = _parts_section(fx, parts, lines)
-    lines.append(
-        f"normality defect |A*A-AA*|_F = {_fmt(flags.normality_defect)}"
-        f" ({'normal' if flags.normal else 'not normal'})"
-    )
+    theorem = check("thm-2.1", (a,), tol)
+    a1, a2, parts_ok, lines, fields = _fixture_head(fx, theorem)
 
     # Oracle route, independent of the eigensolver: A = A1 + i*I with A1
     # 2x2 Hermitian, so s_k(A) = sqrt(mu_k^2 + 1) and |A1|+|A2| has
     # eigenvalues |mu_k| + 1, over the closed-form eigenvalues mu_k of A1.
-    mu = _eig2_hermitian(parts.a1)
+    mu = _eig2_hermitian(a1)
     oracle_s_a = tuple(sorted((math.sqrt(m * m + 1.0) for m in mu), reverse=True))
     oracle_s_abs = tuple(sorted((abs(m) + 1.0 for m in mu), reverse=True))
 
-    s_a = singular_values(a).values
-    s_abs = singular_values(abs_op(parts.a1) + abs_op(parts.a2)).values
+    abs_a1, abs_a2 = abs_op(np.stack([a1, a2]))
+    s_a, s_abs = singular_values(np.stack([a, abs_a1 + abs_a2])).tolist()
     claimed = {c.name: c.claimed for c in fx.value_claims}
 
     values = []
@@ -368,7 +369,6 @@ def _repro_ex23(tol: Tolerance) -> tuple[list[str], dict, int]:
         + ("reproduced" if relation_holds else f"not reproduced ({_fmt(s_a[1])} <= {_fmt(s_abs[1])})")
     )
 
-    theorem = check_thm_2_1(a, tol)
     lines.append(
         f"theorem check thm-2.1: {theorem.verdict.value}"
         f" (min margin {_fmt(theorem.min_margin)})"
@@ -395,17 +395,7 @@ def _repro_ex23(tol: Tolerance) -> tuple[list[str], dict, int]:
     doc = document(
         "repro",
         {
-            "fixture": "ex-2.3",
-            "matrix": matrix_to_json(a),
-            "cartesian": {
-                "a1": matrix_to_json(parts.a1),
-                "a2": matrix_to_json(parts.a2),
-                "matches_documented": bool(parts_ok),
-            },
-            "classification": {
-                "normal": bool(flags.normal),
-                "normality_defect": flags.normality_defect,
-            },
+            **fields,
             "values": values,
             "claimed_relation": {
                 "statement": "s2(A) > s2(|A1|+|A2|)",
@@ -570,6 +560,7 @@ def main(argv=None) -> int:
         ConfigInvalid,
         MalformedWitness,
         InvalidSpec,
+        NoConvergence,
         OSError,
         ValueError,
     ) as exc:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import randgen
-from .decomp import _cartesian
+from .decomp import cartesian
 from .inequalities import (
     ArityMismatch,
     CatalogEntry,
@@ -42,6 +42,7 @@ from .numkernel import (
     DimensionMismatch,
     InvalidMatrix,
     MAX_DIM,
+    NoConvergence,
     NotHermitian,
 )
 
@@ -200,7 +201,7 @@ def _build_inputs(
     """One (k, n, n) stack per checker operand, drawn from a stacked stream."""
     if plan == "split":
         (m,) = randgen.sample(class_tag, dim, stream, scale)
-        return _cartesian(m)
+        return cartesian(m)
     if plan == "native":
         return randgen.sample(class_tag, dim, stream, scale)
     mats = []
@@ -333,12 +334,24 @@ class _TargetAggregator:
         )
 
 
+def _finite(checked: Checked) -> bool:
+    """Whether every number the counts are read from is finite: minimum
+    margins and tolerances, the minima of the sides each trial evaluated,
+    and the hypothesis residuals."""
+    values = [checked.min_margin, checked.tol_used, *checked.graded.residuals.values()]
+    for side in checked.graded.sides:
+        values.append(side.min_margin if side.present is None else side.min_margin[side.present])
+    return all(np.isfinite(v).all() for v in values)
+
+
 def _check_chunk(agg: _TargetAggregator, first_trial: int, dim: int, mats, tol: Tolerance):
     """Check one chunk of trials and fold it into ``agg``.
 
     A checker rejects a whole stack when one operand is not Hermitian; the
     chunk is then checked trial by trial, and each rejected trial counts as
-    a hypothesis violation while the others are graded as usual.
+    a hypothesis violation while the others are graded as usual.  A chunk
+    that yields a non-finite number raises FloatingPointError, so that no
+    count comes from a NaN or an infinity.
     """
     try:
         checked = agg.entry.run(mats, tol)
@@ -350,11 +363,17 @@ def _check_chunk(agg: _TargetAggregator, first_trial: int, dim: int, mats, tol: 
         for i in range(k):
             _check_chunk(agg, first_trial + i, dim, [m[i : i + 1] for m in mats], tol)
         return
+    if not _finite(checked):
+        raise FloatingPointError("non-finite margins or residuals")
     agg.add(first_trial, dim, mats, checked)
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
-    """Run every target of ``config`` and aggregate margins and verdicts."""
+    """Run every target of ``config`` and aggregate margins and verdicts.
+
+    Raises ConfigInvalid when a chunk cannot be graded at the configured
+    scale: the eigensolver does not converge or a number overflows.
+    """
     jobs = _plan(config)
     results = []
     trial = 0
@@ -368,7 +387,13 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                 indices = np.arange(first, first + k, dtype=np.uint64)
                 stream = randgen.prng_stream(config.seed, indices)
                 mats = _build_inputs(entry, class_tag, plan, dim, stream, config.scale)
-                _check_chunk(agg, first, dim, mats, config.tol)
+                try:
+                    _check_chunk(agg, first, dim, mats, config.tol)
+                except (NoConvergence, FloatingPointError) as exc:
+                    raise ConfigInvalid(
+                        f"{entry.ineq_id} on {class_tag} at dimension {dim} and scale"
+                        f" {config.scale!r} cannot be graded: {exc}"
+                    ) from None
             trial += config.trials_per_dim
         results.append(agg.finish(config.seed, config.tol))
     return CampaignResult(config=config, targets=tuple(results))

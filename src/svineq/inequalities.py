@@ -35,24 +35,24 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .decomp import _cartesian, _hermitian_grade, _jordan, _normality_grade, _psd_grade
+from .decomp import _hermitian_grade, _normality_grade, _psd_grade, cartesian, jordan
 from .numkernel import (
     DEFAULT_TOL,
     DimensionMismatch,
     InvalidMatrix,
     Tolerance,
-    _abs_op,
     _adj,
     _block2,
     _direct_sum,
     _eigvalsh,
     _fro,
     _herm,
-    _loewner,
-    _psd_sqrt,
     _require_hermitian,
-    _singular_values,
     _zero_slices,
+    abs_op,
+    loewner_leq,
+    psd_sqrt,
+    singular_values,
 )
 
 _INV_SQRT2 = 2.0 ** -0.5
@@ -290,12 +290,13 @@ def _grade(ineq_id: str, dims: tuple[int, ...], graded: Graded, tol: Tolerance) 
 # --- checker cores ---------------------------------------------------------------
 #
 # Each core takes the stacked operands of k trials and a tolerance and
-# returns a Graded; the statements are in the docstrings of the check_*
-# functions below.  Structural requirements (an operand that must be
-# Hermitian for the statement to parse) raise NotHermitian for the stack.
+# returns a Graded; its docstring states the inequality.  Structural
+# requirements (an operand that must be Hermitian for the statement to
+# parse) raise NotHermitian for the stack.
 
 
 def _core_scalar(mats, tol) -> Graded:
+    """scalar-1.6: (1/sqrt2)|a+b| <= |a+ib| <= |a|+|b| for real scalars a, b."""
     reals = []
     for m in mats:
         z = m[:, 0, 0]
@@ -310,12 +311,13 @@ def _core_scalar(mats, tol) -> Graded:
 
 
 def _bk_side(a, b) -> SideBatch:
-    lhs = _singular_values(a + b)
-    rhs = _SQRT2 * _singular_values(a + 1j * b)
+    lhs = singular_values(a + b)
+    rhs = _SQRT2 * singular_values(a + 1j * b)
     return _spectrum_side("main", lhs, rhs)
 
 
 def _core_bk_1_1(mats, tol) -> Graded:
+    """bk-1.1: s_j(A+B) <= sqrt2 s_j(A+iB) for PSD A, B."""
     a, b = mats
     a_defect, a_min, _, a_psd = _psd_grade(a, tol)
     b_defect, b_min, _, b_psd = _psd_grade(b, tol)
@@ -329,6 +331,7 @@ def _core_bk_1_1(mats, tol) -> Graded:
 
 
 def _core_bk_1_1_hermitian_b(mats, tol) -> Graded:
+    """bk-1.1-hermitian-B: bk-1.1 with B only Hermitian (false in general)."""
     a, b = mats
     a_defect, a_min, _, a_psd = _psd_grade(a, tol)
     b_defect, b_hermitian, _ = _hermitian_grade(b, tol)
@@ -350,25 +353,28 @@ def _psd_block(mats, tol):
 
 
 def _core_tao_1_2(mats, tol) -> Graded:
+    """tao-1.2: 2 s_j(B) <= s_j([[A,B],[B*,C]]) when the block matrix is PSD."""
     block, psd, residuals = _psd_block(mats, tol)
-    side = _spectrum_side("main", 2.0 * _singular_values(mats[1]), _singular_values(block))
+    side = _spectrum_side("main", 2.0 * singular_values(mats[1]), singular_values(block))
     return Graded((side,), psd, residuals)
 
 
 def _core_ak_1_3(mats, tol) -> Graded:
+    """ak-1.3: s_j(B) <= s_j(A ⊕ C) when [[A,B],[B*,C]] is PSD."""
     a, b, c = mats
     _, psd, residuals = _psd_block(mats, tol)
-    side = _spectrum_side("main", _singular_values(b), _singular_values(_direct_sum(a, c)))
+    side = _spectrum_side("main", singular_values(b), singular_values(_direct_sum(a, c)))
     return Graded((side,), psd, residuals)
 
 
 def _core_ak_1_4(mats, tol) -> Graded:
+    """ak-1.4: 2 s_j(A) <= s_j((B+A) ⊕ (B-A)) for Hermitian A with ±A <= B."""
     a, b = mats
     a_defect, a_hermitian, _ = _hermitian_grade(a, tol)
     b_defect, b_min, _, b_psd = _psd_grade(b, tol)
     ha, hb = _herm(a), _herm(b)
-    minus_eig, minus_tol = _loewner(ha, hb, tol)
-    plus_eig, plus_tol = _loewner(-ha, hb, tol)
+    minus_eig, minus_tol = loewner_leq(ha, hb, tol)
+    plus_eig, plus_tol = loewner_leq(-ha, hb, tol)
     residuals = {
         "a_hermitian_defect": a_defect,
         "b_hermitian_defect": b_defect,
@@ -377,106 +383,114 @@ def _core_ak_1_4(mats, tol) -> Graded:
         "min_eig_b_plus_a": plus_eig,
     }
     hyp = a_hermitian & b_psd & (minus_eig >= -minus_tol) & (plus_eig >= -plus_tol)
-    lhs = 2.0 * _singular_values(a)
-    side = _spectrum_side("main", lhs, _singular_values(_direct_sum(b + a, b - a)))
+    lhs = 2.0 * singular_values(a)
+    side = _spectrum_side("main", lhs, singular_values(_direct_sum(b + a, b - a)))
     return Graded((side,), hyp, residuals)
 
 
 def _thm_2_1_sides(a) -> tuple[SideBatch, SideBatch]:
-    a1, a2 = _cartesian(a)
-    mid = _singular_values(a)
-    left = _spectrum_side("left", _INV_SQRT2 * _singular_values(a1 + a2), mid)
-    right = _spectrum_side("right", mid, _singular_values(_abs_op(a1) + _abs_op(a2)))
+    a1, a2 = cartesian(a)
+    mid = singular_values(a)
+    left = _spectrum_side("left", _INV_SQRT2 * singular_values(a1 + a2), mid)
+    right = _spectrum_side("right", mid, singular_values(abs_op(a1) + abs_op(a2)))
     return left, right
 
 
 def _core_thm_2_1(mats, tol) -> Graded:
+    """thm-2.1: (1/sqrt2) s_j(A1+A2) <= s_j(A) <= s_j(|A1|+|A2|) for normal A."""
     (a,) = mats
-    defect, normal, *_ = _normality_grade(a, tol)
+    defect, normal = _normality_grade(a, tol)
     return Graded(_thm_2_1_sides(a), normal, {"normality_defect": defect})
 
 
 def _core_thm_2_1_nonnormal(mats, tol) -> Graded:
+    """thm-2.1-nonnormal: thm-2.1 without its normality hypothesis."""
     (a,) = mats
-    defect, *_ = _normality_grade(a, tol)
+    defect, _ = _normality_grade(a, tol)
     return Graded(_thm_2_1_sides(a), None, {"normality_defect": defect})
 
 
 def _core_thm_2_4(mats, tol) -> Graded:
+    """thm-2.4: s_j(A) <= s_j(2(A1⁺+A2⁺) ⊕ (A1+A2)) for normal A with -A2 <= A1."""
     (a,) = mats
-    defect, normal, *_ = _normality_grade(a, tol)
-    a1, a2 = _cartesian(a)
-    order_eig, order_tol = _loewner(-a2, a1, tol)
-    (plus1,) = _jordan(a1, "plus")
-    (plus2,) = _jordan(a2, "plus")
+    defect, normal = _normality_grade(a, tol)
+    a1, a2 = cartesian(a)
+    order_eig, order_tol = loewner_leq(-a2, a1, tol)
+    (plus1,) = jordan(a1, "plus")
+    (plus2,) = jordan(a2, "plus")
     rhs_mat = _direct_sum(2.0 * (plus1 + plus2), a1 + a2)
-    side = _spectrum_side("main", _singular_values(a), _singular_values(rhs_mat))
+    side = _spectrum_side("main", singular_values(a), singular_values(rhs_mat))
     residuals = {"normality_defect": defect, "min_eig_a1_plus_a2": order_eig}
     return Graded((side,), normal & (order_eig >= -order_tol), residuals)
 
 
 def _core_thm_2_5(half: str):
-    """The thm-2.5 core for the positive ("plus") or negative ("minus") part."""
+    """thm-2.5-plus/-minus: s_j(A±) <= s_j(|A| ⊕ (|A|∓A)/2) for Hermitian A."""
 
     def core(mats, tol) -> Graded:
         h, _ = _require_hermitian(mats[0], "A")
-        (part,) = _jordan(h, half)
-        absa = _abs_op(h)
+        (part,) = jordan(h, half)
+        absa = abs_op(h)
         rest = (absa - h) / 2.0 if half == "plus" else (absa + h) / 2.0
-        rhs = _singular_values(_direct_sum(absa, rest))
-        return Graded((_spectrum_side("main", _singular_values(part), rhs),))
+        rhs = singular_values(_direct_sum(absa, rest))
+        return Graded((_spectrum_side("main", singular_values(part), rhs),))
 
     return core
 
 
 def _core_thm_2_7(mats, tol) -> Graded:
+    """thm-2.7: sqrt2 s_j(A1+A2) <= s_j(A+iA*) <= 2 s_j(A1+A2) for any A."""
     (a,) = mats
-    a1, a2 = _cartesian(a)
-    s_sum = _singular_values(a1 + a2)
-    t = _singular_values(a + 1j * _adj(a))
+    a1, a2 = cartesian(a)
+    s_sum = singular_values(a1 + a2)
+    t = singular_values(a + 1j * _adj(a))
     left = _spectrum_side("left", _SQRT2 * s_sum, t)
     right = _spectrum_side("right", t, 2.0 * s_sum)
     return Graded((left, right))
 
 
 def _adjoint(x):
-    # A contiguous copy, like numkernel.adjoint: BLAS treats it differently
-    # from a transposed view, and the last bits of the products show it.
+    # A contiguous copy: BLAS treats it differently from a transposed view,
+    # and the last bits of the products show it.
     return np.ascontiguousarray(_adj(x))
 
 
 def _core_thm_2_8(mats, tol) -> Graded:
+    """thm-2.8: s_j(AB+BA) <= s_j((A*A+B*B) ⊕ (AA*+BB*)) for any A, B."""
     a, b = mats
-    lhs = _singular_values(a @ b + b @ a)
+    lhs = singular_values(a @ b + b @ a)
     gram_right = _adjoint(a) @ a + _adjoint(b) @ b
     gram_left = a @ _adjoint(a) + b @ _adjoint(b)
-    side = _spectrum_side("main", lhs, _singular_values(_direct_sum(gram_right, gram_left)))
+    side = _spectrum_side("main", lhs, singular_values(_direct_sum(gram_right, gram_left)))
     return Graded((side,))
 
 
 def _core_cor_2_9(mats, tol) -> Graded:
+    """cor-2.9: s_j(AB+BA) <= s_j((AA*+BB*) ⊕ (AA*+BB*)) for normal A, B."""
     a, b = mats
-    a_defect, a_normal, *_ = _normality_grade(a, tol)
-    b_defect, b_normal, *_ = _normality_grade(b, tol)
+    a_defect, a_normal = _normality_grade(a, tol)
+    b_defect, b_normal = _normality_grade(b, tol)
     gram = a @ _adjoint(a) + b @ _adjoint(b)
-    lhs = _singular_values(a @ b + b @ a)
-    side = _spectrum_side("main", lhs, _singular_values(_direct_sum(gram, gram)))
+    lhs = singular_values(a @ b + b @ a)
+    side = _spectrum_side("main", lhs, singular_values(_direct_sum(gram, gram)))
     residuals = {"a_normality_defect": a_defect, "b_normality_defect": b_defect}
     return Graded((side,), a_normal & b_normal, residuals)
 
 
 def _core_loewner_cartesian(mats, tol) -> Graded:
+    """loewner-cartesian: (1/sqrt2)|A1+A2| <= |A| <= |A1|+|A2| in the Loewner order."""
     (a,) = mats
-    a1, a2 = _cartesian(a)
-    absa = _abs_op(a)
-    left = _order_side("left", _INV_SQRT2 * _abs_op(a1 + a2), absa)
-    right = _order_side("right", absa, _abs_op(a1) + _abs_op(a2))
+    a1, a2 = cartesian(a)
+    absa = abs_op(a)
+    left = _order_side("left", _INV_SQRT2 * abs_op(a1 + a2), absa)
+    right = _order_side("right", absa, abs_op(a1) + abs_op(a2))
     return Graded((left, right))
 
 
 def _core_proof_facts(gate_sqrt: bool):
-    """The proof-facts core; with ``gate_sqrt`` the square-root side is
-    evaluated only on the trials whose pair commutes."""
+    """proof-facts-2.1: (A1+A2)^2 <= 2(A1^2+A2^2) and sqrt(A1^2+A2^2) <=
+    |A1|+|A2| for Hermitian A1, A2; with ``gate_sqrt`` the square-root side
+    is evaluated only on the trials whose pair commutes."""
 
     def core(mats, tol) -> Graded:
         h1, _ = _require_hermitian(mats[0], "A1")
@@ -488,7 +502,7 @@ def _core_proof_facts(gate_sqrt: bool):
         present = (comm <= tol.effective(_fro(h1) * _fro(h2))) | (not gate_sqrt)
         sel = np.flatnonzero(present)
         h1, h2, squares = h1[sel], h2[sel], squares[sel]
-        sqrt = _order_side("sqrt", _psd_sqrt(_herm(squares)), _abs_op(h1) + _abs_op(h2))
+        sqrt = _order_side("sqrt", psd_sqrt(_herm(squares)), abs_op(h1) + abs_op(h2))
         if sel.size < present.size:
             sqrt = sqrt.spread(present)
         return Graded((square, sqrt), None, {"commutator_defect": comm})
@@ -642,124 +656,3 @@ def check(ineq_id: str, inputs: Sequence, tol: Tolerance = DEFAULT_TOL) -> Inequ
         raise InvalidMatrix(f"{ineq_id}: inputs contain non-finite entries")
     # Contiguous operands, so that no result depends on the caller's layout.
     return entry.run([np.ascontiguousarray(m)[None] for m in mats], tol).report(0)
-
-
-# --- one-matrix checkers: check() on a fixed id ------------------------------
-
-
-def check_scalar_1_6(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> InequalityReport:
-    """(1/sqrt2)|a+b| <= |a+ib| <= |a|+|b| for real scalars a, b."""
-    return check("scalar-1.6", ([[float(a)]], [[float(b)]]), tol)
-
-
-def check_bk_1_1(a, b, tol: Tolerance = DEFAULT_TOL) -> InequalityReport:
-    """s_j(A+B) <= sqrt2 * s_j(A+iB) for PSD A, B."""
-    return check("bk-1.1", (a, b), tol)
-
-
-def check_bk_1_1_hermitian_b(a, b, tol: Tolerance = DEFAULT_TOL) -> InequalityReport:
-    """The bk-1.1 comparison with B only required Hermitian, not PSD.
-
-    This relaxed statement is false in general; it exists as a search and
-    replay target for counterexamples.
-    """
-    return check("bk-1.1-hermitian-B", (a, b), tol)
-
-
-def check_tao_1_2(a, b, c, tol: Tolerance = DEFAULT_TOL) -> InequalityReport:
-    """2 s_j(B) <= s_j([[A,B],[B*,C]]) when the block matrix is PSD."""
-    return check("tao-1.2", (a, b, c), tol)
-
-
-def check_ak_1_3(a, b, c, tol: Tolerance = DEFAULT_TOL) -> InequalityReport:
-    """s_j(B) <= s_j(A ⊕ C) when [[A,B],[B*,C]] is PSD."""
-    return check("ak-1.3", (a, b, c), tol)
-
-
-def check_ak_1_4(a, b, tol: Tolerance = DEFAULT_TOL) -> InequalityReport:
-    """2 s_j(A) <= s_j((B+A) ⊕ (B-A)) for Hermitian A with ±A <= B."""
-    return check("ak-1.4", (a, b), tol)
-
-
-def check_thm_2_1(a, tol: Tolerance = DEFAULT_TOL) -> InequalityReport:
-    """(1/sqrt2) s_j(A1+A2) <= s_j(A) <= s_j(|A1|+|A2|) for normal A."""
-    return check("thm-2.1", (a,), tol)
-
-
-def check_thm_2_1_nonnormal(a, tol: Tolerance = DEFAULT_TOL) -> InequalityReport:
-    """The thm-2.1 comparison with the normality hypothesis dropped.
-
-    Exists as a search/replay target: violations demonstrate that the
-    hypothesis is essential.
-    """
-    return check("thm-2.1-nonnormal", (a,), tol)
-
-
-def check_thm_2_4(a, tol: Tolerance = DEFAULT_TOL) -> InequalityReport:
-    """s_j(A) <= s_j(2(A1⁺+A2⁺) ⊕ (A1+A2)) for normal A with -A2 <= A1."""
-    return check("thm-2.4", (a,), tol)
-
-
-def check_thm_2_5(a, side: str, tol: Tolerance = DEFAULT_TOL) -> InequalityReport:
-    """s_j(A±) <= s_j(|A| ⊕ (|A|∓A)/2) for Hermitian A.
-
-    ``side`` selects the positive ("plus") or negative ("minus") part.
-    Raises NotHermitian for non-Hermitian input: the positive/negative
-    splitting is undefined otherwise.
-    """
-    if side not in ("plus", "minus"):
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    return check(f"thm-2.5-{side}", (a,), tol)
-
-
-def check_thm_2_7(a, tol: Tolerance = DEFAULT_TOL) -> InequalityReport:
-    """sqrt2 s_j(A1+A2) <= s_j(A+iA*) <= 2 s_j(A1+A2) for arbitrary A.
-
-    The left comparison is an exact identity (A + iA* = (1+i)(A1+A2)), so
-    its margins are round-off sized on every input.
-    """
-    return check("thm-2.7", (a,), tol)
-
-
-def check_thm_2_8(a, b, tol: Tolerance = DEFAULT_TOL) -> InequalityReport:
-    """s_j(AB+BA) <= s_j((A*A+B*B) ⊕ (AA*+BB*)) for arbitrary A, B."""
-    return check("thm-2.8", (a, b), tol)
-
-
-def check_cor_2_9(a, b, tol: Tolerance = DEFAULT_TOL) -> InequalityReport:
-    """s_j(AB+BA) <= s_j((AA*+BB*) ⊕ (AA*+BB*)) for normal A, B."""
-    return check("cor-2.9", (a, b), tol)
-
-
-def check_loewner_cartesian(a, tol: Tolerance = DEFAULT_TOL) -> InequalityReport:
-    """The matrix-order analogue of thm-2.1:
-    (1/sqrt2)|A1+A2| <= |A| and |A| <= |A1|+|A2| in the Loewner order.
-
-    Both can fail even though the singular-value versions hold for normal
-    A; failures are reported as Violated verdicts, not errors, because
-    they are the interesting output.
-    """
-    return check("loewner-cartesian", (a,), tol)
-
-
-def check_loewner_cartesian_general(a, tol: Tolerance = DEFAULT_TOL) -> InequalityReport:
-    """Identical comparison to loewner-cartesian under its search-target id."""
-    return check("loewner-cartesian-general", (a,), tol)
-
-
-def check_proof_facts_2_1(a1, a2, tol: Tolerance = DEFAULT_TOL) -> InequalityReport:
-    """Two operator-order facts about a Hermitian pair:
-    (A1+A2)^2 <= 2(A1^2+A2^2), always; and sqrt(A1^2+A2^2) <= |A1|+|A2|,
-    checked only when the pair commutes (the side is skipped otherwise).
-    """
-    return check("proof-facts-2.1", (a1, a2), tol)
-
-
-def check_proof_facts_2_1_general(a1, a2, tol: Tolerance = DEFAULT_TOL) -> InequalityReport:
-    """Both proof-facts comparisons on an arbitrary Hermitian pair.
-
-    The square-root comparison is evaluated even for non-commuting pairs;
-    its general validity is treated as an open question to fuzz, so this
-    id is never expected to hold a priori.
-    """
-    return check("proof-facts-2.1-general", (a1, a2), tol)

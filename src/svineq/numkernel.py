@@ -1,10 +1,11 @@
-"""Dense complex matrix primitives.
+"""Dense complex matrix primitives over stacks of matrices.
 
-Everything downstream is built on the handful of operations here: adjoints,
-products, block assembly, Hermitian eigendecomposition, PSD square roots,
-operator absolute values, singular spectra, and the positive-semidefinite
-(Loewner) order check.  All functions are pure and treat matrices as
-immutable complex128 values.
+Everything downstream is built on the handful of operations here:
+Hermitian eigendecomposition, PSD square roots, operator absolute values,
+singular spectra and the positive-semidefinite (Loewner) order test, plus
+adjoints, block assembly and Frobenius norms.  Every operation takes
+stacks of shape (k, n, n); one matrix ``a`` is the stack ``a[None]``.  All
+functions are pure and treat matrices as immutable complex128 values.
 
 Matrices entering the system from outside (files, generator specs) are
 capped at ``MAX_DIM``; internally assembled block matrices may be up to
@@ -92,70 +93,13 @@ def as_matrix(entries, max_dim: int = MAX_DIM) -> np.ndarray:
     return m
 
 
-def _square(m, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
-    return a
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return _square(m).conj().T.copy()
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two square matrices of equal dimension."""
-    a = _square(a, "left factor")
-    b = _square(b, "right factor")
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def direct_sum(a, b) -> np.ndarray:
-    """Block-diagonal matrix diag(a, b)."""
-    return _direct_sum(_square(a, "first block"), _square(b, "second block"))
-
-
-def block2(a, b, c, d) -> np.ndarray:
-    """2x2 block matrix [[a, b], [c, d]] of equally sized square blocks."""
-    blocks = [_square(x, f"block {i}") for i, x in enumerate((a, b, c, d))]
-    n = blocks[0].shape[0]
-    if any(x.shape[0] != n for x in blocks):
-        raise DimensionMismatch("all four blocks must share one dimension")
-    return _block2(*blocks)
-
-
-def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(np.asarray(m)))
-
-
-def hermitian_defect(m) -> float:
-    """Frobenius distance from m to exact Hermitian symmetry, ||m - m*||_F."""
-    a = _square(m)
-    return float(np.linalg.norm(a - a.conj().T))
-
-
-def hermitian_part(m) -> np.ndarray:
-    return _herm(_square(m))
-
-
-def require_hermitian(m, name: str = "matrix") -> np.ndarray:
-    """Return the symmetrised copy of ``m`` or raise NotHermitian if it
-    deviates from symmetry beyond round-off."""
-    h, _ = _require_hermitian(_square(m, name)[None], name)
-    return h[0]
-
-
 # --- stacked kernels ---------------------------------------------------------
 #
 # The functions below take stacks of shape (k, n, n) and treat each slice
-# exactly as the one-matrix operation would: every result slice is bitwise
-# equal to the result for that matrix alone.  Stacked eigh/eigvalsh/qr and
-# matmul are, per slice, the same LAPACK/BLAS calls; reductions are not,
-# so Frobenius norms go through ``_fro`` and zero-matrix short-circuits are
-# applied per slice.  Elementwise complex products can also round
+# on its own: every result slice is bitwise equal to the result for the
+# stack of that matrix alone.  Stacked eigh/eigvalsh/qr and matmul are, per
+# slice, the same LAPACK/BLAS calls; reductions are not, so Frobenius norms
+# go through ``_fro`` and zero-matrix short-circuits are applied per slice.  Elementwise complex products can also round
 # differently when stacking changes which numpy loop runs them (see
 # ``randgen._conjugate_diag``); tests/test_golden.py pins the result.
 
@@ -228,9 +172,14 @@ def _min_eig(h: np.ndarray) -> np.ndarray:
     return w
 
 
-def _hermitian_eig(x: np.ndarray, name: str = "matrix"):
-    """(eigenvalues, eigenvectors, norms) of a Hermitian stack; a zero slice
-    short-circuits to (zeros, identity)."""
+def hermitian_eig(x: np.ndarray, name: str = "matrix"):
+    """(eigenvalues, eigenvectors, norms) of a Hermitian stack.
+
+    Eigenvalues are ascending and eigenvectors are columns.  Each slice may
+    deviate from exact symmetry by round-off (it is symmetrised); larger
+    defects raise NotHermitian.  A zero slice short-circuits to (zeros,
+    identity).
+    """
     h, norm = _require_hermitian(x, name)
     try:
         w, v = np.linalg.eigh(h)
@@ -249,8 +198,13 @@ def _apply(w: np.ndarray, v: np.ndarray, fw: np.ndarray) -> np.ndarray:
     return (out + _adj(out)) / 2.0
 
 
-def _psd_sqrt(x: np.ndarray) -> np.ndarray:
-    w, v, norm = _hermitian_eig(x)
+def psd_sqrt(x: np.ndarray) -> np.ndarray:
+    """Unique PSD square roots of a PSD stack.
+
+    Eigenvalues in a small negative round-off band are clamped to zero;
+    genuinely negative spectrum raises NotPSD.
+    """
+    w, v, norm = hermitian_eig(x)
     clamp = PSD_CLAMP_RTOL * np.maximum(1.0, norm)
     bad = w[:, 0] < -clamp
     if np.count_nonzero(bad):
@@ -259,12 +213,14 @@ def _psd_sqrt(x: np.ndarray) -> np.ndarray:
     return _apply(w, v, np.sqrt(np.maximum(w, 0.0)))
 
 
-def _abs_op(x: np.ndarray) -> np.ndarray:
-    return _psd_sqrt(_adj(x) @ x)
+def abs_op(x: np.ndarray) -> np.ndarray:
+    """Operator absolute values |A| = (A* A)^(1/2); defined for any square A."""
+    return psd_sqrt(_adj(x) @ x)
 
 
-def _singular_values(x: np.ndarray) -> np.ndarray:
-    """Nonincreasing singular values per slice, shape (k, n)."""
+def singular_values(x: np.ndarray) -> np.ndarray:
+    """Nonincreasing singular values per slice, shape (k, n), from the
+    spectrum of A* A; round-off negatives are clamped before the root."""
     gram = _adj(x) @ x
     w = _eigvalsh((gram + _adj(gram)) / 2.0)
     vals = np.sqrt(np.maximum(w[:, ::-1], 0.0))
@@ -292,132 +248,14 @@ def _block2(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.nd
     return out
 
 
-def _loewner(x: np.ndarray, y: np.ndarray, tol: "Tolerance"):
-    """(min_eig, tol_used) of the order test X <= Y per slice."""
+def loewner_leq(x: np.ndarray, y: np.ndarray, tol: Tolerance):
+    """(min_eig, tol_used) of the order test X <= Y per slice.
+
+    Both operands must be Hermitian within round-off.  ``min_eig`` is the
+    smallest eigenvalue of Y - X; the order holds where it is at least
+    ``-tol_used``, the tolerance at the scale of ||Y - X||_F.
+    """
     hx, _ = _require_hermitian(x, "left operand")
     hy, _ = _require_hermitian(y, "right operand")
     diff = hy - hx
     return _min_eig(diff), tol.effective(_fro(diff))
-
-
-# --- one-matrix operations ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; ``vectors`` holds orthonormal
-    eigenvectors as columns, so ``vectors @ diag(eigenvalues) @ vectors*``
-    reconstructs the input.
-    """
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.eigenvalues) @ self.vectors.conj().T
-
-    def apply(self, fn) -> np.ndarray:
-        """Apply a real scalar function to the spectrum: V f(w) V*."""
-        return _apply(self.eigenvalues[None], self.vectors[None], fn(self.eigenvalues)[None])[0]
-
-
-def hermitian_eig(m) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
-
-    The input may deviate from exact symmetry by round-off (it is
-    symmetrised internally); larger defects raise NotHermitian.  The zero
-    matrix short-circuits to (zeros, identity).
-    """
-    w, v, _ = _hermitian_eig(_square(m)[None])
-    return SpectralDecomposition(w[0], v[0])
-
-
-def psd_sqrt(m) -> np.ndarray:
-    """Unique PSD square root of a PSD matrix.
-
-    Eigenvalues in a small negative round-off band are clamped to zero;
-    genuinely negative spectrum raises NotPSD.
-    """
-    return _psd_sqrt(_square(m)[None])[0]
-
-
-def abs_op(m) -> np.ndarray:
-    """Operator absolute value |m| = (m* m)^(1/2); defined for any square m."""
-    return _abs_op(_square(m)[None])[0]
-
-
-@dataclass(frozen=True)
-class SingularSpectrum:
-    """Singular values in nonincreasing order, with multiplicity."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = self.values
-        if any(v < 0.0 for v in vals):
-            raise ValueError("singular values must be nonnegative")
-        if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
-            raise ValueError("singular values must be nonincreasing")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, j):
-        return self.values[j]
-
-    @property
-    def largest(self) -> float:
-        return self.values[0] if self.values else 0.0
-
-    def padded(self, k: int) -> tuple[float, ...]:
-        """The spectrum zero-padded to length at least k (never truncated)."""
-        if k <= len(self.values):
-            return self.values
-        return self.values + (0.0,) * (k - len(self.values))
-
-    def scaled(self, factor: float) -> "SingularSpectrum":
-        if factor < 0:
-            raise ValueError("scale factor must be nonnegative")
-        return SingularSpectrum(tuple(factor * v for v in self.values))
-
-
-def singular_values(m) -> SingularSpectrum:
-    """Singular values of a square matrix, from the spectrum of m* m.
-
-    Round-off negatives in the Gram spectrum are clamped before the square
-    root, so the result is always a valid nonincreasing nonnegative tuple.
-    """
-    return SingularSpectrum(tuple(_singular_values(_square(m)[None])[0].tolist()))
-
-
-@dataclass(frozen=True)
-class OrderVerdict:
-    """Outcome of a Loewner order test X <= Y.
-
-    ``min_eig`` is the smallest eigenvalue of Y - X; the order holds when
-    it is above ``-tol_used``.
-    """
-
-    holds: bool
-    min_eig: float
-    tol_used: float
-
-
-def loewner_leq(x, y, tol: Tolerance = DEFAULT_TOL) -> OrderVerdict:
-    """Test X <= Y in the positive-semidefinite order.
-
-    Both operands must be Hermitian (within round-off).  The verdict is
-    graded by the smallest eigenvalue of the difference, compared at the
-    scale of ||Y - X||_F.
-    """
-    x, y = _square(x, "left operand"), _square(y, "right operand")
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"cannot order {x.shape} against {y.shape}")
-    min_eig, tol_used = _loewner(x[None], y[None], tol)
-    min_eig, tol_used = float(min_eig[0]), float(tol_used[0])
-    return OrderVerdict(holds=min_eig >= -tol_used, min_eig=min_eig, tol_used=tol_used)

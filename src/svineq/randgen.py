@@ -16,11 +16,9 @@ skew part PSD), and normal pairs sharing one eigenbasis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .numkernel import MAX_DIM, _abs_op, _adj, _herm
+from .numkernel import MAX_DIM, _adj, _herm, abs_op
 
 CLASS_ARITY: dict[str, int] = {
     "ginibre": 1,
@@ -44,7 +42,7 @@ _MIX2 = _U64(0x94D049BB133111EB)
 
 
 class InvalidSpec(ValueError):
-    """Generator spec fields are out of range or inconsistent."""
+    """A generator class, dimension, seed or stream index is out of range."""
 
 
 def _check_u64(value: int, name: str) -> int:
@@ -121,29 +119,6 @@ def prng_stream(seed: int, stream_index) -> Stream:
     return Stream(seed, stream_index)
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    class_tag: str
-    dim: int
-    seed: int
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.class_tag not in CLASS_ARITY:
-            raise InvalidSpec(f"unknown class_tag {self.class_tag!r}")
-        if not isinstance(self.dim, (int, np.integer)) or not 1 <= self.dim <= MAX_DIM:
-            raise InvalidSpec(f"dim must be in 1..{MAX_DIM}, got {self.dim!r}")
-        _check_u64(self.seed, "seed")
-        if not (isinstance(self.scale, (int, float)) and math.isfinite(self.scale) and self.scale > 0):
-            raise InvalidSpec(f"scale must be a positive finite real, got {self.scale!r}")
-
-
-@dataclass(frozen=True)
-class GeneratedInput:
-    matrices: tuple[np.ndarray, ...]
-    provenance: tuple[str, int, int]  # (class_tag, dim, seed)
-
-
 # The generators below draw one stack of k inputs from a stream of k rows
 # (k = 1 for a single-index stream); every array they return has shape
 # (k, n, n).
@@ -201,7 +176,7 @@ def _sample(class_tag: str, dim: int, stream: Stream, scale: float) -> tuple[np.
     if class_tag == "dominated_pair":
         a = _hermitian(stream, n, scale)
         p = _psd(stream, n, scale)
-        return (a, _herm(_abs_op(a) + p))
+        return (a, _herm(abs_op(a) + p))
     if class_tag == "normal_order_constrained":
         u = _unitary(stream, n)
         d2 = stream.normals(n).reshape(-1, n) * scale
@@ -220,8 +195,8 @@ def sample(class_tag: str, dim: int, stream: Stream, scale: float = 1.0) -> tupl
     """Draw one input tuple for ``class_tag`` from an existing stream.
 
     From a stacked stream of k rows each matrix comes as a (k, n, n)
-    stack whose slice r is the draw from row r alone.  ``generate`` wraps
-    this for standalone specs.
+    stack whose slice r is the draw from row r alone; from a single stream
+    each comes as one (n, n) matrix.
     """
     if class_tag not in CLASS_ARITY:
         raise InvalidSpec(f"unknown class_tag {class_tag!r}")
@@ -230,8 +205,3 @@ def sample(class_tag: str, dim: int, stream: Stream, scale: float = 1.0) -> tupl
     mats = _sample(class_tag, dim, stream, scale)
     return mats if stream.stacked else tuple(m[0] for m in mats)
 
-
-def generate(spec: GeneratorSpec) -> GeneratedInput:
-    """Generate the input tuple described by ``spec`` (pure in the spec)."""
-    mats = sample(spec.class_tag, spec.dim, prng_stream(spec.seed, 0), spec.scale)
-    return GeneratedInput(matrices=mats, provenance=(spec.class_tag, spec.dim, spec.seed))

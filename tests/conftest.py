@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import HealthCheck, settings
 
+from svineq.decomp import cartesian
 from svineq.randgen import prng_stream, sample
 
 settings.register_profile(
@@ -23,6 +24,21 @@ def mat(rows) -> np.ndarray:
 def draw(class_tag: str, dim: int, seed: int, index: int = 0, scale: float = 1.0):
     """One deterministic generator draw for property tests."""
     return sample(class_tag, dim, prng_stream(seed, index), scale)
+
+
+def frobenius_norm(m) -> float:
+    return float(np.linalg.norm(m))
+
+
+def hermitian_defect(m) -> float:
+    """||m - m*||_F."""
+    return frobenius_norm(m - m.conj().T)
+
+
+def cartesian_parts(a):
+    """(A1, A2) of one matrix: slice 0 of the stacked splitting."""
+    a1, a2 = cartesian(a[None])
+    return a1[0], a2[0]
 
 
 # Small fixed matrices reused across test modules.

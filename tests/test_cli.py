@@ -118,6 +118,21 @@ def test_verify_negative_tolerance_exit_3(normal_file, capsys):
     assert rc == 3
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_no_convergence_exit_3(tmp_path, capsys):
+    # Finite entries near 1e160 overflow A*A; the eigensolver then gives up
+    # (NoConvergence), which is an input error, not a "violated" verdict.
+    files = [
+        write_matrix(tmp_path, f"{name}.json", draw("ginibre", 3, seed=0, index=i)[0].real * 1e160)
+        for i, name in enumerate("ab")
+    ]
+    rc = main(["verify", "thm-2.8", *files])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_verify_out_file_equals_stdout(normal_file, tmp_path, capsys):
     out_path = tmp_path / "report.json"
     main(["verify", "thm-2.1", normal_file, "--out", str(out_path)])

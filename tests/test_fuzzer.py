@@ -129,6 +129,21 @@ def test_structurally_wrong_class_counts_hypothesis_violations():
     assert t.worst_witness is None
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("target", [("thm-2.7", "ginibre"), ("thm-2.8", "ginibre")])
+def test_overflowing_campaign_is_config_invalid(target):
+    # At scale 1e160 the kernels overflow: thm-2.7 yields NaN margins (they
+    # used to reach the histogram as "cannot convert float NaN to integer"),
+    # thm-2.8's eigensolver raises NoConvergence.
+    config = small_config(targets=(target,), dims=(2,), trials_per_dim=3, scale=1e160)
+    with pytest.raises(ConfigInvalid) as info:
+        run_campaign(config)
+    message = str(info.value)
+    assert target[0] in message
+    assert "dimension 2" in message
+    assert "1e+160" in message
+
+
 def test_non_hermitian_trial_in_a_chunk_is_rejected_alone():
     # The checker rejects the whole stack; the chunk is then checked trial
     # by trial, so only the non-Hermitian middle trial counts as a

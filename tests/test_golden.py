@@ -1,8 +1,10 @@
-"""Byte-identity gate: campaign and witness documents against stored goldens.
+"""Byte-identity gate: campaign, witness and repro documents against stored
+goldens.
 
 The documents under ``tests/golden/`` were written by this module before
-the checkers were rewritten over stacked operands, so they pin the exact
-bytes a campaign, a search and a worst witness must keep
+the checkers were rewritten over stacked operands (the repro outputs
+before the one-matrix kernels were removed), so they pin the exact bytes a
+campaign, a search, a worst witness and a fixture reproduction must keep
 (``criterion-3.json`` is compared in test_acceptance.py).  Regenerate them
 only for a change that is meant to alter the numerics:
 
@@ -11,6 +13,8 @@ only for a change that is meant to alter the numerics:
 
 from __future__ import annotations
 
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -53,6 +57,13 @@ def _cli_document(argv: list[str], tmp: Path) -> bytes:
     return out.read_bytes()
 
 
+def _cli_stdout(argv: list[str]) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(argv)
+    return out.getvalue().encode()
+
+
 def edge_campaign_document() -> bytes:
     return dumps(campaign_document(run_campaign(EDGE_CONFIG))).encode()
 
@@ -70,6 +81,9 @@ def documents(tmp: Path):
         yield f"search-{target}.json", lambda t=target: _cli_document(
             ["search", "--target", t, "--seed", "0"], tmp
         )
+    for fixture in ("ex-2.2", "ex-2.3"):
+        yield f"repro-{fixture}.txt", lambda f=fixture: _cli_stdout(["repro", f])
+        yield f"repro-{fixture}.json", lambda f=fixture: _cli_document(["repro", f], tmp)
 
 
 GOLDEN_NAMES = [name for name, _ in documents(Path("."))]

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svineq.decomp import cartesian, commutator_defect
 from svineq.fixtures import fixture
 from svineq.fuzzer import _build_inputs, _input_plan
 from svineq.inequalities import (
@@ -21,23 +20,6 @@ from svineq.inequalities import (
     catalog_entry,
     catalog_ids,
     check,
-    check_ak_1_3,
-    check_ak_1_4,
-    check_bk_1_1,
-    check_bk_1_1_hermitian_b,
-    check_cor_2_9,
-    check_loewner_cartesian,
-    check_loewner_cartesian_general,
-    check_proof_facts_2_1,
-    check_proof_facts_2_1_general,
-    check_scalar_1_6,
-    check_tao_1_2,
-    check_thm_2_1,
-    check_thm_2_1_nonnormal,
-    check_thm_2_4,
-    check_thm_2_5,
-    check_thm_2_7,
-    check_thm_2_8,
 )
 from svineq.numkernel import (
     DEFAULT_TOL,
@@ -45,12 +27,11 @@ from svineq.numkernel import (
     InvalidMatrix,
     NotHermitian,
     Tolerance,
-    direct_sum,
-    frobenius_norm,
+    _direct_sum,
 )
 from svineq.randgen import prng_stream
 
-from conftest import PAULI_X, SHIFT_2, draw, mat
+from conftest import PAULI_X, SHIFT_2, cartesian_parts, draw, frobenius_norm, mat
 
 INV_SQRT2 = 2.0 ** -0.5
 SQRT2 = math.sqrt(2.0)
@@ -94,7 +75,7 @@ def assert_report_consistent(report):
 
 
 def test_scalar_1_6_basic():
-    rep = check_scalar_1_6(1.0, 0.0)
+    rep = check("scalar-1.6", ([[1.0]], [[0.0]]))
     assert rep.verdict is Verdict.HOLDS
     assert rhs_values(rep, "left") == (1.0,)  # |a+ib| = 1
     assert margins(rep, "left") == (1.0 - INV_SQRT2,)
@@ -103,14 +84,14 @@ def test_scalar_1_6_basic():
 
 
 def test_scalar_1_6_symmetric_equality_is_exact():
-    rep = check_scalar_1_6(1.0, 1.0)
+    rep = check("scalar-1.6", ([[1.0]], [[1.0]]))
     assert rep.verdict is Verdict.HOLDS
     # |1+i| = sqrt(2) = 2/sqrt(2): exact float equality on the left
     assert margins(rep, "left") == (0.0,)
 
 
 def test_scalar_1_6_pythagorean():
-    rep = check_scalar_1_6(3.0, -4.0)
+    rep = check("scalar-1.6", ([[3.0]], [[-4.0]]))
     assert rep.verdict is Verdict.HOLDS
     assert rhs_values(rep, "left") == (5.0,)  # |3-4i| = 5 exactly
     assert lhs_values(rep, "left") == (INV_SQRT2,)
@@ -119,14 +100,14 @@ def test_scalar_1_6_pythagorean():
 
 def test_scalar_1_6_rejects_non_finite():
     with pytest.raises(ValueError):
-        check_scalar_1_6(math.nan, 0.0)
+        check("scalar-1.6", ([[math.nan]], [[0.0]]))
 
 
 # --- bk-1.1 -----------------------------------------------------------------------
 
 
 def test_bk_1_1_identity_equality():
-    rep = check_bk_1_1(np.eye(2), np.eye(2))
+    rep = check("bk-1.1", (np.eye(2), np.eye(2)))
     assert rep.verdict is Verdict.HOLDS
     # s(2I) = {2,2}; sqrt2 * s((1+i)I) = {2,2} up to round-off
     for m in margins(rep, "main"):
@@ -134,20 +115,20 @@ def test_bk_1_1_identity_equality():
 
 
 def test_bk_1_1_orthogonal_diagonals():
-    rep = check_bk_1_1(mat([[1, 0], [0, 0]]), mat([[0, 0], [0, 1]]))
+    rep = check("bk-1.1", (mat([[1, 0], [0, 0]]), mat([[0, 0], [0, 1]])))
     assert rep.verdict is Verdict.HOLDS
     assert lhs_values(rep, "main") == pytest.approx((1.0, 1.0), abs=1e-14)
     assert rhs_values(rep, "main") == pytest.approx((SQRT2, SQRT2), abs=1e-14)
 
 
 def test_bk_1_1_zero_inputs():
-    rep = check_bk_1_1(np.zeros((2, 2)), np.zeros((2, 2)))
+    rep = check("bk-1.1", (np.zeros((2, 2)), np.zeros((2, 2))))
     assert rep.verdict is Verdict.HOLDS
     assert margins(rep, "main") == (0.0, 0.0)
 
 
 def test_bk_1_1_grades_non_psd_input():
-    rep = check_bk_1_1(mat([[1, 0], [0, -1]]), np.eye(2))
+    rep = check("bk-1.1", (mat([[1, 0], [0, -1]]), np.eye(2)))
     assert rep.verdict is Verdict.HYPOTHESIS_VIOLATED
     assert rep.hypothesis_residuals["a_min_eigenvalue"] == pytest.approx(-1.0)
     # margins are still computed for diagnostics
@@ -156,14 +137,14 @@ def test_bk_1_1_grades_non_psd_input():
 
 def test_bk_1_1_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        check_bk_1_1(np.eye(2), np.eye(3))
+        check("bk-1.1", (np.eye(2), np.eye(3)))
 
 
 @given(seed=seeds, n=dims)
 def test_bk_1_1_holds_on_psd_pairs(seed, n):
     (a,) = draw("psd", n, seed)
     (b,) = draw("psd", n, seed, index=1)
-    assert check_bk_1_1(a, b).verdict is Verdict.HOLDS
+    assert check("bk-1.1", (a, b)).verdict is Verdict.HOLDS
 
 
 def test_bk_1_1_hermitian_b_variant_reports_violations():
@@ -171,7 +152,7 @@ def test_bk_1_1_hermitian_b_variant_reports_violations():
     # example: A = I, B = t*X has s(A+B) vs sqrt2*s(A+itX) crossing.
     a = np.eye(2)
     b = 10.0 * PAULI_X
-    rep = check_bk_1_1_hermitian_b(a, b)
+    rep = check("bk-1.1-hermitian-B", (a, b))
     assert rep.ineq_id == "bk-1.1-hermitian-B"
     assert rep.verdict in (Verdict.HOLDS, Verdict.VIOLATED)
     assert "b_hermitian_defect" in rep.hypothesis_residuals
@@ -181,14 +162,14 @@ def test_bk_1_1_hermitian_b_variant_reports_violations():
 
 
 def test_tao_1_2_identity_equality():
-    rep = check_tao_1_2(np.eye(2), np.eye(2), np.eye(2))
+    rep = check("tao-1.2", (np.eye(2), np.eye(2), np.eye(2)))
     assert rep.verdict is Verdict.HOLDS
     assert lhs_values(rep, "main") == pytest.approx((2, 2, 0, 0), abs=1e-13)
     assert rhs_values(rep, "main") == pytest.approx((2, 2, 0, 0), abs=1e-13)
 
 
 def test_tao_1_2_zero_center():
-    rep = check_tao_1_2(np.eye(2), np.zeros((2, 2)), np.eye(2))
+    rep = check("tao-1.2", (np.eye(2), np.zeros((2, 2)), np.eye(2)))
     assert rep.verdict is Verdict.HOLDS
     assert lhs_values(rep, "main") == (0.0, 0.0, 0.0, 0.0)
     assert rhs_values(rep, "main") == pytest.approx((1, 1, 1, 1), abs=1e-13)
@@ -197,38 +178,38 @@ def test_tao_1_2_zero_center():
 def test_tao_1_2_half_block():
     # Block [[I,B],[B,I]] with B = diag(1, 1/2) splits into 2x2 blocks with
     # eigenvalues 1±1 and 1±1/2: spectrum {2, 3/2, 1/2, 0}.
-    rep = check_tao_1_2(np.eye(2), mat([[1, 0], [0, 0.5]]), np.eye(2))
+    rep = check("tao-1.2", (np.eye(2), mat([[1, 0], [0, 0.5]]), np.eye(2)))
     assert rep.verdict is Verdict.HOLDS
     assert rhs_values(rep, "main") == pytest.approx((2.0, 1.5, 0.5, 0.0), abs=1e-12)
     assert lhs_values(rep, "main") == pytest.approx((2.0, 1.0, 0.0, 0.0), abs=1e-12)
 
 
 def test_tao_1_2_grades_non_psd_block():
-    rep = check_tao_1_2(np.eye(2), 2.0 * np.eye(2), np.eye(2))
+    rep = check("tao-1.2", (np.eye(2), 2.0 * np.eye(2), np.eye(2)))
     assert rep.verdict is Verdict.HYPOTHESIS_VIOLATED
     assert rep.hypothesis_residuals["block_min_eigenvalue"] == pytest.approx(-1.0)
 
 
 def test_ak_1_3_identity():
-    rep = check_ak_1_3(np.eye(2), np.eye(2), np.eye(2))
+    rep = check("ak-1.3", (np.eye(2), np.eye(2), np.eye(2)))
     assert rep.verdict is Verdict.HOLDS
     assert lhs_values(rep, "main") == pytest.approx((1, 1, 0, 0), abs=1e-13)
     assert rhs_values(rep, "main") == pytest.approx((1, 1, 1, 1), abs=1e-13)
 
 
 def test_ak_1_3_zero_center_holds():
-    rep = check_ak_1_3(np.eye(2), np.zeros((2, 2)), np.eye(2))
+    rep = check("ak-1.3", (np.eye(2), np.zeros((2, 2)), np.eye(2)))
     assert rep.verdict is Verdict.HOLDS
     assert margins(rep, "main") == pytest.approx((1, 1, 1, 1), abs=1e-13)
 
 
 def test_ak_1_3_random_block_matches_definition():
     a, b, c = draw("psd_block2", 3, seed=5)
-    rep = check_ak_1_3(a, b, c)
+    rep = check("ak-1.3", (a, b, c))
     assert rep.verdict is Verdict.HOLDS
     # oracle: compare the two spectra directly per the definition
     oracle_lhs = np.linalg.svd(b, compute_uv=False)
-    oracle_rhs = np.linalg.svd(direct_sum(a, c), compute_uv=False)
+    oracle_rhs = np.linalg.svd(_direct_sum(a, c), compute_uv=False)
     assert lhs_values(rep, "main")[:3] == pytest.approx(tuple(oracle_lhs), abs=1e-10)
     assert rhs_values(rep, "main") == pytest.approx(tuple(oracle_rhs), abs=1e-10)
 
@@ -236,15 +217,15 @@ def test_ak_1_3_random_block_matches_definition():
 @given(seed=seeds, n=dims)
 def test_block_psd_forms_hold_on_generated_blocks(seed, n):
     a, b, c = draw("psd_block2", n, seed)
-    assert check_tao_1_2(a, b, c).verdict is Verdict.HOLDS
-    assert check_ak_1_3(a, b, c).verdict is Verdict.HOLDS
+    assert check("tao-1.2", (a, b, c)).verdict is Verdict.HOLDS
+    assert check("ak-1.3", (a, b, c)).verdict is Verdict.HOLDS
 
 
 # --- ak-1.4 ------------------------------------------------------------------------
 
 
 def test_ak_1_4_diagonal_equality():
-    rep = check_ak_1_4(mat([[1, 0], [0, -1]]), np.eye(2))
+    rep = check("ak-1.4", (mat([[1, 0], [0, -1]]), np.eye(2)))
     assert rep.verdict is Verdict.HOLDS
     assert lhs_values(rep, "main") == pytest.approx((2, 2, 0, 0), abs=1e-13)
     assert rhs_values(rep, "main") == pytest.approx((2, 2, 0, 0), abs=1e-13)
@@ -252,21 +233,21 @@ def test_ak_1_4_diagonal_equality():
 
 def test_ak_1_4_zero_a():
     (p,) = draw("psd", 3, seed=11)
-    rep = check_ak_1_4(np.zeros((3, 3)), p)
+    rep = check("ak-1.4", (np.zeros((3, 3)), p))
     assert rep.verdict is Verdict.HOLDS
     assert lhs_values(rep, "main") == (0.0,) * 6
 
 
 def test_ak_1_4_pauli_equality():
     # B±A = I±X have eigenvalues {0,2}: both direct summands contribute {2,0}.
-    rep = check_ak_1_4(PAULI_X, np.eye(2))
+    rep = check("ak-1.4", (PAULI_X, np.eye(2)))
     assert rep.verdict is Verdict.HOLDS
     assert lhs_values(rep, "main") == pytest.approx((2, 2, 0, 0), abs=1e-13)
     assert rhs_values(rep, "main") == pytest.approx((2, 2, 0, 0), abs=1e-13)
 
 
 def test_ak_1_4_grades_broken_domination():
-    rep = check_ak_1_4(mat([[2]]), mat([[1]]))
+    rep = check("ak-1.4", (mat([[2]]), mat([[1]])))
     assert rep.verdict is Verdict.HYPOTHESIS_VIOLATED
     assert rep.hypothesis_residuals["min_eig_b_minus_a"] == pytest.approx(-1.0)
 
@@ -274,14 +255,14 @@ def test_ak_1_4_grades_broken_domination():
 @given(seed=seeds, n=dims)
 def test_ak_1_4_holds_on_dominated_pairs(seed, n):
     a, b = draw("dominated_pair", n, seed)
-    assert check_ak_1_4(a, b).verdict is Verdict.HOLDS
+    assert check("ak-1.4", (a, b)).verdict is Verdict.HOLDS
 
 
 # --- thm-2.1 -------------------------------------------------------------------------
 
 
 def test_thm_2_1_diagonal_normal():
-    rep = check_thm_2_1(mat([[3j, 0], [0, 4]]))
+    rep = check("thm-2.1", (mat([[3j, 0], [0, 4]]),))
     assert rep.verdict is Verdict.HOLDS
     assert lhs_values(rep, "left") == pytest.approx(
         (4 * INV_SQRT2, 3 * INV_SQRT2), abs=1e-14
@@ -293,7 +274,7 @@ def test_thm_2_1_diagonal_normal():
 
 def test_thm_2_1_golden_ratio_fixture():
     fx = fixture("ex-2.3")
-    rep = check_thm_2_1(fx.matrix)
+    rep = check("thm-2.1", (fx.matrix,))
     assert rep.verdict is Verdict.HOLDS
     mid = rhs_values(rep, "left")
     assert mid == pytest.approx((1.9021130325903073, 1.1755705045849463), abs=1e-12)
@@ -304,7 +285,7 @@ def test_thm_2_1_golden_ratio_fixture():
 
 
 def test_thm_2_1_zero_matrix():
-    rep = check_thm_2_1(np.zeros((2, 2)))
+    rep = check("thm-2.1", (np.zeros((2, 2)),))
     assert rep.verdict is Verdict.HOLDS
     assert margins(rep, "left") == (0.0, 0.0)
     assert margins(rep, "right") == (0.0, 0.0)
@@ -312,7 +293,7 @@ def test_thm_2_1_zero_matrix():
 
 def test_thm_2_1_grades_non_normal_input():
     fx = fixture("ex-2.2")
-    rep = check_thm_2_1(fx.matrix)
+    rep = check("thm-2.1", (fx.matrix,))
     assert rep.verdict is Verdict.HYPOTHESIS_VIOLATED
     assert rep.hypothesis_residuals["normality_defect"] == pytest.approx(
         8.0 * SQRT2, abs=1e-12
@@ -325,14 +306,14 @@ def test_thm_2_1_grades_non_normal_input():
 def test_thm_2_1_dominance_on_normal_inputs(seed, n):
     # both margin lists stay above -tol for every generated normal matrix
     (a,) = draw("normal", n, seed)
-    rep = check_thm_2_1(a)
+    rep = check("thm-2.1", (a,))
     assert rep.verdict is Verdict.HOLDS
     assert rep.min_margin >= -rep.tol_used
 
 
 def test_thm_2_1_nonnormal_variant_grades_nothing():
     fx = fixture("ex-2.2")
-    rep = check_thm_2_1_nonnormal(fx.matrix)
+    rep = check("thm-2.1-nonnormal", (fx.matrix,))
     assert rep.ineq_id == "thm-2.1-nonnormal"
     # no hypothesis gate: verdict reflects the margins alone
     assert rep.verdict in (Verdict.HOLDS, Verdict.VIOLATED)
@@ -345,7 +326,7 @@ def test_thm_2_4_commuting_diagonal():
     # a1 = diag(1,-1), a2 = diag(-1,2): lhs = {sqrt5, sqrt2};
     # rhs = s(diag(2,4) ⊕ diag(0,1)) = {4,2,1,0}.
     a = mat([[1 - 1j, 0], [0, -1 + 2j]])
-    rep = check_thm_2_4(a)
+    rep = check("thm-2.4", (a,))
     assert rep.verdict is Verdict.HOLDS
     assert lhs_values(rep, "main") == pytest.approx(
         (math.sqrt(5.0), SQRT2, 0.0, 0.0), abs=1e-13
@@ -354,27 +335,27 @@ def test_thm_2_4_commuting_diagonal():
 
 
 def test_thm_2_4_psd_hermitian_input():
-    rep = check_thm_2_4(mat([[1, 0], [0, 2]]))
+    rep = check("thm-2.4", (mat([[1, 0], [0, 2]]),))
     assert rep.verdict is Verdict.HOLDS
     assert lhs_values(rep, "main") == pytest.approx((2, 1, 0, 0), abs=1e-13)
     assert rhs_values(rep, "main") == pytest.approx((4, 2, 2, 1), abs=1e-13)
 
 
 def test_thm_2_4_zero_matrix():
-    rep = check_thm_2_4(np.zeros((2, 2)))
+    rep = check("thm-2.4", (np.zeros((2, 2)),))
     assert rep.verdict is Verdict.HOLDS
     assert rep.min_margin == 0.0
 
 
 def test_thm_2_4_grades_order_failure():
     # normal (diagonal) but -a2 <= a1 fails: a1 = 0, a2 = -1
-    rep = check_thm_2_4(mat([[-1j]]))
+    rep = check("thm-2.4", (mat([[-1j]]),))
     assert rep.verdict is Verdict.HYPOTHESIS_VIOLATED
     assert rep.hypothesis_residuals["min_eig_a1_plus_a2"] == pytest.approx(-1.0)
 
 
 def test_thm_2_4_grades_non_normal():
-    rep = check_thm_2_4(SHIFT_2 + np.eye(2))
+    rep = check("thm-2.4", (SHIFT_2 + np.eye(2),))
     assert rep.verdict is Verdict.HYPOTHESIS_VIOLATED
     assert rep.hypothesis_residuals["normality_defect"] > 0
 
@@ -382,14 +363,14 @@ def test_thm_2_4_grades_non_normal():
 @given(seed=seeds, n=dims)
 def test_thm_2_4_holds_on_constrained_class(seed, n):
     (a,) = draw("normal_order_constrained", n, seed)
-    assert check_thm_2_4(a).verdict is Verdict.HOLDS
+    assert check("thm-2.4", (a,)).verdict is Verdict.HOLDS
 
 
 # --- thm-2.5 ---------------------------------------------------------------------------
 
 
 def test_thm_2_5_plus_diagonal():
-    rep = check_thm_2_5(mat([[3, 0], [0, -4]]), "plus")
+    rep = check("thm-2.5-plus", (mat([[3, 0], [0, -4]]),))
     assert rep.ineq_id == "thm-2.5-plus"
     assert rep.verdict is Verdict.HOLDS
     assert lhs_values(rep, "main") == pytest.approx((3, 0, 0, 0), abs=1e-13)
@@ -397,7 +378,7 @@ def test_thm_2_5_plus_diagonal():
 
 
 def test_thm_2_5_minus_diagonal():
-    rep = check_thm_2_5(mat([[3, 0], [0, -4]]), "minus")
+    rep = check("thm-2.5-minus", (mat([[3, 0], [0, -4]]),))
     assert rep.ineq_id == "thm-2.5-minus"
     assert rep.verdict is Verdict.HOLDS
     assert lhs_values(rep, "main") == pytest.approx((4, 0, 0, 0), abs=1e-13)
@@ -406,7 +387,7 @@ def test_thm_2_5_minus_diagonal():
 
 def test_thm_2_5_minus_of_psd_has_zero_lhs():
     (p,) = draw("psd", 3, seed=3)
-    rep = check_thm_2_5(p, "minus")
+    rep = check("thm-2.5-minus", (p,))
     assert rep.verdict is Verdict.HOLDS
     assert max(abs(v) for v in lhs_values(rep, "main")) <= 1e-10 * max(
         1.0, frobenius_norm(p)
@@ -416,25 +397,25 @@ def test_thm_2_5_minus_of_psd_has_zero_lhs():
 def test_thm_2_5_raises_for_non_hermitian():
     for side in ("plus", "minus"):
         with pytest.raises(NotHermitian):
-            check_thm_2_5(SHIFT_2, side)
+            check(f"thm-2.5-{side}", (SHIFT_2,))
 
 
 def test_thm_2_5_rejects_bad_side():
     with pytest.raises(ValueError):
-        check_thm_2_5(np.eye(2), "both")
+        check("thm-2.5-both", (np.eye(2),))
 
 
 @given(seed=seeds, n=dims, side=st.sampled_from(["plus", "minus"]))
 def test_thm_2_5_holds_on_hermitian(seed, n, side):
     (h,) = draw("hermitian", n, seed)
-    assert check_thm_2_5(h, side).verdict is Verdict.HOLDS
+    assert check(f"thm-2.5-{side}", (h,)).verdict is Verdict.HOLDS
 
 
 # --- thm-2.7 ----------------------------------------------------------------------------
 
 
 def test_thm_2_7_shift_matrix():
-    rep = check_thm_2_7(SHIFT_2)
+    rep = check("thm-2.7", (SHIFT_2,))
     assert rep.verdict is Verdict.HOLDS
     # s(A+iA*) = {1,1}; sqrt2*s(a1+a2) = {1,1}: left equality
     assert max(abs(m) for m in margins(rep, "left")) <= 1e-12
@@ -443,13 +424,13 @@ def test_thm_2_7_shift_matrix():
 
 def test_thm_2_7_hermitian_left_equality():
     (h,) = draw("hermitian", 4, seed=9)
-    rep = check_thm_2_7(h)
+    rep = check("thm-2.7", (h,))
     assert rep.verdict is Verdict.HOLDS
     assert max(abs(m) for m in margins(rep, "left")) <= rep.tol_used
 
 
 def test_thm_2_7_zero():
-    rep = check_thm_2_7(np.zeros((3, 3)))
+    rep = check("thm-2.7", (np.zeros((3, 3)),))
     assert rep.verdict is Verdict.HOLDS
     assert rep.min_margin == 0.0
 
@@ -459,7 +440,7 @@ def test_thm_2_7_sharpness_invariant(seed, n, class_tag):
     # the left comparison is an exact identity: margins are round-off sized
     # on every input, of any class
     (a,) = draw(class_tag, n, seed)
-    rep = check_thm_2_7(a)
+    rep = check("thm-2.7", (a,))
     assert rep.verdict is Verdict.HOLDS
     assert max(abs(m) for m in margins(rep, "left")) <= rep.tol_used
 
@@ -468,14 +449,14 @@ def test_thm_2_7_sharpness_invariant(seed, n, class_tag):
 
 
 def test_thm_2_8_identity():
-    rep = check_thm_2_8(np.eye(2), np.eye(2))
+    rep = check("thm-2.8", (np.eye(2), np.eye(2)))
     assert rep.verdict is Verdict.HOLDS
     assert lhs_values(rep, "main") == pytest.approx((2, 2, 0, 0), abs=1e-13)
     assert rhs_values(rep, "main") == pytest.approx((2, 2, 2, 2), abs=1e-13)
 
 
 def test_thm_2_8_shift_pair_partial_equality():
-    rep = check_thm_2_8(SHIFT_2, SHIFT_2.conj().T)
+    rep = check("thm-2.8", (SHIFT_2, SHIFT_2.conj().T))
     assert rep.verdict is Verdict.HOLDS
     assert lhs_values(rep, "main") == pytest.approx((1, 1, 0, 0), abs=1e-13)
     assert rhs_values(rep, "main") == pytest.approx((1, 1, 1, 1), abs=1e-13)
@@ -483,25 +464,25 @@ def test_thm_2_8_shift_pair_partial_equality():
 
 def test_thm_2_8_zero_lhs():
     (g,) = draw("ginibre", 3, seed=2)
-    rep = check_thm_2_8(np.zeros((3, 3)), g)
+    rep = check("thm-2.8", (np.zeros((3, 3)), g))
     assert rep.verdict is Verdict.HOLDS
     assert lhs_values(rep, "main") == (0.0,) * 6
 
 
 def test_thm_2_8_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        check_thm_2_8(np.eye(2), np.eye(3))
+        check("thm-2.8", (np.eye(2), np.eye(3)))
 
 
 @given(seed=seeds, n=dims)
 def test_thm_2_8_holds_on_arbitrary_pairs(seed, n):
     (a,) = draw("ginibre", n, seed)
     (b,) = draw("ginibre", n, seed, index=1)
-    assert check_thm_2_8(a, b).verdict is Verdict.HOLDS
+    assert check("thm-2.8", (a, b)).verdict is Verdict.HOLDS
 
 
 def test_cor_2_9_diagonal():
-    rep = check_cor_2_9(mat([[1j, 0], [0, 2]]), mat([[1, 0], [0, -1j]]))
+    rep = check("cor-2.9", (mat([[1j, 0], [0, 2]]), mat([[1, 0], [0, -1j]])))
     assert rep.verdict is Verdict.HOLDS
     # AB+BA = diag(2i, -4i); AA*+BB* = diag(2, 5)
     assert lhs_values(rep, "main") == pytest.approx((4, 2, 0, 0), abs=1e-13)
@@ -509,7 +490,7 @@ def test_cor_2_9_diagonal():
 
 
 def test_cor_2_9_identity():
-    rep = check_cor_2_9(np.eye(2), np.eye(2))
+    rep = check("cor-2.9", (np.eye(2), np.eye(2)))
     assert rep.verdict is Verdict.HOLDS
     assert lhs_values(rep, "main") == pytest.approx((2, 2, 0, 0), abs=1e-13)
     assert rhs_values(rep, "main") == pytest.approx((2, 2, 2, 2), abs=1e-13)
@@ -520,8 +501,8 @@ def test_cor_2_9_unitary_invariance_reduces_to_diagonal():
     a_diag = np.diag([1j, 2.0, -1.0 + 0.5j])
     b_diag = np.diag([0.5, -2j, 1.0 + 1j])
     (u,) = draw("unitary", 3, seed=21)
-    rep_diag = check_cor_2_9(a_diag, b_diag)
-    rep_conj = check_cor_2_9(u @ a_diag @ u.conj().T, u @ b_diag @ u.conj().T)
+    rep_diag = check("cor-2.9", (a_diag, b_diag))
+    rep_conj = check("cor-2.9", (u @ a_diag @ u.conj().T, u @ b_diag @ u.conj().T))
     assert rep_diag.verdict is rep_conj.verdict is Verdict.HOLDS
     assert lhs_values(rep_conj, "main") == pytest.approx(
         lhs_values(rep_diag, "main"), abs=1e-10
@@ -532,7 +513,7 @@ def test_cor_2_9_unitary_invariance_reduces_to_diagonal():
 
 
 def test_cor_2_9_grades_non_normal():
-    rep = check_cor_2_9(SHIFT_2, np.eye(2))
+    rep = check("cor-2.9", (SHIFT_2, np.eye(2)))
     assert rep.verdict is Verdict.HYPOTHESIS_VIOLATED
     assert rep.hypothesis_residuals["a_normality_defect"] == pytest.approx(SQRT2)
 
@@ -540,14 +521,14 @@ def test_cor_2_9_grades_non_normal():
 @given(seed=seeds, n=dims)
 def test_cor_2_9_holds_on_shared_basis_pairs(seed, n):
     a, b = draw("normal_pair_shared_basis", n, seed)
-    assert check_cor_2_9(a, b).verdict is Verdict.HOLDS
+    assert check("cor-2.9", (a, b)).verdict is Verdict.HOLDS
 
 
 # --- loewner-cartesian --------------------------------------------------------------------
 
 
 def test_loewner_cartesian_fixture_violates_both_sides():
-    rep = check_loewner_cartesian(fixture("ex-2.2").matrix)
+    rep = check("loewner-cartesian", (fixture("ex-2.2").matrix,))
     assert rep.verdict is Verdict.VIOLATED
     assert rep.side("left").min_margin < -1e-6 or rep.side("right").min_margin < -1e-6
     # with the skew-part reading, the left comparison actually holds here;
@@ -557,25 +538,25 @@ def test_loewner_cartesian_fixture_violates_both_sides():
 
 def test_loewner_cartesian_hermitian_right_equality():
     h = mat([[1, 2], [2, 5]])
-    rep = check_loewner_cartesian(h)
+    rep = check("loewner-cartesian", (h,))
     assert rep.verdict is Verdict.HOLDS
     assert rep.side("right").min_margin == 0.0  # |A1|+|A2| - |A| is exactly zero
 
 
 def test_loewner_cartesian_diagonal_normal_holds():
-    rep = check_loewner_cartesian(np.diag([1 + 1j, -2j, 3.0]))
+    rep = check("loewner-cartesian", (np.diag([1 + 1j, -2j, 3.0]),))
     assert rep.verdict is Verdict.HOLDS
 
 
 @given(seed=seeds, n=dims)
 def test_loewner_cartesian_holds_on_normal(seed, n):
     (a,) = draw("normal", n, seed)
-    assert check_loewner_cartesian(a).verdict is Verdict.HOLDS
+    assert check("loewner-cartesian", (a,)).verdict is Verdict.HOLDS
 
 
 def test_loewner_cartesian_general_same_comparison_different_id():
     fx = fixture("ex-2.2").matrix
-    a, b = check_loewner_cartesian(fx), check_loewner_cartesian_general(fx)
+    a, b = check("loewner-cartesian", (fx,)), check("loewner-cartesian-general", (fx,))
     assert b.ineq_id == "loewner-cartesian-general"
     assert a.min_margin == b.min_margin
     assert a.verdict is b.verdict
@@ -585,7 +566,7 @@ def test_loewner_cartesian_general_same_comparison_different_id():
 
 
 def test_proof_facts_identity_pair():
-    rep = check_proof_facts_2_1(np.eye(2), np.eye(2))
+    rep = check("proof-facts-2.1", (np.eye(2), np.eye(2)))
     assert rep.verdict is Verdict.HOLDS
     assert {s.label for s in rep.sides} == {"square", "sqrt"}
     assert rep.skipped == ()
@@ -594,15 +575,15 @@ def test_proof_facts_identity_pair():
 
 
 def test_proof_facts_diagonal_pair():
-    rep = check_proof_facts_2_1(mat([[1, 0], [0, -1]]), np.eye(2))
+    rep = check("proof-facts-2.1", (mat([[1, 0], [0, -1]]), np.eye(2)))
     assert rep.verdict is Verdict.HOLDS
     assert rep.side("sqrt").min_margin == pytest.approx(2.0 - SQRT2, abs=1e-12)
 
 
 def test_proof_facts_skips_sqrt_side_for_non_commuting():
     a1, a2 = PAULI_X, mat([[1, 0], [0, -1]])
-    assert commutator_defect(a1, a2) > 1.0
-    rep = check_proof_facts_2_1(a1, a2)
+    assert frobenius_norm(a1 @ a2 - a2 @ a1) > 1.0
+    rep = check("proof-facts-2.1", (a1, a2))
     assert rep.skipped == ("sqrt",)
     assert [s.label for s in rep.sides] == ["square"]
     assert rep.verdict is Verdict.HOLDS  # the square fact is universal
@@ -610,14 +591,14 @@ def test_proof_facts_skips_sqrt_side_for_non_commuting():
 
 def test_proof_facts_general_never_skips():
     a1, a2 = PAULI_X, mat([[1, 0], [0, -1]])
-    rep = check_proof_facts_2_1_general(a1, a2)
+    rep = check("proof-facts-2.1-general", (a1, a2))
     assert rep.skipped == ()
     assert {s.label for s in rep.sides} == {"square", "sqrt"}
 
 
 def test_proof_facts_raises_for_non_hermitian():
     with pytest.raises(NotHermitian):
-        check_proof_facts_2_1(SHIFT_2, np.eye(2))
+        check("proof-facts-2.1", (SHIFT_2, np.eye(2)))
 
 
 @given(seed=seeds, n=dims)
@@ -625,8 +606,7 @@ def test_proof_facts_holds_on_commuting_pairs(seed, n):
     # commuting Hermitian pairs come from the Hermitian/skew parts of a
     # generated normal matrix
     (a,) = draw("normal", n, seed)
-    parts = cartesian(a)
-    rep = check_proof_facts_2_1(parts.a1, parts.a2)
+    rep = check("proof-facts-2.1", cartesian_parts(a))
     assert rep.verdict is Verdict.HOLDS
     assert rep.skipped == ()  # both facts checked: the pair commutes
 
@@ -635,7 +615,7 @@ def test_proof_facts_holds_on_commuting_pairs(seed, n):
 def test_proof_facts_square_fact_universal(seed, n):
     (h1,) = draw("hermitian", n, seed)
     (h2,) = draw("hermitian", n, seed, index=1)
-    rep = check_proof_facts_2_1(h1, h2)
+    rep = check("proof-facts-2.1", (h1, h2))
     assert rep.side("square").min_margin >= -rep.tol_used
 
 
@@ -719,7 +699,7 @@ def test_report_ids_match_catalog():
         class_tag = entry.canonical_class
         if entry.split_cartesian:
             (m,) = draw("normal", n, seed=13)
-            inputs = [cartesian(m).a1, cartesian(m).a2]
+            inputs = list(cartesian_parts(m))
         else:
             inputs = list(draw(class_tag, n, seed=13))
             while len(inputs) < entry.arity:
@@ -735,8 +715,8 @@ def test_report_ids_match_catalog():
 @given(a=safe_reals, b=safe_reals)
 def test_scalar_consistency_with_1x1_matrices(a, b):
     # 1x1 matrix route and the scalar route agree bit-for-bit
-    scalar = check_scalar_1_6(a, b)
-    matrix = check_thm_2_1(mat([[complex(a, b)]]))
+    scalar = check("scalar-1.6", ([[a]], [[b]]))
+    matrix = check("thm-2.1", (mat([[complex(a, b)]]),))
     for label in ("left", "right"):
         assert margins(scalar, label) == margins(matrix, label)
         assert lhs_values(scalar, label) == lhs_values(matrix, label)
@@ -748,9 +728,9 @@ def test_padding_soundness(seed, n):
     # embedding both inputs in a larger zero block never changes the verdict
     (a,) = draw("psd", n, seed)
     (b,) = draw("psd", n, seed, index=1)
-    plain = check_bk_1_1(a, b)
+    plain = check("bk-1.1", (a, b))
     z = np.zeros((2, 2))
-    padded = check_bk_1_1(direct_sum(a, z), direct_sum(b, z))
+    padded = check("bk-1.1", (_direct_sum(a, z), _direct_sum(b, z)))
     assert plain.verdict is padded.verdict
     # appended indices contribute exact 0-vs-0 comparisons
     assert padded.min_margin == pytest.approx(min(plain.min_margin, 0.0), abs=1e-9)
@@ -759,8 +739,8 @@ def test_padding_soundness(seed, n):
 @given(seed=seeds, n=dims, c=st.sampled_from([0.25, 0.5, 2.0, 8.0]))
 def test_scale_covariance_degree_one(seed, n, c):
     (a,) = draw("normal", n, seed)
-    base = check_thm_2_1(a)
-    scaled = check_thm_2_1(c * a)
+    base = check("thm-2.1", (a,))
+    scaled = check("thm-2.1", (c * a,))
     assert base.verdict is scaled.verdict
     for label in ("left", "right"):
         for x, y in zip(lhs_values(base, label), lhs_values(scaled, label)):
@@ -773,8 +753,8 @@ def test_scale_covariance_degree_one(seed, n, c):
 def test_scale_covariance_degree_two(seed, n, c):
     (a,) = draw("ginibre", n, seed)
     (b,) = draw("ginibre", n, seed, index=1)
-    base = check_thm_2_8(a, b)
-    scaled = check_thm_2_8(c * a, c * b)
+    base = check("thm-2.8", (a, b))
+    scaled = check("thm-2.8", (c * a, c * b))
     assert base.verdict is scaled.verdict
     c2 = c * c
     for x, y in zip(lhs_values(base, "main"), lhs_values(scaled, "main")):
@@ -793,7 +773,7 @@ def test_verdict_monotone_in_tolerance(seed, n, t1, t2):
     # Holds at a tight tolerance implies Holds at any looser one.
     lo, hi = Tolerance(tol_abs=t1, tol_rel=t1), Tolerance(tol_abs=max(t1, t2), tol_rel=max(t1, t2))
     (g,) = draw("ginibre", n, seed)
-    tight = check_loewner_cartesian_general(g, lo)
-    loose = check_loewner_cartesian_general(g, hi)
+    tight = check("loewner-cartesian-general", (g,), lo)
+    loose = check("loewner-cartesian-general", (g,), hi)
     if tight.verdict is Verdict.HOLDS:
         assert loose.verdict is Verdict.HOLDS

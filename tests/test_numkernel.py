@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from svineq.decomp import _hermitian_grade
+from svineq.inequalities import check
 from svineq.numkernel import (
     DEFAULT_TOL,
     MAX_DIM,
@@ -13,25 +15,36 @@ from svineq.numkernel import (
     InvalidMatrix,
     NotHermitian,
     NotPSD,
-    SingularSpectrum,
     Tolerance,
+    _adj,
+    _apply,
+    _block2,
+    _direct_sum,
+    _fro,
+    _herm,
+    _require_hermitian,
     abs_op,
-    adjoint,
     as_matrix,
-    block2,
-    direct_sum,
-    frobenius_norm,
-    hermitian_defect,
     hermitian_eig,
-    hermitian_part,
     loewner_leq,
-    matmul,
     psd_sqrt,
-    require_hermitian,
     singular_values,
 )
 
-from conftest import SHIFT_2, draw, mat
+from conftest import SHIFT_2, draw, frobenius_norm, mat
+
+# The kernels take (k, n, n) stacks; one matrix m is the stack m[None].
+
+
+def one(op, *mats):
+    """``op`` on single matrices: slice 0 of its result on stacks of one."""
+    return op(*(m[None] for m in mats))[0]
+
+
+def order(x, y, tol=DEFAULT_TOL):
+    """(holds, min_eig, tol_used) of the order test x <= y."""
+    min_eig, tol_used = (float(v[0]) for v in loewner_leq(x[None], y[None], tol))
+    return min_eig >= -tol_used, min_eig, tol_used
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 dims = st.sampled_from([1, 2, 3, 5, 8])
@@ -84,37 +97,42 @@ def test_tolerance_rejects_negative():
 # --- elementary operations ---------------------------------------------------
 
 
+def hermitian_defect(m) -> float:
+    """||m - m*||_F as the Hermitian grader computes it."""
+    return float(_hermitian_grade(m[None], DEFAULT_TOL)[0][0])
+
+
 def test_adjoint_conjugate_transposes():
     m = mat([[1 + 2j, 3], [4j, 5]])
-    assert np.array_equal(adjoint(m), m.conj().T)
+    assert np.array_equal(one(_adj, m), m.conj().T)
 
 
-def test_matmul_and_direct_sum_shapes():
-    a, b = mat([[1, 0], [0, 2]]), mat([[0, 1], [1, 0]])
-    assert np.array_equal(matmul(a, b), a @ b)
-    s = direct_sum(a, mat([[5]]))
+def test_direct_sum_shapes():
+    a = mat([[1, 0], [0, 2]])
+    s = one(_direct_sum, a, mat([[5]]))
     assert s.shape == (3, 3)
     assert s[2, 2] == 5
     assert s[0, 2] == 0
 
 
 def test_block2_assembles_and_validates():
-    i2 = np.eye(2)
-    z2 = np.zeros((2, 2))
-    blk = block2(i2, z2, z2, 2 * i2)
+    i2 = mat(np.eye(2))
+    z2 = mat(np.zeros((2, 2)))
+    blk = one(_block2, i2, z2, z2, 2 * i2)
     assert blk.shape == (4, 4)
     assert blk[3, 3] == 2
+    # Blocks reach _block2 through check(), which validates their shapes.
     with pytest.raises(DimensionMismatch):
-        block2(i2, np.zeros((2, 3)), z2, i2)
+        check("tao-1.2", (i2, np.zeros((2, 3)), i2))
 
 
 def test_frobenius_norm_matches_numpy():
     m = mat([[3, 4j], [0, 0]])
-    assert frobenius_norm(m) == pytest.approx(np.linalg.norm(m))
+    assert float(one(_fro, m)) == pytest.approx(np.linalg.norm(m))
 
 
 def test_hermitian_part_is_exactly_hermitian():
-    h = hermitian_part(mat([[1 + 1j, 2], [5j, 3 - 2j]]))
+    h = one(_herm, mat([[1 + 1j, 2], [5j, 3 - 2j]]))
     assert np.array_equal(h, h.conj().T)
     assert hermitian_defect(h) == 0.0
 
@@ -124,10 +142,10 @@ def test_hermitian_defect_of_shift():
 
 
 def test_require_hermitian_accepts_and_rejects():
-    h = require_hermitian(mat([[1, 2], [2, 3]]), "M")
+    h = _require_hermitian(mat([[1, 2], [2, 3]])[None], "M")[0][0]
     assert np.array_equal(h, h.conj().T)
     with pytest.raises(NotHermitian):
-        require_hermitian(SHIFT_2, "M")
+        _require_hermitian(SHIFT_2[None], "M")
 
 
 # --- eigendecomposition -------------------------------------------------------
@@ -136,56 +154,56 @@ def test_require_hermitian_accepts_and_rejects():
 @given(seed=seeds, n=dims)
 def test_hermitian_eig_reconstruction_and_unitarity(seed, n):
     (m,) = draw("hermitian", n, seed)
-    dec = hermitian_eig(m)
+    w, v, _ = hermitian_eig(m[None])
+    w, v = w[0], v[0]
     norm = max(1.0, frobenius_norm(m))
-    assert frobenius_norm(dec.reconstruct() - m) <= 1e-12 * norm
-    v = dec.vectors
+    assert frobenius_norm((v * w) @ v.conj().T - m) <= 1e-12 * norm
     assert frobenius_norm(v.conj().T @ v - np.eye(n)) <= 1e-12 * math.sqrt(n)
-    assert list(dec.eigenvalues) == sorted(dec.eigenvalues)
+    assert list(w) == sorted(w)
 
 
 def test_hermitian_eig_zero_matrix():
-    dec = hermitian_eig(np.zeros((3, 3), dtype=complex))
-    assert np.array_equal(dec.eigenvalues, np.zeros(3))
-    assert np.array_equal(dec.vectors, np.eye(3))
+    w, v, _ = hermitian_eig(np.zeros((1, 3, 3), dtype=complex))
+    assert np.array_equal(w[0], np.zeros(3))
+    assert np.array_equal(v[0], np.eye(3))
 
 
 def test_spectral_apply():
-    dec = hermitian_eig(mat([[4, 0], [0, 9]]))
-    root = dec.apply(np.sqrt)
+    w, v, _ = hermitian_eig(mat([[4, 0], [0, 9]])[None])
+    root = _apply(w, v, np.sqrt(w))[0]
     assert root == pytest.approx(mat([[2, 0], [0, 3]]), abs=1e-14)
 
 
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
-        hermitian_eig(SHIFT_2)
+        hermitian_eig(SHIFT_2[None])
 
 
 # --- psd square root and operator absolute value ------------------------------
 
 
 def test_psd_sqrt_known_and_squares_back():
-    r = psd_sqrt(mat([[4, 0], [0, 9]]))
+    r = one(psd_sqrt, mat([[4, 0], [0, 9]]))
     assert r == pytest.approx(mat([[2, 0], [0, 3]]), abs=1e-14)
 
 
 @given(seed=seeds, n=dims)
 def test_psd_sqrt_squares_to_input(seed, n):
     (p,) = draw("psd", n, seed)
-    r = psd_sqrt(p)
+    r = one(psd_sqrt, p)
     assert frobenius_norm(r @ r - p) <= 1e-10 * max(1.0, frobenius_norm(p))
 
 
 def test_psd_sqrt_clamps_roundoff_but_rejects_negative():
     near = mat([[1, 0], [0, -1e-14]])
-    r = psd_sqrt(near)
+    r = one(psd_sqrt, near)
     assert r[1, 1].real >= 0.0
     with pytest.raises(NotPSD):
-        psd_sqrt(mat([[1, 0], [0, -1]]))
+        one(psd_sqrt, mat([[1, 0], [0, -1]]))
 
 
 def test_abs_op_of_hermitian_diagonal():
-    assert abs_op(mat([[3, 0], [0, -4]])) == pytest.approx(
+    assert one(abs_op, mat([[3, 0], [0, -4]])) == pytest.approx(
         mat([[3, 0], [0, 4]]), abs=1e-13
     )
 
@@ -193,9 +211,9 @@ def test_abs_op_of_hermitian_diagonal():
 @given(seed=seeds, n=dims)
 def test_abs_op_preserves_singular_values(seed, n):
     (g,) = draw("ginibre", n, seed)
-    sv_g = singular_values(g).values
-    sv_abs = singular_values(abs_op(g)).values
-    scale = max(1.0, sv_g[0] if sv_g else 1.0)
+    sv_g = one(singular_values, g)
+    sv_abs = one(singular_values, one(abs_op, g))
+    scale = max(1.0, sv_g[0])
     assert max(abs(x - y) for x, y in zip(sv_g, sv_abs)) <= 1e-10 * scale
 
 
@@ -203,33 +221,21 @@ def test_abs_op_preserves_singular_values(seed, n):
 
 
 def test_singular_values_known_diagonal():
-    s = singular_values(mat([[3j, 0], [0, -4]]))
-    assert s.values == pytest.approx((4.0, 3.0), abs=1e-14)
+    s = one(singular_values, mat([[3j, 0], [0, -4]]))
+    assert tuple(s) == pytest.approx((4.0, 3.0), abs=1e-14)
 
 
 def test_singular_values_zero_matrix():
-    assert singular_values(np.zeros((3, 3))).values == (0.0, 0.0, 0.0)
+    assert tuple(one(singular_values, mat(np.zeros((3, 3))))) == (0.0, 0.0, 0.0)
 
 
 @given(seed=seeds, n=dims)
 def test_singular_values_match_svd_oracle(seed, n):
     # Independent route: LAPACK SVD versus the kernel's Gram eigensolve.
     (g,) = draw("ginibre", n, seed)
-    ours = np.array(singular_values(g).values)
+    ours = one(singular_values, g)
     oracle = np.linalg.svd(g, compute_uv=False)
     assert np.max(np.abs(ours - oracle)) <= 1e-10 * max(1.0, oracle[0])
-
-
-def test_singular_spectrum_validation_and_helpers():
-    s = SingularSpectrum((3.0, 1.0))
-    assert s.padded(4) == (3.0, 1.0, 0.0, 0.0)
-    assert s.padded(1) == (3.0, 1.0)
-    assert s.scaled(2.0).values == (6.0, 2.0)
-    assert s.largest == 3.0
-    with pytest.raises(ValueError):
-        SingularSpectrum((1.0, 3.0))  # increasing
-    with pytest.raises(ValueError):
-        SingularSpectrum((-1.0,))  # negative
 
 
 # --- Loewner order --------------------------------------------------------------
@@ -237,29 +243,29 @@ def test_singular_spectrum_validation_and_helpers():
 
 def test_loewner_leq_basic_order():
     x, y = mat([[1, 0], [0, 1]]), mat([[2, 0], [0, 3]])
-    up = loewner_leq(x, y, DEFAULT_TOL)
-    assert up.holds and up.min_eig == pytest.approx(1.0)
-    down = loewner_leq(y, x, DEFAULT_TOL)
-    assert not down.holds and down.min_eig == pytest.approx(-2.0)
+    holds, min_eig, _ = order(x, y, DEFAULT_TOL)
+    assert holds and min_eig == pytest.approx(1.0)
+    holds, min_eig, _ = order(y, x, DEFAULT_TOL)
+    assert not holds and min_eig == pytest.approx(-2.0)
 
 
 def test_loewner_leq_tolerates_roundoff_slack():
     x = mat([[1 + 5e-13, 0], [0, 1]])
-    v = loewner_leq(x, np.eye(2), DEFAULT_TOL)
-    assert v.holds
-    assert v.min_eig == pytest.approx(-5e-13)
+    holds, min_eig, _ = order(x, mat(np.eye(2)), DEFAULT_TOL)
+    assert holds
+    assert min_eig == pytest.approx(-5e-13)
 
 
 def test_loewner_leq_requires_hermitian():
     with pytest.raises(NotHermitian):
-        loewner_leq(SHIFT_2, np.eye(2), DEFAULT_TOL)
+        order(SHIFT_2, mat(np.eye(2)), DEFAULT_TOL)
     with pytest.raises(NotHermitian):
-        loewner_leq(np.eye(2), SHIFT_2, DEFAULT_TOL)
+        order(mat(np.eye(2)), SHIFT_2, DEFAULT_TOL)
 
 
 @given(seed=seeds, n=dims)
 def test_loewner_leq_accepts_psd_shift(seed, n):
     (h,) = draw("hermitian", n, seed)
     (p,) = draw("psd", n, seed, index=1)
-    v = loewner_leq(h, h + p, DEFAULT_TOL)
-    assert v.holds
+    holds, _, _ = order(h, h + p, DEFAULT_TOL)
+    assert holds
