@@ -10,6 +10,7 @@ version.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -62,12 +63,37 @@ def loads_strict(text: str) -> Any:
 
 def matrix_to_json(m) -> dict[str, Any]:
     a = np.asarray(m, dtype=np.complex128)
-    return {
-        "n": int(a.shape[0]),
-        "entries": [
-            [[float(z.real), float(z.imag)] for z in row] for row in a
-        ],
-    }
+    return {"n": int(a.shape[0]), "entries": np.stack([a.real, a.imag], -1).tolist()}
+
+
+def _flat_numbers(entries: list, n: int) -> list:
+    """The 2n² numbers of ``entries``: row-major, each real part before its
+    imaginary part.
+
+    Rows, pairs and numbers are checked a whole level at a time at C speed
+    (``type(True)`` is ``bool``, so booleans fail the number test).  Only a
+    malformed matrix is walked pair by pair, to raise InvalidMatrix naming
+    the first offending row or pair.
+    """
+    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {n}:
+        pairs = list(chain.from_iterable(entries))
+        if set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}:
+            nums = list(chain.from_iterable(pairs))
+            if set(map(type, nums)) <= {int, float}:
+                return nums
+    for row in entries:
+        if not isinstance(row, list) or len(row) != n:
+            raise InvalidMatrix(f"each row must hold exactly {n} [re, im] pairs")
+        for pair in row:
+            if (
+                not isinstance(pair, list)
+                or len(pair) != 2
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+            ):
+                raise InvalidMatrix(f"entry {pair!r} is not an [re, im] pair")
+    # Only subclasses of list, int or float, which json.loads never builds,
+    # get here.
+    return list(chain.from_iterable(chain.from_iterable(entries)))
 
 
 def matrix_from_json(doc) -> np.ndarray:
@@ -81,21 +107,12 @@ def matrix_from_json(doc) -> np.ndarray:
         raise InvalidMatrix('"n" must be an integer')
     if not isinstance(entries, list) or len(entries) != n:
         raise InvalidMatrix(f'"entries" must be a list of {n} rows')
-    rows = []
-    for row in entries:
-        if not isinstance(row, list) or len(row) != n:
-            raise InvalidMatrix(f"each row must hold exactly {n} [re, im] pairs")
-        values = []
-        for pair in row:
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-            ):
-                raise InvalidMatrix(f"entry {pair!r} is not an [re, im] pair")
-            values.append(complex(pair[0], pair[1]))
-        rows.append(values)
-    return as_matrix(rows)
+    try:
+        z = np.array(_flat_numbers(entries, n), dtype=np.float64).view(np.complex128)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise InvalidMatrix(f"matrix has an entry outside float range ({exc})") from exc
+    # n = 0 hands over the empty vector, so as_matrix reports its shape.
+    return as_matrix(z.reshape(n, n) if n else z)
 
 
 def parse_matrix_text(text: str) -> np.ndarray:

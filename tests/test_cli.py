@@ -113,6 +113,16 @@ def test_verify_malformed_matrix_exit_3(tmp_path, capsys):
     assert "bad.json" in capsys.readouterr().err
 
 
+def test_verify_integer_outside_float_range_exit_3(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"n": 1, "entries": [[[1' + "0" * 400 + ', 0]]]}')
+    rc = main(["verify", "thm-2.7", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "big.json" in captured.err
+
+
 def test_verify_negative_tolerance_exit_3(normal_file, capsys):
     rc = main(["verify", "thm-2.1", normal_file, "--tol-abs", "-1"])
     assert rc == 3

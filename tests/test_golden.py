@@ -3,9 +3,10 @@ goldens.
 
 The documents under ``tests/golden/`` were written by this module before
 the checkers were rewritten over stacked operands (the repro outputs
-before the one-matrix kernels were removed), so they pin the exact bytes a
-campaign, a search, a worst witness and a fixture reproduction must keep
-(``criterion-3.json`` is compared in test_acceptance.py).  Regenerate them
+before the one-matrix kernels were removed, the verify reports before the
+matrix decoder was vectorised), so they pin the exact bytes a campaign, a
+search, a worst witness, a fixture reproduction and a report on matrix
+files must keep (``criterion-3.json`` is compared in test_acceptance.py).  Regenerate them
 only for a change that is meant to alter the numerics:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -22,8 +23,11 @@ import pytest
 
 from svineq import fuzzer
 from svineq.cli import main
+from svineq.fixtures import fixture
 from svineq.fuzzer import CampaignConfig, SEARCH_TARGET_IDS, replay, run_campaign
-from svineq.serialize import campaign_document, dumps
+from svineq.serialize import campaign_document, dumps, matrix_to_json
+
+from conftest import draw
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -64,6 +68,36 @@ def _cli_stdout(argv: list[str]) -> bytes:
     return out.getvalue().encode()
 
 
+# (golden name, inequality, input files) for `svineq verify` reports: one
+# file each at n = 1, 2, 8 and 64, a file of JSON integers with "-0"
+# entries (a Hermitian matrix, so the check runs), and a two-file pair.
+INT_HERMITIAN = (
+    '{"n": 3, "entries": [[[2, 0], [1, -1], [0, -0]], [[1, 1], [-3, 0], [4, 0.5]],'
+    ' [[-0, 0], [4, -0.5], [7, -0]]]}'
+)
+VERIFY_CASES = (
+    ("verify-thm-2.7-n1.txt", "thm-2.7", [draw("ginibre", 1, seed=3)[0]]),
+    ("verify-loewner-cartesian-n2.txt", "loewner-cartesian", [fixture("ex-2.2").matrix]),
+    ("verify-thm-2.1-n8.txt", "thm-2.1", [draw("normal", 8, seed=3)[0]]),
+    ("verify-thm-2.7-n64.txt", "thm-2.7", [draw("ginibre", 64, seed=3)[0]]),
+    ("verify-thm-2.5-plus-int.txt", "thm-2.5-plus", [INT_HERMITIAN]),
+    (
+        "verify-thm-2.8-pair.txt",
+        "thm-2.8",
+        [draw("ginibre", 5, seed=3, index=i)[0] for i in (0, 1)],
+    ),
+)
+
+
+def verify_report(ineq: str, inputs, tmp: Path) -> bytes:
+    paths = []
+    for i, m in enumerate(inputs):
+        path = tmp / f"in{i}.json"
+        path.write_text(m if isinstance(m, str) else dumps(matrix_to_json(m)))
+        paths.append(str(path))
+    return _cli_stdout(["verify", ineq, *paths])
+
+
 def edge_campaign_document() -> bytes:
     return dumps(campaign_document(run_campaign(EDGE_CONFIG))).encode()
 
@@ -81,9 +115,11 @@ def documents(tmp: Path):
         yield f"search-{target}.json", lambda t=target: _cli_document(
             ["search", "--target", t, "--seed", "0"], tmp
         )
-    for fixture in ("ex-2.2", "ex-2.3"):
-        yield f"repro-{fixture}.txt", lambda f=fixture: _cli_stdout(["repro", f])
-        yield f"repro-{fixture}.json", lambda f=fixture: _cli_document(["repro", f], tmp)
+    for key in ("ex-2.2", "ex-2.3"):
+        yield f"repro-{key}.txt", lambda f=key: _cli_stdout(["repro", f])
+        yield f"repro-{key}.json", lambda f=key: _cli_document(["repro", f], tmp)
+    for name, ineq, inputs in VERIFY_CASES:
+        yield name, lambda i=ineq, m=inputs: verify_report(i, m, tmp)
 
 
 GOLDEN_NAMES = [name for name, _ in documents(Path("."))]

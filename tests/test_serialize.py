@@ -1,7 +1,10 @@
 """JSON schemas: strict parsing, lossless round-trips, deterministic output."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from svineq import __version__
 from svineq.fuzzer import CampaignConfig, SearchTarget, run_campaign, search_counterexample
@@ -50,25 +53,141 @@ def test_parse_matrix_text_round_trip():
     assert np.array_equal(parse_matrix_text(text), m)
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [
-        '{"n": 2, "entries": [[[1,0],[0,0]],[[0,0]]]}',  # ragged rows
-        '{"n": 2, "entries": [[[1,0],[0,0]]]}',  # wrong row count
-        '{"n": 1, "entries": [[[1,0,0]]]}',  # triple instead of pair
-        '{"n": 1, "entries": [[[NaN,0]]]}',  # NaN literal
+# Messages as the per-entry decoder gave them; the array decoder must keep
+# each one, including which offending entry it names first.
+MALFORMED = [
+    (  # ragged rows
+        '{"n": 2, "entries": [[[1,0],[0,0]],[[0,0]]]}',
+        "each row must hold exactly 2 [re, im] pairs",
+    ),
+    (  # wrong row count
+        '{"n": 2, "entries": [[[1,0],[0,0]]]}',
+        '"entries" must be a list of 2 rows',
+    ),
+    (  # triple instead of pair
+        '{"n": 1, "entries": [[[1,0,0]]]}',
+        "entry [1, 0, 0] is not an [re, im] pair",
+    ),
+    (  # NaN literal
+        '{"n": 1, "entries": [[[NaN,0]]]}',
+        "not valid JSON: non-finite JSON token 'NaN' is not allowed",
+    ),
+    (
         '{"n": 1, "entries": [[[Infinity,0]]]}',
-        '{"n": 1, "entries": [[[true,0]]]}',  # bool masquerading as number
-        '{"n": "1", "entries": [[[1,0]]]}',  # n not an int
-        '{"entries": [[[1,0]]]}',  # missing n
-        '{"n": 65, "entries": []}',  # over the dimension cap
-        "[1,2,3]",  # not an object
-        "not json",
-    ],
-)
-def test_parse_matrix_text_rejects_malformed(payload):
-    with pytest.raises(InvalidMatrix):
+        "not valid JSON: non-finite JSON token 'Infinity' is not allowed",
+    ),
+    (  # bool masquerading as number
+        '{"n": 1, "entries": [[[true,0]]]}',
+        "entry [True, 0] is not an [re, im] pair",
+    ),
+    ('{"n": 1, "entries": [[[1,false]]]}', "entry [1, False] is not an [re, im] pair"),
+    ('{"n": 1, "entries": [[null]]}', "entry None is not an [re, im] pair"),
+    ('{"n": 1, "entries": [[[null,0]]]}', "entry [None, 0] is not an [re, im] pair"),
+    ('{"n": 1, "entries": [[["1.0",0]]]}', "entry ['1.0', 0] is not an [re, im] pair"),
+    ('{"n": 1, "entries": [[[1]]]}', "entry [1] is not an [re, im] pair"),
+    ('{"n": 1, "entries": [[[[1,0]]]]}', "entry [[1, 0]] is not an [re, im] pair"),
+    (  # the first offending entry in row-major order is the one named
+        '{"n": 2, "entries": [[[1,0],[0,"x"]],[[0,0],[1,true]]]}',
+        "entry [0, 'x'] is not an [re, im] pair",
+    ),
+    (  # a bad entry in an earlier row wins over a short later row
+        '{"n": 2, "entries": [[[1,0],[0,null]],[[0,0]]]}',
+        "entry [0, None] is not an [re, im] pair",
+    ),
+    (  # row given as an object
+        '{"n": 1, "entries": [{"0": [1,0]}]}',
+        "each row must hold exactly 1 [re, im] pairs",
+    ),
+    ('{"n": "1", "entries": [[[1,0]]]}', '"n" must be an integer'),
+    ('{"n": true, "entries": [[[1,0]]]}', '"n" must be an integer'),
+    ('{"entries": [[[1,0]]]}', 'matrix document needs "n" and "entries" fields'),
+    ('{"n": 0, "entries": []}', "expected a square matrix, got shape (0,)"),
+    ('{"n": 65, "entries": []}', '"entries" must be a list of 65 rows'),
+    ('{"n": 1, "entries": [[[1e400,0]]]}', "matrix has non-finite entries"),
+    ("[1,2,3]", "matrix document must be a JSON object"),
+    ("not json", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+]
+
+
+@pytest.mark.parametrize("payload, message", MALFORMED, ids=[p for p, _ in MALFORMED])
+def test_parse_matrix_text_rejects_malformed(payload, message):
+    with pytest.raises(InvalidMatrix) as info:
         parse_matrix_text(payload)
+    assert str(info.value) == message
+
+
+def test_parse_matrix_text_rejects_dimension_over_cap():
+    row = "[" + ",".join(["[0,0]"] * 65) + "]"
+    with pytest.raises(InvalidMatrix) as info:
+        parse_matrix_text('{"n": 65, "entries": [' + ",".join([row] * 65) + "]}")
+    assert str(info.value) == "dimension 65 outside supported range 1..64"
+
+
+HUGE_INT = "1" + "0" * 400  # a JSON integer outside float range
+
+
+@pytest.mark.parametrize("pair", [f"[{HUGE_INT}, 0]", f"[0, -{HUGE_INT}]"], ids=["re", "im"])
+def test_parse_matrix_text_rejects_integer_outside_float_range(pair):
+    with pytest.raises(InvalidMatrix):
+        parse_matrix_text('{"n": 1, "entries": [[' + pair + "]]}")
+
+
+def test_witness_with_integer_outside_float_range_is_malformed():
+    from svineq.fuzzer import MalformedWitness
+    from svineq.serialize import witness_from_json
+
+    w = search_counterexample(
+        SearchTarget(target_id="loewner-cartesian-general", budget=20), seed=0
+    )
+    doc = loads_strict(dumps(witness_document(w)))
+    doc["inputs"][0]["entries"][0][0][0] = int(HUGE_INT)
+    with pytest.raises(MalformedWitness):
+        witness_from_json(doc)
+
+
+def _assert_bitwise_equal(got, want):
+    assert got.dtype == want.dtype == np.complex128 and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225e-308, -1e-310, 1.7e308, -1.7e308]
+FINITE_FLOATS = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def _square(draw_, values):
+    n = draw_(st.integers(1, 5))
+    return n, draw_(st.lists(values, min_size=2 * n * n, max_size=2 * n * n))
+
+
+@given(_square(FINITE_FLOATS))
+def test_parse_matrix_text_round_trip_is_bitwise(square):
+    n, values = square
+    m = np.array(values, dtype=np.float64).view(np.complex128).reshape(n, n)
+    _assert_bitwise_equal(parse_matrix_text(dumps(matrix_to_json(m))), m)
+
+
+def _reference_decode(entries) -> np.ndarray:
+    """The per-entry decoder: one complex() per [re, im] pair."""
+    return np.array([[complex(re, im) for re, im in row] for row in entries], dtype=np.complex128)
+
+
+@given(_square(st.one_of(FINITE_FLOATS, st.integers(-(10**308), 10**308))))
+def test_parse_matrix_text_integer_and_mixed_entries(square):
+    n, values = square
+    pairs = [values[i : i + 2] for i in range(0, len(values), 2)]
+    entries = [pairs[i : i + n] for i in range(0, len(pairs), n)]
+    text = json.dumps({"n": n, "entries": entries})
+    _assert_bitwise_equal(parse_matrix_text(text), _reference_decode(entries))
+
+
+def test_parse_matrix_text_negative_zero_integer():
+    # JSON "-0" is the integer 0, so it decodes to +0.0, while "-0.0" keeps its sign.
+    m = parse_matrix_text('{"n": 1, "entries": [[[-0, -0.0]]]}')
+    _assert_bitwise_equal(m, np.array([[complex(0.0, -0.0)]]))
 
 
 def test_loads_strict_rejects_nan_constants():
