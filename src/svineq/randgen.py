@@ -45,8 +45,14 @@ class InvalidSpec(ValueError):
     """A generator class, dimension, seed or stream index is out of range."""
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer.  A bool is not,
+    though it subclasses int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_u64(value: int, name: str) -> int:
-    if not isinstance(value, (int, np.integer)) or not 0 <= int(value) < 2**64:
+    if not is_integer(value) or not 0 <= int(value) < 2**64:
         raise InvalidSpec(f"{name} must be an unsigned 64-bit integer, got {value!r}")
     return int(value)
 

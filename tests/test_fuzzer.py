@@ -81,6 +81,28 @@ def test_config_rejects_bad_seed():
         run_campaign(small_config(seed=2**64))
 
 
+LOEWNER = "loewner-cartesian-general"
+
+# bool subclasses int, so each of these used to run as if 1 or 0 was given.
+BOOL_CONFIGS = {
+    "search-budget": lambda: SearchTarget(LOEWNER, budget=True),
+    "search-perturb-steps": lambda: SearchTarget(LOEWNER, budget=1, perturb_steps=False),
+    "search-dims": lambda: SearchTarget(LOEWNER, budget=1, dims=(True,)),
+    "search-seed": lambda: search_counterexample(SearchTarget(LOEWNER, budget=1), True),
+    "search-numpy-seed": lambda: search_counterexample(SearchTarget(LOEWNER, budget=1), np.True_),
+    "campaign-dims": lambda: run_campaign(small_config(dims=(True,))),
+    "campaign-trials": lambda: run_campaign(small_config(trials_per_dim=True)),
+    "campaign-seed": lambda: run_campaign(small_config(seed=False)),
+    "campaign-scale": lambda: run_campaign(small_config(scale=True)),
+}
+
+
+@pytest.mark.parametrize("name", BOOL_CONFIGS)
+def test_config_rejects_bools_as_integers(name):
+    with pytest.raises(ConfigInvalid):
+        BOOL_CONFIGS[name]()
+
+
 # --- campaign aggregation ----------------------------------------------------------
 
 

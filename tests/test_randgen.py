@@ -111,6 +111,12 @@ def test_extreme_seeds_accepted():
 # --- validation and scale --------------------------------------------------------
 
 
+@pytest.mark.parametrize("seed,index", [(True, 0), (0, False), (True, False), (np.True_, 0)])
+def test_prng_stream_rejects_bools(seed, index):
+    with pytest.raises(InvalidSpec):
+        prng_stream(seed, index)
+
+
 def test_sample_validates_class_and_dim():
     with pytest.raises(InvalidSpec):
         sample("weird", 2, prng_stream(0, 0))
