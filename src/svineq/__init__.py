@@ -13,6 +13,10 @@ The package is organised bottom-up:
 - ``randgen``: counter-based deterministic random matrix generators.
 - ``fuzzer``: seeded fuzzing campaigns over the catalog and randomised
   counterexample search with replayable witnesses.
+- ``serialize``: strict JSON documents for reports, campaigns, witnesses
+  and matrix files.
+- ``fixtures``: the worked examples ex-2.2 and ex-2.3 with their
+  documented claims, and their reproduction from the catalog reports.
 - ``cli``: the ``svineq`` command line (verify / repro / fuzz / search).
 """
 

@@ -19,15 +19,11 @@ the eigensolver does not converge, ``NoConvergence``), 4 search exhausted.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .decomp import cartesian
-from .fixtures import FIXTURE_KEYS, fixture
+from .fixtures import FIXTURE_KEYS, reproduce
 from .fuzzer import (
     CampaignConfig,
     ConfigInvalid,
@@ -39,12 +35,11 @@ from .fuzzer import (
 )
 from .inequalities import (
     ArityMismatch,
-    CATALOG,
-    InequalityReport,
     Tolerance,
     UnknownInequality,
     Verdict,
     catalog_entry,
+    catalog_ids,
     check,
 )
 from .numkernel import (
@@ -55,20 +50,14 @@ from .numkernel import (
     NoConvergence,
     NotHermitian,
     NotPSD,
-    abs_op,
-    loewner_leq,
-    singular_values,
 )
 from .randgen import InvalidSpec
 from .serialize import (
     campaign_document,
-    document,
     dumps,
     dumps_compact,
-    matrix_to_json,
     parse_matrix_text,
     report_document,
-    report_to_json,
     witness_document,
 )
 
@@ -84,12 +73,6 @@ _VERDICT_EXIT = {
     Verdict.HYPOTHESIS_VIOLATED: EXIT_HYPOTHESIS_VIOLATED,
 }
 
-_INV_SQRT2 = 2.0 ** -0.5
-
-# Documented approximate values ("~=") are compared at this threshold,
-# matching their 4-decimal precision.
-CLAIM_MATCH_TOL = 1e-3
-
 
 class _UsageError(Exception):
     pass
@@ -102,15 +85,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
-
-
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real:.6g}{z.imag:+.6g}i"
-
-
-def _matrix_lines(m, indent: str = "  ") -> list[str]:
-    a = np.asarray(m, dtype=np.complex128)
-    return [indent + "  ".join(_fmt_complex(z) for z in row) for row in a]
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -175,248 +149,13 @@ def cmd_verify(args) -> int:
 # --- repro -------------------------------------------------------------------
 
 
-def _order_check(name: str, claim, x, y, tol: Tolerance) -> dict:
-    min_eig, tol_used = (float(v[0]) for v in loewner_leq(x[None], y[None], tol))
-    holds = min_eig >= -tol_used
-    return {
-        "name": name,
-        "lhs": claim.lhs,
-        "rhs": claim.rhs,
-        "min_eig": min_eig,
-        "tol_used": tol_used,
-        "holds": holds,
-        "claimed_holds": claim.claimed_holds,
-        "discrepancy": holds != claim.claimed_holds,
-    }
-
-
-def _fixture_head(fx, thm_2_1: InequalityReport):
-    """The fixture matrix, its Hermitian/skew parts and its normality (the
-    hypothesis of ``thm_2_1``, the fixture's thm-2.1 report) as lines and
-    document fields; also whether the parts match the documented ones."""
-    a = fx.matrix
-    a1, a2 = (p[0] for p in cartesian(a[None]))
-    a1_ok = np.array_equal(a1, fx.claimed_a1)
-    a2_ok = np.array_equal(a2, fx.claimed_a2)
-    normal = thm_2_1.verdict is not Verdict.HYPOTHESIS_VIOLATED
-    defect = thm_2_1.hypothesis_residuals["normality_defect"]
-    lines = [f"fixture {fx.key}", "A:"]
-    lines.extend(_matrix_lines(a))
-    lines.append("A1 (Hermitian part):")
-    lines.extend(_matrix_lines(a1))
-    lines.append(f"  matches documented value: {'yes' if a1_ok else 'NO'}")
-    lines.append("A2 (skew part):")
-    lines.extend(_matrix_lines(a2))
-    lines.append(f"  matches documented value: {'yes' if a2_ok else 'NO'}")
-    lines.append(
-        f"normality defect |A*A-AA*|_F = {_fmt(defect)}"
-        f" ({'normal' if normal else 'not normal'})"
-    )
-    fields = {
-        "fixture": fx.key,
-        "matrix": matrix_to_json(a),
-        "cartesian": {
-            "a1": matrix_to_json(a1),
-            "a2": matrix_to_json(a2),
-            "matches_documented": bool(a1_ok and a2_ok),
-        },
-        "classification": {"normal": normal, "normality_defect": defect},
-    }
-    return a1, a2, a1_ok and a2_ok, lines, fields
-
-
-def _repro_ex22(tol: Tolerance) -> tuple[list[str], dict, int]:
-    fx = fixture("ex-2.2")
-    a = fx.matrix
-    a1, a2, parts_ok, lines, fields = _fixture_head(fx, check("thm-2.1", (a,), tol))
-
-    stack = np.stack([a, a1 + a2, a1 + 1j * a1, a1, a2])
-    abs_a, abs_sum, abs_shown, abs_a1, abs_a2 = abs_op(stack)
-    lhs_common = _INV_SQRT2 * abs_sum
-    targets = {
-        "left-as-displayed": (lhs_common, abs_shown),
-        "left-corrected": (lhs_common, abs_a),
-        "right": (abs_a, abs_a1 + abs_a2),
-    }
-    checks = []
-    discrepancies = []
-    for claim in fx.order_claims:
-        x, y = targets[claim.name]
-        result = _order_check(claim.name, claim, x, y, tol)
-        checks.append(result)
-        status = "holds" if result["holds"] else "VIOLATED"
-        claimed = "holds" if claim.claimed_holds else "VIOLATED"
-        lines.append(
-            f"order check {claim.name}: {claim.lhs} <= {claim.rhs} -> {status}"
-            f" (min eig {_fmt(result['min_eig'])}); documented: {claimed}"
-        )
-        if result["discrepancy"]:
-            discrepancies.append(claim.name)
-            lines.append(
-                f"DISCREPANCY: {claim.name} recomputes as"
-                f" {'holding' if result['holds'] else 'failing'},"
-                f" documented as {'holding' if claim.claimed_holds else 'failing'}"
-            )
-    lines.append(
-        "note: the displayed middle term reads |A1+i*A1|; the splitting suggests"
-        " |A1+i*A2|, under which the left comparison holds — the documented"
-        " failure is reproduced for the as-displayed reading"
-    )
-
-    by_name = {c["name"]: c for c in checks}
-    reproduced = (
-        parts_ok
-        and not by_name["left-as-displayed"]["holds"]
-        and not by_name["right"]["holds"]
-        and by_name["left-corrected"]["holds"]
-        and discrepancies == ["left-corrected"]
-    )
-    lines.append(
-        "summary: documented failure of both order inequalities "
-        + ("reproduced (as-displayed reading)" if reproduced else "NOT reproduced")
-    )
-    catalog_report = check("loewner-cartesian", (a,), tol)
-    doc = document(
-        "repro",
-        {
-            **fields,
-            "order_checks": checks,
-            "reports": {"loewner-cartesian": report_to_json(catalog_report)},
-            "discrepancies": discrepancies,
-            "reproduced": bool(reproduced),
-        },
-    )
-    return lines, doc, EXIT_HOLDS if reproduced else EXIT_VIOLATED
-
-
-def _eig2_hermitian(m) -> tuple[float, float]:
-    """Closed-form eigenvalues (descending) of a real-diagonal 2x2 Hermitian
-    matrix, used as an oracle independent of the kernel eigensolver."""
-    a = np.asarray(m)
-    tr = float(a[0, 0].real + a[1, 1].real)
-    det = float((a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real)
-    disc = math.sqrt(max(tr * tr - 4.0 * det, 0.0))
-    return ((tr + disc) / 2.0, (tr - disc) / 2.0)
-
-
-def _repro_ex23(tol: Tolerance) -> tuple[list[str], dict, int]:
-    fx = fixture("ex-2.3")
-    a = fx.matrix
-    theorem = check("thm-2.1", (a,), tol)
-    a1, a2, parts_ok, lines, fields = _fixture_head(fx, theorem)
-
-    # Oracle route, independent of the eigensolver: A = A1 + i*I with A1
-    # 2x2 Hermitian, so s_k(A) = sqrt(mu_k^2 + 1) and |A1|+|A2| has
-    # eigenvalues |mu_k| + 1, over the closed-form eigenvalues mu_k of A1.
-    mu = _eig2_hermitian(a1)
-    oracle_s_a = tuple(sorted((math.sqrt(m * m + 1.0) for m in mu), reverse=True))
-    oracle_s_abs = tuple(sorted((abs(m) + 1.0 for m in mu), reverse=True))
-
-    abs_a1, abs_a2 = abs_op(np.stack([a1, a2]))
-    s_a, s_abs = singular_values(np.stack([a, abs_a1 + abs_a2])).tolist()
-    claimed = {c.name: c.claimed for c in fx.value_claims}
-
-    values = []
-    discrepancies = []
-
-    def add_value(name: str, recomputed: float, oracle: float | None):
-        claim = claimed.get(name)
-        entry = {
-            "name": name,
-            "recomputed": recomputed,
-            "oracle": oracle,
-            "oracle_abs_err": None if oracle is None else abs(recomputed - oracle),
-            "claimed": claim,
-            "discrepancy": claim is not None and abs(recomputed - claim) > CLAIM_MATCH_TOL,
-        }
-        values.append(entry)
-        if entry["discrepancy"]:
-            discrepancies.append(name)
-        return entry
-
-    add_value("s1(A)", s_a[0], oracle_s_a[0])
-    v_s2 = add_value("s2(A)", s_a[1], oracle_s_a[1])
-    add_value("s1(|A1|+|A2|)", s_abs[0], oracle_s_abs[0])
-    v_abs2 = add_value("s2(|A1|+|A2|)", s_abs[1], oracle_s_abs[1])
-
-    lines.append(f"s(A) recomputed: {_fmt(s_a[0])} {_fmt(s_a[1])}")
-    lines.append(
-        f"  oracle sqrt(mu^2+1) over eigenvalues mu of A1: "
-        f"{_fmt(oracle_s_a[0])} {_fmt(oracle_s_a[1])}"
-    )
-    lines.append(
-        f"  documented s2(A) ~= {claimed['s2(A)']}: "
-        + (
-            "DISCREPANCY"
-            if v_s2["discrepancy"]
-            else f"agree (|diff| = {_fmt(abs(s_a[1] - claimed['s2(A)']))})"
-        )
-    )
-    lines.append(f"s(|A1|+|A2|) recomputed: {_fmt(s_abs[0])} {_fmt(s_abs[1])}")
-    lines.append(f"  oracle |mu|+1: {_fmt(oracle_s_abs[0])} {_fmt(oracle_s_abs[1])}")
-    if v_abs2["discrepancy"]:
-        lines.append(
-            f"DISCREPANCY: documented s2(|A1|+|A2|) ~= {claimed['s2(|A1|+|A2|)']} is not"
-            f" reproduced; recomputed {_fmt(s_abs[1])}"
-            f" (|diff| = {_fmt(abs(s_abs[1] - claimed['s2(|A1|+|A2|)']))} > {CLAIM_MATCH_TOL})"
-        )
-    else:
-        lines.append(f"  documented s2(|A1|+|A2|) ~= {claimed['s2(|A1|+|A2|)']}: agree")
-
-    relation_holds = s_a[1] > s_abs[1]
-    lines.append(
-        f"documented relation s2(A) > s2(|A1|+|A2|): "
-        + ("reproduced" if relation_holds else f"not reproduced ({_fmt(s_a[1])} <= {_fmt(s_abs[1])})")
-    )
-
-    lines.append(
-        f"theorem check thm-2.1: {theorem.verdict.value}"
-        f" (min margin {_fmt(theorem.min_margin)})"
-    )
-
-    oracle_ok = all(
-        v["oracle_abs_err"] is not None and v["oracle_abs_err"] <= 1e-9 for v in values
-    )
-    reproduced = (
-        parts_ok
-        and oracle_ok
-        and not v_s2["discrepancy"]
-        and v_abs2["discrepancy"]
-        and theorem.verdict is Verdict.HOLDS
-    )
-    lines.append(
-        "summary: values reproduced"
-        + (
-            " except the documented s2(|A1|+|A2|), which is flagged"
-            if reproduced
-            else " — reproduction FAILED"
-        )
-    )
-    doc = document(
-        "repro",
-        {
-            **fields,
-            "values": values,
-            "claimed_relation": {
-                "statement": "s2(A) > s2(|A1|+|A2|)",
-                "recomputed_holds": bool(relation_holds),
-            },
-            "reports": {"thm-2.1": report_to_json(theorem)},
-            "discrepancies": discrepancies,
-            "reproduced": bool(reproduced),
-        },
-    )
-    return lines, doc, EXIT_HOLDS if reproduced else EXIT_VIOLATED
-
-
 def cmd_repro(args) -> int:
-    runners = {"ex-2.2": _repro_ex22, "ex-2.3": _repro_ex23}
-    lines, doc, code = runners[args.fixture](DEFAULT_TOL)
+    lines, doc, reproduced = reproduce(args.fixture)
     for line in lines:
         print(line)
     print(dumps_compact(doc))
     _write_out(args.out, dumps(doc))
-    return code
+    return EXIT_HOLDS if reproduced else EXIT_VIOLATED
 
 
 # --- fuzz --------------------------------------------------------------------
@@ -426,11 +165,7 @@ def _fuzz_targets(args) -> tuple[tuple[str, str], ...]:
     if args.ineq == "all":
         if args.klass:
             raise _UsageError("--class cannot be combined with --ineq all")
-        return tuple(
-            (entry.ineq_id, entry.canonical_class)
-            for entry in CATALOG.values()
-            if entry.in_all
-        )
+        return tuple((i, catalog_entry(i).canonical_class) for i in catalog_ids())
     ids = [part.strip() for part in args.ineq.split(",") if part.strip()]
     if not ids:
         raise _UsageError("--ineq needs at least one inequality id")

@@ -342,16 +342,6 @@ class _TargetAggregator:
         )
 
 
-def _finite(checked: Checked) -> bool:
-    """Whether every number the counts are read from is finite: minimum
-    margins and tolerances, the minima of the sides each trial evaluated,
-    and the hypothesis residuals."""
-    values = [checked.min_margin, checked.tol_used, *checked.graded.residuals.values()]
-    for side in checked.graded.sides:
-        values.append(side.min_margin if side.present is None else side.min_margin[side.present])
-    return all(np.isfinite(v).all() for v in values)
-
-
 def _check_chunk(agg: _TargetAggregator, first_trial: int, dim: int, mats, tol: Tolerance):
     """Check one chunk of trials and fold it into ``agg``.
 
@@ -371,7 +361,7 @@ def _check_chunk(agg: _TargetAggregator, first_trial: int, dim: int, mats, tol: 
         for i in range(k):
             _check_chunk(agg, first_trial + i, dim, [m[i : i + 1] for m in mats], tol)
         return
-    if not _finite(checked):
+    if not checked.finite():
         raise FloatingPointError("non-finite margins or residuals")
     agg.add(first_trial, dim, mats, checked)
 
@@ -593,11 +583,12 @@ def search_counterexample(target: SearchTarget, seed: int) -> Witness | None:
     the target's dimensions, so the search is a pure function of
     (target, seed).  A restart scores its initial point, then takes
     ``_search_depth(n)`` greedy steps per stacked call.  Restart 0 runs
-    alone; later restarts run in lock-step blocks of 1, 2, 4, ... (as many
-    as have failed, at most ``CHUNK_ELEMENTS`` matrix entries per restart's
-    tree at the largest n), one stack per dimension.  The lowest qualifying restart of a block
-    is the witness the restarts give when run one after the other.  Only
-    the witness gets a full report.
+    alone.  Later restarts run in lock-step blocks of 1, 2, 4, ...: a block
+    holds as many restarts as have failed so far, capped so that their
+    trees together hold at most ``CHUNK_ELEMENTS`` matrix entries at the
+    largest n, and it is checked as one stack per dimension.  The lowest
+    qualifying restart of a block is the witness the restarts give when run
+    one after the other.  Only the witness gets a full report.
     """
     if not randgen.is_integer(seed) or not 0 <= seed < 2**64:
         raise ConfigInvalid(f"seed must be an unsigned 64-bit integer, got {seed!r}")

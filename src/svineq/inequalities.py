@@ -245,6 +245,17 @@ class Checked:
     def __len__(self) -> int:
         return self.min_margin.shape[0]
 
+    def finite(self) -> bool:
+        """Whether every number a verdict or a count is read from is finite:
+        minimum margins and tolerances, the minima of the sides each trial
+        evaluated, and the hypothesis residuals."""
+        values = [self.min_margin, self.tol_used, *self.graded.residuals.values()]
+        for side in self.graded.sides:
+            values.append(
+                side.min_margin if side.present is None else side.min_margin[side.present]
+            )
+        return all(np.isfinite(v).all() for v in values)
+
     def verdict(self, i: int) -> Verdict:
         hyp = self.graded.hypothesis_ok
         if hyp is not None and not hyp[i]:
@@ -632,7 +643,8 @@ def check(ineq_id: str, inputs: Sequence, tol: Tolerance = DEFAULT_TOL) -> Inequ
 
     Validates arity, dimensions and finiteness before running the stacked
     checker on a stack of one; the report's id always equals the requested
-    id.
+    id.  Raises InvalidMatrix when finite inputs overflow the kernel, so
+    that no verdict is graded from a NaN or an infinity.
     """
     entry = catalog_entry(ineq_id)
     mats = [np.asarray(m, dtype=np.complex128) for m in inputs]
@@ -655,4 +667,9 @@ def check(ineq_id: str, inputs: Sequence, tol: Tolerance = DEFAULT_TOL) -> Inequ
     if not all(np.isfinite(m).all() for m in mats):
         raise InvalidMatrix(f"{ineq_id}: inputs contain non-finite entries")
     # Contiguous operands, so that no result depends on the caller's layout.
-    return entry.run([np.ascontiguousarray(m)[None] for m in mats], tol).report(0)
+    checked = entry.run([np.ascontiguousarray(m)[None] for m in mats], tol)
+    if not checked.finite():
+        raise InvalidMatrix(
+            f"{ineq_id}: inputs overflow the kernel (non-finite margins or residuals)"
+        )
+    return checked.report(0)

@@ -99,9 +99,10 @@ def as_matrix(entries, max_dim: int = MAX_DIM) -> np.ndarray:
 # on its own: every result slice is bitwise equal to the result for the
 # stack of that matrix alone.  Stacked eigh/eigvalsh/qr and matmul are, per
 # slice, the same LAPACK/BLAS calls; reductions are not, so Frobenius norms
-# go through ``_fro`` and zero-matrix short-circuits are applied per slice.  Elementwise complex products can also round
-# differently when stacking changes which numpy loop runs them (see
-# ``randgen._conjugate_diag``); tests/test_golden.py pins the result.
+# go through ``_fro`` and zero-matrix short-circuits are applied per slice.
+# Elementwise complex products can also round differently when stacking
+# changes which numpy loop runs them (see ``randgen._conjugate_diag``);
+# tests/test_golden.py pins the result.
 
 
 def _adj(x: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: exit codes, output documents, determinism."""
 
 import dataclasses
+import os
 import shutil
 import subprocess
 import sys
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 import svineq.cli as cli
+import svineq.fixtures as fixtures
 from svineq.cli import main
-from svineq.fixtures import fixture
+from svineq.fixtures import EX_2_2
 from svineq.fuzzer import replay
 from svineq.inequalities import check
 from svineq.serialize import (
@@ -39,7 +41,7 @@ def normal_file(tmp_path):
 
 @pytest.fixture
 def ex22_file(tmp_path):
-    return write_matrix(tmp_path, "ex22.json", fixture("ex-2.2").matrix)
+    return write_matrix(tmp_path, "ex22.json", EX_2_2)
 
 
 # --- verify --------------------------------------------------------------------
@@ -143,6 +145,18 @@ def test_verify_no_convergence_exit_3(tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_kernel_overflow_exit_3(tmp_path, capsys):
+    # Finite entries near 1e155 overflow the thm-2.7 margins to NaN; check()
+    # refuses them instead of printing a verdict graded from a NaN.
+    path = write_matrix(tmp_path, "a.json", draw("ginibre", 2, seed=0)[0] * 1e155)
+    rc = main(["verify", "thm-2.7", path])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: thm-2.7: inputs overflow the kernel")
+
+
 def test_verify_out_file_equals_stdout(normal_file, tmp_path, capsys):
     out_path = tmp_path / "report.json"
     main(["verify", "thm-2.1", normal_file, "--out", str(out_path)])
@@ -201,6 +215,26 @@ def test_repro_out_file_holds_same_document(tmp_path, capsys):
     out_path = tmp_path / "repro.json"
     _, _, doc = run_repro("ex-2.2", capsys, extra=["--out", str(out_path)])
     assert loads_strict(out_path.read_text()) == doc
+
+
+@pytest.mark.parametrize(
+    "key, claim, value, summary",
+    [
+        (
+            "ex-2.2",
+            "EX_2_2_CLAIMED_HOLDS",
+            True,
+            "summary: documented failure of both order inequalities NOT reproduced",
+        ),
+        ("ex-2.3", "EX_2_3_S2_A", 1.5, "summary: values reproduced — reproduction FAILED"),
+    ],
+)
+def test_repro_changed_claim_is_not_reproduced(key, claim, value, summary, monkeypatch, capsys):
+    monkeypatch.setattr(fixtures, claim, value)
+    rc, out, doc = run_repro(key, capsys)
+    assert rc == 1
+    assert doc["reproduced"] is False
+    assert summary in out.splitlines()
 
 
 def test_repro_unknown_fixture_exit_3(capsys):
@@ -411,9 +445,19 @@ def test_unknown_subcommand_exit_3(capsys):
     assert main(["frobnicate"]) == 3
 
 
+def _subprocess_env() -> dict:
+    # A child interpreter imports the package this suite imported, whether
+    # it came from PYTHONPATH or from pytest's own ``pythonpath`` setting.
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
 def test_module_invocation_version():
     proc = subprocess.run(
-        [sys.executable, "-m", "svineq", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "svineq", "--version"],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("svineq ")
@@ -438,6 +482,6 @@ def test_console_script_help():
     if shutil.which("svineq"):
         commands.append(["svineq", "--help"])
     for command in commands:
-        proc = subprocess.run(command, capture_output=True, text=True)
+        proc = subprocess.run(command, capture_output=True, text=True, env=_subprocess_env())
         assert proc.returncode == 0
         assert "verify" in proc.stdout and "search" in proc.stdout

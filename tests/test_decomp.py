@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from svineq.decomp import _normality_grade, _psd_grade, jordan
-from svineq.fixtures import fixture
+from svineq.fixtures import EX_2_2, EX_2_2_A1, EX_2_2_A2
 from svineq.inequalities import check
 from svineq.numkernel import DEFAULT_TOL, NotHermitian, abs_op, hermitian_eig
 
@@ -82,11 +82,10 @@ def test_cartesian_parts_are_hermitian_and_recombine(seed, n):
 
 
 def test_cartesian_of_embedded_fixture_is_exact():
-    fx = fixture("ex-2.2")
-    a1, a2 = cartesian_parts(fx.matrix)
-    assert np.array_equal(a1, fx.claimed_a1)
-    assert np.array_equal(a2, fx.claimed_a2)
-    assert np.array_equal(a1 + 1j * a2, fx.matrix)
+    a1, a2 = cartesian_parts(EX_2_2)
+    assert np.array_equal(a1, EX_2_2_A1)
+    assert np.array_equal(a2, EX_2_2_A2)
+    assert np.array_equal(a1 + 1j * a2, EX_2_2)
 
 
 def test_cartesian_of_hermitian_matrix_has_zero_skew_part():

@@ -23,7 +23,7 @@ import pytest
 
 from svineq import fuzzer
 from svineq.cli import main
-from svineq.fixtures import fixture
+from svineq.fixtures import EX_2_2
 from svineq.fuzzer import CampaignConfig, SEARCH_TARGET_IDS, replay, run_campaign
 from svineq.serialize import campaign_document, dumps, matrix_to_json
 
@@ -77,7 +77,7 @@ INT_HERMITIAN = (
 )
 VERIFY_CASES = (
     ("verify-thm-2.7-n1.txt", "thm-2.7", [draw("ginibre", 1, seed=3)[0]]),
-    ("verify-loewner-cartesian-n2.txt", "loewner-cartesian", [fixture("ex-2.2").matrix]),
+    ("verify-loewner-cartesian-n2.txt", "loewner-cartesian", [EX_2_2]),
     ("verify-thm-2.1-n8.txt", "thm-2.1", [draw("normal", 8, seed=3)[0]]),
     ("verify-thm-2.7-n64.txt", "thm-2.7", [draw("ginibre", 64, seed=3)[0]]),
     ("verify-thm-2.5-plus-int.txt", "thm-2.5-plus", [INT_HERMITIAN]),

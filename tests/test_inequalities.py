@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svineq.fixtures import fixture
+from svineq.fixtures import EX_2_2, EX_2_3
 from svineq.fuzzer import _build_inputs, _input_plan
 from svineq.inequalities import (
     ArityMismatch,
@@ -273,8 +273,7 @@ def test_thm_2_1_diagonal_normal():
 
 
 def test_thm_2_1_golden_ratio_fixture():
-    fx = fixture("ex-2.3")
-    rep = check("thm-2.1", (fx.matrix,))
+    rep = check("thm-2.1", (EX_2_3,))
     assert rep.verdict is Verdict.HOLDS
     mid = rhs_values(rep, "left")
     assert mid == pytest.approx((1.9021130325903073, 1.1755705045849463), abs=1e-12)
@@ -292,8 +291,7 @@ def test_thm_2_1_zero_matrix():
 
 
 def test_thm_2_1_grades_non_normal_input():
-    fx = fixture("ex-2.2")
-    rep = check("thm-2.1", (fx.matrix,))
+    rep = check("thm-2.1", (EX_2_2,))
     assert rep.verdict is Verdict.HYPOTHESIS_VIOLATED
     assert rep.hypothesis_residuals["normality_defect"] == pytest.approx(
         8.0 * SQRT2, abs=1e-12
@@ -312,8 +310,7 @@ def test_thm_2_1_dominance_on_normal_inputs(seed, n):
 
 
 def test_thm_2_1_nonnormal_variant_grades_nothing():
-    fx = fixture("ex-2.2")
-    rep = check("thm-2.1-nonnormal", (fx.matrix,))
+    rep = check("thm-2.1-nonnormal", (EX_2_2,))
     assert rep.ineq_id == "thm-2.1-nonnormal"
     # no hypothesis gate: verdict reflects the margins alone
     assert rep.verdict in (Verdict.HOLDS, Verdict.VIOLATED)
@@ -528,7 +525,7 @@ def test_cor_2_9_holds_on_shared_basis_pairs(seed, n):
 
 
 def test_loewner_cartesian_fixture_violates_both_sides():
-    rep = check("loewner-cartesian", (fixture("ex-2.2").matrix,))
+    rep = check("loewner-cartesian", (EX_2_2,))
     assert rep.verdict is Verdict.VIOLATED
     assert rep.side("left").min_margin < -1e-6 or rep.side("right").min_margin < -1e-6
     # with the skew-part reading, the left comparison actually holds here;
@@ -555,8 +552,7 @@ def test_loewner_cartesian_holds_on_normal(seed, n):
 
 
 def test_loewner_cartesian_general_same_comparison_different_id():
-    fx = fixture("ex-2.2").matrix
-    a, b = check("loewner-cartesian", (fx,)), check("loewner-cartesian-general", (fx,))
+    a, b = check("loewner-cartesian", (EX_2_2,)), check("loewner-cartesian-general", (EX_2_2,))
     assert b.ineq_id == "loewner-cartesian-general"
     assert a.min_margin == b.min_margin
     assert a.verdict is b.verdict
@@ -623,7 +619,7 @@ def test_proof_facts_square_fact_universal(seed, n):
 
 
 def test_check_dispatch_thm_2_1():
-    rep = check("thm-2.1", [fixture("ex-2.3").matrix])
+    rep = check("thm-2.1", [EX_2_3])
     assert rep.ineq_id == "thm-2.1"
     assert rep.verdict is Verdict.HOLDS
 
@@ -665,6 +661,21 @@ def test_check_rejects_non_finite_entries(bad):
         check("thm-2.8", [np.eye(2), a])
     with pytest.raises(InvalidMatrix):
         check("thm-2.7", [np.full((2, 2), bad)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "ineq_id, inputs",
+    [
+        ("thm-2.7", lambda: [draw("ginibre", 2, seed=0)[0] * 1e155]),
+        ("scalar-1.6", lambda: ([[1e155]], [[1e155]])),
+    ],
+)
+def test_check_rejects_kernel_overflow(ineq_id, inputs):
+    # Finite inputs whose margins overflow used to grade as holds, with
+    # min_margin nan (thm-2.7) or -inf (scalar-1.6).
+    with pytest.raises(InvalidMatrix, match=f"^{ineq_id}: inputs overflow the kernel"):
+        check(ineq_id, inputs())
 
 
 @pytest.mark.parametrize("ineq_id", catalog_ids(include_variants=True))
