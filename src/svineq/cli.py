@@ -95,7 +95,10 @@ def _parse_dims(text: str) -> tuple[int, ...]:
             lo, hi = int(lo_s), int(hi_s)
             if lo > hi:
                 raise _UsageError(f"empty dimension range {text!r}")
-            dims = list(range(lo, hi + 1))
+            # A range outside 1..MAX_DIM is reported by its bounds, before
+            # any list of that length is built.
+            in_bounds = 1 <= lo and hi <= MAX_DIM
+            dims = list(range(lo, hi + 1)) if in_bounds else [lo, hi]
         else:
             dims = [int(p) for p in text.split(",") if p.strip() != ""]
     except ValueError:

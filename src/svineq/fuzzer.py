@@ -32,6 +32,7 @@ import numpy as np
 from . import randgen
 from .decomp import cartesian
 from .inequalities import (
+    SPLITTABLE_CLASSES,
     ArityMismatch,
     CatalogEntry,
     Checked,
@@ -64,12 +65,6 @@ class ConfigInvalid(ValueError):
 
 class MalformedWitness(ValueError):
     """A stored witness cannot be replayed as-is."""
-
-
-# Classes whose single output is a normal matrix; for checkers flagged
-# split_cartesian these are split into their Hermitian/skew parts, which
-# yields exactly the commuting Hermitian pairs the statement is about.
-_SPLITTABLE_CLASSES = ("normal", "normal_order_constrained")
 
 
 @dataclass(frozen=True)
@@ -188,7 +183,7 @@ def _input_plan(entry: CatalogEntry, class_tag: str) -> str:
     """
     if class_tag not in randgen.CLASS_ARITY:
         raise ConfigInvalid(f"unknown generator class {class_tag!r}")
-    if entry.split_cartesian and class_tag in _SPLITTABLE_CLASSES:
+    if entry.split_cartesian and class_tag in SPLITTABLE_CLASSES:
         return "split"
     class_arity = randgen.CLASS_ARITY[class_tag]
     if class_arity == entry.arity:
@@ -276,7 +271,7 @@ class _TargetAggregator:
 
     def add(self, first_trial: int, dim: int, mats, checked: Checked) -> None:
         k = len(checked)
-        hyp = checked.graded.hypothesis_ok
+        hyp = checked.hypothesis_ok
         violated = int(np.count_nonzero(checked.violated))
         hypothesis_violated = 0 if hyp is None else k - int(np.count_nonzero(hyp))
         self.trials += k
@@ -288,7 +283,7 @@ class _TargetAggregator:
         self.margin_floor = min(self.margin_floor, float(margins[margins.argmin()]))
         for margin in margins.tolist():
             self.histogram.add(margin)
-        for side in checked.graded.sides:
+        for side in checked.sides:
             present = slice(None) if side.present is None else side.present
             side_min = side.min_margin[present]
             if side_min.size == 0:
@@ -399,17 +394,13 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 
 # --- counterexample search ---------------------------------------------------
 
-SEARCH_TARGET_IDS = (
-    "bk-1.1-hermitian-B",
-    "thm-2.1-nonnormal",
-    "loewner-cartesian-general",
-)
-
 _DEFAULT_SEARCH_DIMS = {
     "bk-1.1-hermitian-B": (2, 3),
     "thm-2.1-nonnormal": (2, 3),
     "loewner-cartesian-general": (2,),
 }
+
+SEARCH_TARGET_IDS = tuple(_DEFAULT_SEARCH_DIMS)
 
 
 @dataclass(frozen=True)
@@ -438,30 +429,28 @@ class SearchTarget:
             object.__setattr__(self, "dims", _validate_dims(self.dims, "search dims"))
 
 
-def _complex_square(params: np.ndarray, n: int) -> np.ndarray:
-    return (params[:, : n * n] + 1j * params[:, n * n :]).reshape(-1, n, n)
-
-
-def _search_param_length(target_id: str, n: int) -> int:
-    if target_id == "bk-1.1-hermitian-B":
-        return 4 * n * n
-    return 2 * n * n
-
-
-def _search_build(target_id: str, params: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """Map rows of real parameters, shape (k, length), to one (k, n, n)
+def _search_build(entry: CatalogEntry, params: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Map rows of real parameters, shape (k, arity * 2n²), to one (k, n, n)
     stack per checker operand.
 
-    The parameterisation preserves the target's hypotheses under
-    perturbation: for the relaxed bk comparison, A = G*G stays PSD and
-    B = (H+H*)/2 stays Hermitian for any G, H.
+    Operand i is a complex matrix G from the i-th 2n² parameters, and the
+    hypotheses on it are named after its letter (a, b, c).  The
+    parameterisation keeps the hypotheses the target keeps under any
+    perturbation: the operand is (G*G + (G*G)*)/2 if its ``_positive``
+    hypothesis is kept, (G+G*)/2 if only its ``_hermitian`` one is, and G
+    itself otherwise.
     """
-    if target_id == "bk-1.1-hermitian-B":
-        g = _complex_square(params[:, : 2 * n * n], n)
-        h = _complex_square(params[:, 2 * n * n :], n)
-        a = _adj(g) @ g
-        return (_herm(a), _herm(h))
-    return (_complex_square(params, n),)
+    mats = []
+    for i in range(entry.arity):
+        block = params[:, 2 * i * n * n : 2 * (i + 1) * n * n]
+        g = (block[:, : n * n] + 1j * block[:, n * n :]).reshape(-1, n, n)
+        letter = "abc"[i]
+        if f"{letter}_positive" in entry.hypotheses:
+            g = _herm(_adj(g) @ g)
+        elif f"{letter}_hermitian" in entry.hypotheses:
+            g = _herm(g)
+        mats.append(g)
+    return tuple(mats)
 
 
 # Greedy steps a restart takes per stacked call: the call scores the
@@ -518,11 +507,10 @@ def _search_restarts(
     tree by the greedy rule.  A restart stops at its witness, and
     restarts above the lowest witness so far are dropped.
     """
-    target_id = entry.ineq_id
-    length = _search_param_length(target_id, n)
+    length = 2 * entry.arity * n * n
 
     def score(params: np.ndarray):
-        mats = _search_build(target_id, params, n)
+        mats = _search_build(entry, params, n)
         checked = entry.run(mats, DEFAULT_TOL)
         return mats, checked, checked.min_margin < -10.0 * checked.tol_used
 

@@ -10,6 +10,11 @@ graded hypothesis residuals, and a three-way verdict:
   (e.g. an operand that must be PSD is not), in which case the margins are
   still computed and reported — they are data, not errors.
 
+Hypotheses are named (``a_positive``, ``normal``, ``commute``, ...), each
+with a per-trial flag and the residuals that back it.  A search-only
+variant is its base statement without one of them: the dropped hypothesis
+no longer gates the verdict, and its residuals are still reported.
+
 Structural requirements (an operand that must be Hermitian for the
 statement to even parse) raise ``NotHermitian`` instead of grading into a
 verdict.
@@ -28,6 +33,8 @@ over all sides.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -137,8 +144,9 @@ def _first_min(values: np.ndarray) -> np.ndarray:
 @dataclass(slots=True)
 class SideBatch:
     """One side for k trials: (k, m) lhs/rhs/margin rows and (k,) scale and
-    minimum margin.  ``present`` marks the trials that evaluated the side
-    (None: all of them); absent rows hold NaN."""
+    minimum margin.  ``requires`` names the hypothesis without which the
+    side is not evaluated; ``present`` marks the trials that evaluated it
+    (None: all of them), and absent rows hold NaN."""
 
     label: str
     kind: str
@@ -148,6 +156,7 @@ class SideBatch:
     scale: np.ndarray
     min_margin: np.ndarray
     present: np.ndarray | None = None
+    requires: str | None = None
 
     def margin_side(self, i: int) -> MarginSide:
         """The side of trial ``i`` as a report sees it."""
@@ -165,25 +174,24 @@ class SideBatch:
             min_margin=float(self.min_margin[i]),
         )
 
-    def spread(self, present: np.ndarray) -> "SideBatch":
-        """This side, computed for the trials ``present`` selects, spread
-        back over all trials."""
-        k = present.shape[0]
+    def masked(self, present: np.ndarray) -> "SideBatch":
+        """This side on the trials ``present`` selects only."""
+        if present.all():
+            return self
 
-        def fill(a):
-            out = np.full((k,) + a.shape[1:], np.nan)
-            out[present] = a
+        def mask(a):
+            out = a.copy()
+            out[~present] = np.nan
             return out
 
-        return SideBatch(
-            self.label,
-            self.kind,
-            fill(self.lhs),
-            fill(self.rhs),
-            fill(self.margin),
-            fill(self.scale),
-            fill(self.min_margin),
-            present,
+        return dataclasses.replace(
+            self,
+            lhs=mask(self.lhs),
+            rhs=mask(self.rhs),
+            margin=mask(self.margin),
+            scale=mask(self.scale),
+            min_margin=mask(self.min_margin),
+            present=present,
         )
 
 
@@ -218,18 +226,21 @@ def _order_side(label: str, x: np.ndarray, y: np.ndarray) -> SideBatch:
 
 @dataclass(slots=True)
 class Graded:
-    """What a checker core computes for k trials, before grading: its sides,
-    per-trial hypothesis flags (None: no hypotheses) and residuals."""
+    """What a checker core computes for k trials, before grading: its sides
+    and its named hypotheses, each a per-trial flag and the residuals that
+    back it."""
 
     sides: tuple[SideBatch, ...]
-    hypothesis_ok: np.ndarray | None = None
-    residuals: dict[str, np.ndarray] = field(default_factory=dict)
+    hypotheses: dict[str, tuple[np.ndarray, dict[str, np.ndarray]]] = field(
+        default_factory=dict
+    )
 
 
 @dataclass(slots=True)
 class Checked:
     """Verdicts and margins of one checker over k trials.
 
+    ``hypothesis_ok`` is the verdict gate (None: no hypothesis gates it).
     ``min_margin`` and ``tol_used`` are the report-level values; a trial is
     violated when its hypotheses hold and its minimum margin is below
     ``-tol_used``.
@@ -237,7 +248,9 @@ class Checked:
 
     ineq_id: str
     dims: tuple[int, ...]
-    graded: Graded
+    sides: tuple[SideBatch, ...]
+    hypothesis_ok: np.ndarray | None
+    residuals: dict[str, np.ndarray]
     min_margin: np.ndarray
     tol_used: np.ndarray
     violated: np.ndarray
@@ -249,53 +262,63 @@ class Checked:
         """Whether every number a verdict or a count is read from is finite:
         minimum margins and tolerances, the minima of the sides each trial
         evaluated, and the hypothesis residuals."""
-        values = [self.min_margin, self.tol_used, *self.graded.residuals.values()]
-        for side in self.graded.sides:
+        values = [self.min_margin, self.tol_used, *self.residuals.values()]
+        for side in self.sides:
             values.append(
                 side.min_margin if side.present is None else side.min_margin[side.present]
             )
         return all(np.isfinite(v).all() for v in values)
 
     def verdict(self, i: int) -> Verdict:
-        hyp = self.graded.hypothesis_ok
+        hyp = self.hypothesis_ok
         if hyp is not None and not hyp[i]:
             return Verdict.HYPOTHESIS_VIOLATED
         return Verdict.VIOLATED if self.violated[i] else Verdict.HOLDS
 
     def report(self, i: int) -> InequalityReport:
         """The full report of trial ``i``."""
-        sides = self.graded.sides
-        present = [s.present is None or bool(s.present[i]) for s in sides]
+        present = [s.present is None or bool(s.present[i]) for s in self.sides]
         return InequalityReport(
             ineq_id=self.ineq_id,
             dims=self.dims,
             verdict=self.verdict(i),
             min_margin=float(self.min_margin[i]),
             tol_used=float(self.tol_used[i]),
-            sides=tuple(s.margin_side(i) for s, p in zip(sides, present) if p),
-            skipped=tuple(s.label for s, p in zip(sides, present) if not p),
+            sides=tuple(s.margin_side(i) for s, p in zip(self.sides, present) if p),
+            skipped=tuple(s.label for s, p in zip(self.sides, present) if not p),
             hypothesis_residuals={
-                name: float(values[i]) for name, values in self.graded.residuals.items()
+                name: float(values[i]) for name, values in self.residuals.items()
             },
         )
 
 
-def _grade(ineq_id: str, dims: tuple[int, ...], graded: Graded, tol: Tolerance) -> Checked:
+def _grade(ineq_id: str, dims: tuple[int, ...], graded: Graded, tol: Tolerance, drops) -> Checked:
+    # Every hypothesis but the dropped ones is kept.  A kept hypothesis
+    # that a side requires masks that side on the trials where it fails;
+    # the others gate the verdict.  Residuals are reported for all of them.
+    kept = {name: flag for name, (flag, _) in graded.hypotheses.items() if name not in drops}
+    sides = tuple(s.masked(kept[s.requires]) if s.requires in kept else s for s in graded.sides)
+    required = {s.requires for s in sides}
+    gate = None
+    for name, flag in kept.items():
+        if name not in required:
+            gate = flag if gate is None else gate & flag
+    residuals = {k: v for _, backing in graded.hypotheses.values() for k, v in backing.items()}
     # Sides are combined in order.  The minimum margin keeps the first of
     # equal values, as min over a sequence does (0.0 before -0.0 stays
     # 0.0); the scale only enters the tolerance through max(1, scale).  A
     # side absent from a trial holds NaN there, which fmax and the strict
     # comparison pass over.  The first side is never absent.
-    first, *rest = graded.sides
+    first, *rest = sides
     scale, min_margin = first.scale, first.min_margin
     for side in rest:
         scale = np.fmax(scale, side.scale)
         min_margin = np.where(side.min_margin < min_margin, side.min_margin, min_margin)
     tol_used = tol.effective(scale)
     violated = min_margin < -tol_used
-    if graded.hypothesis_ok is not None:
-        violated &= graded.hypothesis_ok
-    return Checked(ineq_id, dims, graded, min_margin, tol_used, violated)
+    if gate is not None:
+        violated &= gate
+    return Checked(ineq_id, dims, sides, gate, residuals, min_margin, tol_used, violated)
 
 
 # --- checker cores ---------------------------------------------------------------
@@ -321,118 +344,89 @@ def _core_scalar(mats, tol) -> Graded:
     return Graded((left, right))
 
 
-def _bk_side(a, b) -> SideBatch:
-    lhs = singular_values(a + b)
-    rhs = _SQRT2 * singular_values(a + 1j * b)
-    return _spectrum_side("main", lhs, rhs)
+def _psd_hypotheses(name: str, x: np.ndarray, tol: Tolerance) -> dict:
+    """``{name}_hermitian`` and ``{name}_positive`` (PSD) of a stack."""
+    defect, min_eig, hermitian, psd = _psd_grade(x, tol)
+    return {
+        f"{name}_hermitian": (hermitian, {f"{name}_hermitian_defect": defect}),
+        f"{name}_positive": (psd, {f"{name}_min_eigenvalue": min_eig}),
+    }
 
 
 def _core_bk_1_1(mats, tol) -> Graded:
     """bk-1.1: s_j(A+B) <= sqrt2 s_j(A+iB) for PSD A, B."""
     a, b = mats
-    a_defect, a_min, _, a_psd = _psd_grade(a, tol)
-    b_defect, b_min, _, b_psd = _psd_grade(b, tol)
-    residuals = {
-        "a_hermitian_defect": a_defect,
-        "a_min_eigenvalue": a_min,
-        "b_hermitian_defect": b_defect,
-        "b_min_eigenvalue": b_min,
-    }
-    return Graded((_bk_side(a, b),), a_psd & b_psd, residuals)
-
-
-def _core_bk_1_1_hermitian_b(mats, tol) -> Graded:
-    """bk-1.1-hermitian-B: bk-1.1 with B only Hermitian (false in general)."""
-    a, b = mats
-    a_defect, a_min, _, a_psd = _psd_grade(a, tol)
-    b_defect, b_hermitian, _ = _hermitian_grade(b, tol)
-    residuals = {
-        "a_hermitian_defect": a_defect,
-        "a_min_eigenvalue": a_min,
-        "b_hermitian_defect": b_defect,
-    }
-    return Graded((_bk_side(a, b),), a_psd & b_hermitian, residuals)
+    side = _spectrum_side("main", singular_values(a + b), _SQRT2 * singular_values(a + 1j * b))
+    return Graded((side,), {**_psd_hypotheses("a", a, tol), **_psd_hypotheses("b", b, tol)})
 
 
 def _psd_block(mats, tol):
-    """[[A,B],[B*,C]] and its PSD grading."""
+    """[[A,B],[B*,C]] and its hypotheses ``block_hermitian``, ``block_positive``."""
     a, b, c = mats
     block = _block2(a, b, _adj(b), c)
-    defect, min_eig, _, psd = _psd_grade(block, tol)
-    residuals = {"block_hermitian_defect": defect, "block_min_eigenvalue": min_eig}
-    return block, psd, residuals
+    return block, _psd_hypotheses("block", block, tol)
 
 
 def _core_tao_1_2(mats, tol) -> Graded:
     """tao-1.2: 2 s_j(B) <= s_j([[A,B],[B*,C]]) when the block matrix is PSD."""
-    block, psd, residuals = _psd_block(mats, tol)
+    block, hypotheses = _psd_block(mats, tol)
     side = _spectrum_side("main", 2.0 * singular_values(mats[1]), singular_values(block))
-    return Graded((side,), psd, residuals)
+    return Graded((side,), hypotheses)
 
 
 def _core_ak_1_3(mats, tol) -> Graded:
     """ak-1.3: s_j(B) <= s_j(A ⊕ C) when [[A,B],[B*,C]] is PSD."""
     a, b, c = mats
-    _, psd, residuals = _psd_block(mats, tol)
+    _, hypotheses = _psd_block(mats, tol)
     side = _spectrum_side("main", singular_values(b), singular_values(_direct_sum(a, c)))
-    return Graded((side,), psd, residuals)
+    return Graded((side,), hypotheses)
 
 
 def _core_ak_1_4(mats, tol) -> Graded:
     """ak-1.4: 2 s_j(A) <= s_j((B+A) ⊕ (B-A)) for Hermitian A with ±A <= B."""
     a, b = mats
     a_defect, a_hermitian, _ = _hermitian_grade(a, tol)
-    b_defect, b_min, _, b_psd = _psd_grade(b, tol)
     ha, hb = _herm(a), _herm(b)
     minus_eig, minus_tol = loewner_leq(ha, hb, tol)
     plus_eig, plus_tol = loewner_leq(-ha, hb, tol)
-    residuals = {
-        "a_hermitian_defect": a_defect,
-        "b_hermitian_defect": b_defect,
-        "b_min_eigenvalue": b_min,
-        "min_eig_b_minus_a": minus_eig,
-        "min_eig_b_plus_a": plus_eig,
+    hypotheses = {
+        "a_hermitian": (a_hermitian, {"a_hermitian_defect": a_defect}),
+        **_psd_hypotheses("b", b, tol),
+        "a_le_b": (minus_eig >= -minus_tol, {"min_eig_b_minus_a": minus_eig}),
+        "minus_a_le_b": (plus_eig >= -plus_tol, {"min_eig_b_plus_a": plus_eig}),
     }
-    hyp = a_hermitian & b_psd & (minus_eig >= -minus_tol) & (plus_eig >= -plus_tol)
     lhs = 2.0 * singular_values(a)
     side = _spectrum_side("main", lhs, singular_values(_direct_sum(b + a, b - a)))
-    return Graded((side,), hyp, residuals)
+    return Graded((side,), hypotheses)
 
 
-def _thm_2_1_sides(a) -> tuple[SideBatch, SideBatch]:
-    a1, a2 = cartesian(a)
-    mid = singular_values(a)
-    left = _spectrum_side("left", _INV_SQRT2 * singular_values(a1 + a2), mid)
-    right = _spectrum_side("right", mid, singular_values(abs_op(a1) + abs_op(a2)))
-    return left, right
+def _normal(prefix: str, x: np.ndarray, tol: Tolerance) -> dict:
+    """``{prefix}normal`` of a stack, backed by ``{prefix}normality_defect``."""
+    defect, normal = _normality_grade(x, tol)
+    return {f"{prefix}normal": (normal, {f"{prefix}normality_defect": defect})}
 
 
 def _core_thm_2_1(mats, tol) -> Graded:
     """thm-2.1: (1/sqrt2) s_j(A1+A2) <= s_j(A) <= s_j(|A1|+|A2|) for normal A."""
     (a,) = mats
-    defect, normal = _normality_grade(a, tol)
-    return Graded(_thm_2_1_sides(a), normal, {"normality_defect": defect})
-
-
-def _core_thm_2_1_nonnormal(mats, tol) -> Graded:
-    """thm-2.1-nonnormal: thm-2.1 without its normality hypothesis."""
-    (a,) = mats
-    defect, _ = _normality_grade(a, tol)
-    return Graded(_thm_2_1_sides(a), None, {"normality_defect": defect})
+    a1, a2 = cartesian(a)
+    mid = singular_values(a)
+    left = _spectrum_side("left", _INV_SQRT2 * singular_values(a1 + a2), mid)
+    right = _spectrum_side("right", mid, singular_values(abs_op(a1) + abs_op(a2)))
+    return Graded((left, right), _normal("", a, tol))
 
 
 def _core_thm_2_4(mats, tol) -> Graded:
     """thm-2.4: s_j(A) <= s_j(2(A1⁺+A2⁺) ⊕ (A1+A2)) for normal A with -A2 <= A1."""
     (a,) = mats
-    defect, normal = _normality_grade(a, tol)
     a1, a2 = cartesian(a)
     order_eig, order_tol = loewner_leq(-a2, a1, tol)
     (plus1,) = jordan(a1, "plus")
     (plus2,) = jordan(a2, "plus")
     rhs_mat = _direct_sum(2.0 * (plus1 + plus2), a1 + a2)
     side = _spectrum_side("main", singular_values(a), singular_values(rhs_mat))
-    residuals = {"normality_defect": defect, "min_eig_a1_plus_a2": order_eig}
-    return Graded((side,), normal & (order_eig >= -order_tol), residuals)
+    order = (order_eig >= -order_tol, {"min_eig_a1_plus_a2": order_eig})
+    return Graded((side,), {**_normal("", a, tol), "minus_a2_le_a1": order})
 
 
 def _core_thm_2_5(half: str):
@@ -479,13 +473,10 @@ def _core_thm_2_8(mats, tol) -> Graded:
 def _core_cor_2_9(mats, tol) -> Graded:
     """cor-2.9: s_j(AB+BA) <= s_j((AA*+BB*) ⊕ (AA*+BB*)) for normal A, B."""
     a, b = mats
-    a_defect, a_normal = _normality_grade(a, tol)
-    b_defect, b_normal = _normality_grade(b, tol)
     gram = a @ _adjoint(a) + b @ _adjoint(b)
     lhs = singular_values(a @ b + b @ a)
     side = _spectrum_side("main", lhs, singular_values(_direct_sum(gram, gram)))
-    residuals = {"a_normality_defect": a_defect, "b_normality_defect": b_defect}
-    return Graded((side,), a_normal & b_normal, residuals)
+    return Graded((side,), {**_normal("a_", a, tol), **_normal("b_", b, tol)})
 
 
 def _core_loewner_cartesian(mats, tol) -> Graded:
@@ -498,27 +489,19 @@ def _core_loewner_cartesian(mats, tol) -> Graded:
     return Graded((left, right))
 
 
-def _core_proof_facts(gate_sqrt: bool):
-    """proof-facts-2.1: (A1+A2)^2 <= 2(A1^2+A2^2) and sqrt(A1^2+A2^2) <=
-    |A1|+|A2| for Hermitian A1, A2; with ``gate_sqrt`` the square-root side
-    is evaluated only on the trials whose pair commutes."""
-
-    def core(mats, tol) -> Graded:
-        h1, _ = _require_hermitian(mats[0], "A1")
-        h2, _ = _require_hermitian(mats[1], "A2")
-        comm = _fro(h1 @ h2 - h2 @ h1)
-        squares = h1 @ h1 + h2 @ h2
-        s = h1 + h2
-        square = _order_side("square", s @ s, 2.0 * squares)
-        present = (comm <= tol.effective(_fro(h1) * _fro(h2))) | (not gate_sqrt)
-        sel = np.flatnonzero(present)
-        h1, h2, squares = h1[sel], h2[sel], squares[sel]
-        sqrt = _order_side("sqrt", psd_sqrt(_herm(squares)), abs_op(h1) + abs_op(h2))
-        if sel.size < present.size:
-            sqrt = sqrt.spread(present)
-        return Graded((square, sqrt), None, {"commutator_defect": comm})
-
-    return core
+def _core_proof_facts(mats, tol) -> Graded:
+    """proof-facts-2.1: (A1+A2)^2 <= 2(A1^2+A2^2) for Hermitian A1, A2, and
+    sqrt(A1^2+A2^2) <= |A1|+|A2| when they also commute."""
+    h1, _ = _require_hermitian(mats[0], "A1")
+    h2, _ = _require_hermitian(mats[1], "A2")
+    comm = _fro(h1 @ h2 - h2 @ h1)
+    squares = h1 @ h1 + h2 @ h2
+    s = h1 + h2
+    square = _order_side("square", s @ s, 2.0 * squares)
+    sqrt = _order_side("sqrt", psd_sqrt(_herm(squares)), abs_op(h1) + abs_op(h2))
+    sqrt.requires = "commute"
+    commute = comm <= tol.effective(_fro(h1) * _fro(h2))
+    return Graded((square, sqrt), {"commute": (commute, {"commutator_defect": comm})})
 
 
 # --- catalog and uniform dispatch -------------------------------------------
@@ -528,6 +511,11 @@ def _core_proof_facts(gate_sqrt: bool):
 NORMAL_OUTPUT_CLASSES = frozenset(
     {"hermitian", "psd", "unitary", "normal", "normal_order_constrained"}
 )
+
+# Classes whose single output a split_cartesian checker splits into its
+# Hermitian/skew parts: the commuting Hermitian pairs proof-facts-2.1 is
+# about.
+SPLITTABLE_CLASSES = frozenset({"normal", "normal_order_constrained"})
 
 
 @dataclass(frozen=True)
@@ -540,6 +528,9 @@ class CatalogEntry:
     statement is a theorem whose hypotheses are graded by the checker
     itself).  ``split_cartesian`` marks checkers whose canonical two-matrix
     input is the Hermitian/skew splitting of a single generated matrix.
+    ``drops`` is None for a catalog statement; a search-only variant,
+    left out of "all", is its base statement without the hypotheses
+    ``drops`` names (none for a variant that only changes the class).
     """
 
     ineq_id: str
@@ -547,20 +538,28 @@ class CatalogEntry:
     canonical_class: str
     core: Callable[..., Graded]
     fixed_dim: int | None = None
-    in_all: bool = True
     split_cartesian: bool = False
     holds_for: frozenset[str] | None = None
+    drops: frozenset[str] | None = None
 
     def expected_to_hold(self, class_tag: str) -> bool:
         if self.holds_for is None:
             return True
         return class_tag in self.holds_for
 
+    @functools.cached_property
+    def hypotheses(self) -> tuple[str, ...]:
+        """The hypotheses this entry keeps, in the order its core grades
+        them (read from the core's grading of identity matrices)."""
+        probe = np.eye(self.fixed_dim or 1, dtype=np.complex128)[None]
+        names = self.core([probe] * self.arity, DEFAULT_TOL).hypotheses
+        return tuple(name for name in names if name not in (self.drops or ()))
+
     def run(self, mats: Sequence[np.ndarray], tol: Tolerance) -> Checked:
         """Grade k input sets at once; ``mats`` holds one (k, n, n) stack
         per operand."""
         dims = (mats[0].shape[-1],) * self.arity
-        return _grade(self.ineq_id, dims, self.core(mats, tol), tol)
+        return _grade(self.ineq_id, dims, self.core(mats, tol), tol, self.drops or ())
 
 
 CATALOG: dict[str, CatalogEntry] = {}
@@ -569,6 +568,22 @@ CATALOG: dict[str, CatalogEntry] = {}
 def _register(*args, **kwargs) -> None:
     entry = CatalogEntry(*args, **kwargs)
     CATALOG[entry.ineq_id] = entry
+
+
+def _variant(ineq_id, base_id, drops, canonical_class, holds_for) -> None:
+    """Register ``base_id`` without its hypothesis ``drops`` (None: with
+    every hypothesis) as the search-only variant ``ineq_id``."""
+    base = CATALOG[base_id]
+    dropped = frozenset(() if drops is None else (drops,))
+    if not dropped <= set(base.hypotheses):
+        raise ValueError(f"{ineq_id}: {base_id} has no hypothesis {drops!r}")
+    CATALOG[ineq_id] = dataclasses.replace(
+        base,
+        ineq_id=ineq_id,
+        canonical_class=canonical_class,
+        holds_for=holds_for,
+        drops=dropped,
+    )
 
 
 _register("scalar-1.6", 2, "hermitian", _core_scalar, fixed_dim=1)
@@ -586,48 +601,19 @@ _register("cor-2.9", 2, "normal_pair_shared_basis", _core_cor_2_9)
 _register(
     "loewner-cartesian", 1, "normal", _core_loewner_cartesian, holds_for=NORMAL_OUTPUT_CLASSES
 )
-_register("proof-facts-2.1", 2, "normal", _core_proof_facts(True), split_cartesian=True)
-# Search/replay variants: statements known or suspected to be false in
-# general.  Excluded from the "all" expansion.
-_register(
-    "bk-1.1-hermitian-B",
-    2,
-    "psd",
-    _core_bk_1_1_hermitian_b,
-    in_all=False,
-    holds_for=frozenset({"psd"}),
-)
-_register(
-    "thm-2.1-nonnormal",
-    1,
-    "ginibre",
-    _core_thm_2_1_nonnormal,
-    in_all=False,
-    holds_for=NORMAL_OUTPUT_CLASSES,
-)
-_register(
-    "loewner-cartesian-general",
-    1,
-    "ginibre",
-    _core_loewner_cartesian,
-    in_all=False,
-    holds_for=NORMAL_OUTPUT_CLASSES,
-)
-_register(
-    "proof-facts-2.1-general",
-    2,
-    "hermitian",
-    _core_proof_facts(False),
-    in_all=False,
-    split_cartesian=True,
-    holds_for=frozenset({"normal", "normal_order_constrained"}),
-)
+_register("proof-facts-2.1", 2, "normal", _core_proof_facts, split_cartesian=True)
+# Search-only variants: statements known or suspected to be false in
+# general.
+_variant("bk-1.1-hermitian-B", "bk-1.1", "b_positive", "psd", frozenset({"psd"}))
+_variant("thm-2.1-nonnormal", "thm-2.1", "normal", "ginibre", NORMAL_OUTPUT_CLASSES)
+_variant("loewner-cartesian-general", "loewner-cartesian", None, "ginibre", NORMAL_OUTPUT_CLASSES)
+_variant("proof-facts-2.1-general", "proof-facts-2.1", "commute", "hermitian", SPLITTABLE_CLASSES)
 
 
 def catalog_ids(include_variants: bool = False) -> tuple[str, ...]:
     """Inequality ids in catalog order; variants are the search-only ids."""
     return tuple(
-        e.ineq_id for e in CATALOG.values() if include_variants or e.in_all
+        e.ineq_id for e in CATALOG.values() if include_variants or e.drops is None
     )
 
 

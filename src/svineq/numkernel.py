@@ -63,8 +63,10 @@ class Tolerance:
     tol_rel: float = 1e-9
 
     def __post_init__(self):
-        if not (self.tol_abs >= 0 and self.tol_rel >= 0):
-            raise ValueError("tolerances must be nonnegative finite numbers")
+        for name in ("tol_abs", "tol_rel"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be a nonnegative finite number, got {value!r}")
 
     def effective(self, scale):
         return self.tol_abs + self.tol_rel * np.maximum(1.0, scale)

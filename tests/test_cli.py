@@ -130,6 +130,22 @@ def test_verify_negative_tolerance_exit_3(normal_file, capsys):
     assert rc == 3
 
 
+def test_infinite_tolerance_exit_3(normal_file, capsys):
+    # An infinite tolerance is a usage error that names the tolerance, not
+    # a kernel overflow (verify) or a target that cannot be graded (fuzz).
+    assert main(["verify", "thm-2.1", normal_file, "--tol-abs", "inf"]) == 3
+    assert "error: tol_abs must be a nonnegative finite number" in capsys.readouterr().err
+    assert main(["fuzz", "--ineq", "thm-2.7", "--tol-rel", "inf", "--trials", "1"]) == 3
+    assert "error: tol_rel must be a nonnegative finite number" in capsys.readouterr().err
+
+
+def test_fuzz_huge_dimension_range_exit_3(capsys):
+    # The bounds are checked before the range is built: 10**20 dimensions
+    # would not fit in a list.
+    assert main(["fuzz", "--ineq", "thm-2.7", "--dims", f"1..{10**20}"]) == 3
+    assert f"error: dimension {10**20} outside 1..64" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_verify_no_convergence_exit_3(tmp_path, capsys):
     # Finite entries near 1e160 overflow A*A; the eigensolver then gives up

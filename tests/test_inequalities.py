@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from svineq import inequalities
 from svineq.fixtures import EX_2_2, EX_2_3
 from svineq.fuzzer import _build_inputs, _input_plan
 from svineq.inequalities import (
@@ -691,6 +692,73 @@ def test_stacked_checker_matches_single_checks(ineq_id):
     assert len(checked) == 5
     for i in range(5):
         assert checked.report(i) == check(ineq_id, [m[i] for m in mats])
+
+
+# Each search-only variant: its base statement and the hypothesis it drops.
+VARIANTS = {
+    "bk-1.1-hermitian-B": ("bk-1.1", "b_positive"),
+    "thm-2.1-nonnormal": ("thm-2.1", "normal"),
+    "loewner-cartesian-general": ("loewner-cartesian", None),
+    "proof-facts-2.1-general": ("proof-facts-2.1", "commute"),
+}
+
+
+def test_variants_are_the_ids_left_out_of_all():
+    assert set(VARIANTS) == set(catalog_ids(include_variants=True)) - set(catalog_ids())
+
+
+@pytest.mark.parametrize("variant_id", list(VARIANTS))
+def test_variant_is_its_base_minus_one_hypothesis(variant_id):
+    base_id, dropped = VARIANTS[variant_id]
+    variant, base = catalog_entry(variant_id), catalog_entry(base_id)
+    plan = _input_plan(variant, variant.canonical_class)
+    stream = prng_stream(8, np.arange(12, dtype=np.uint64))
+    mats = _build_inputs(variant, variant.canonical_class, plan, 3, stream, 1.0)
+    graded = base.core(mats, DEFAULT_TOL)
+    want, got = base.run(mats, DEFAULT_TOL), variant.run(mats, DEFAULT_TOL)
+    # Sides: the variant evaluates a side that requires the dropped
+    # hypothesis on every trial, and is otherwise bit-identical to the base.
+    assert [s.label for s in got.sides] == [s.label for s in want.sides]
+    for g, w in zip(got.sides, want.sides):
+        if dropped is not None and g.requires == dropped:
+            assert g.present is None
+            if w.present is not None:
+                g = g.masked(w.present)
+        assert np.array_equal(g.present, w.present)
+        for attr in ("lhs", "rhs", "margin"):
+            assert np.array_equal(getattr(g, attr), getattr(w, attr), equal_nan=True)
+    # Gate: the base's flags, except the dropped one and those that only
+    # decide whether a side is evaluated.
+    side_only = {s.requires for s in graded.sides}
+    flags = [
+        flag
+        for name, (flag, _) in graded.hypotheses.items()
+        if name != dropped and name not in side_only
+    ]
+    gate = np.ones(len(got), dtype=bool) if got.hypothesis_ok is None else got.hypothesis_ok
+    assert np.array_equal(gate, np.logical_and.reduce(flags + [np.ones(len(got), dtype=bool)]))
+    # Residuals: all of the base's, the dropped hypothesis's included.
+    assert list(got.residuals) == list(want.residuals)
+    for name, values in want.residuals.items():
+        assert np.array_equal(got.residuals[name], values)
+
+
+def test_variant_with_an_unknown_hypothesis_fails_to_register():
+    with pytest.raises(ValueError, match="bk-1.1 has no hypothesis 'b_psd'"):
+        inequalities._variant("bk-1.1-no-b-psd", "bk-1.1", "b_psd", "psd", None)
+    assert "bk-1.1-no-b-psd" not in inequalities.CATALOG
+
+
+@pytest.mark.parametrize("ineq_id", catalog_ids(include_variants=True))
+def test_entry_hypotheses_are_those_its_core_grades(ineq_id):
+    # The names an entry reads from a 1x1 probe are the ones its core
+    # grades on its canonical class, less the dropped ones.
+    entry = catalog_entry(ineq_id)
+    plan = _input_plan(entry, entry.canonical_class)
+    stream = prng_stream(9, np.arange(3, dtype=np.uint64))
+    mats = _build_inputs(entry, entry.canonical_class, plan, entry.fixed_dim or 3, stream, 1.0)
+    names = entry.core(mats, DEFAULT_TOL).hypotheses
+    assert entry.hypotheses == tuple(n for n in names if n not in (entry.drops or ()))
 
 
 def test_catalog_listing():

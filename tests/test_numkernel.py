@@ -94,6 +94,14 @@ def test_tolerance_rejects_negative():
         Tolerance(tol_abs=0.0, tol_rel=-1.0)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), float("1e999")])
+def test_tolerance_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="tol_abs must be a nonnegative finite number"):
+        Tolerance(tol_abs=bad, tol_rel=0.0)
+    with pytest.raises(ValueError, match="tol_rel must be a nonnegative finite number"):
+        Tolerance(tol_abs=0.0, tol_rel=bad)
+
+
 # --- elementary operations ---------------------------------------------------
 
 

@@ -18,7 +18,6 @@ from svineq.fuzzer import (
     SearchTarget,
     Witness,
     _search_build,
-    _search_param_length,
     search_counterexample,
 )
 from svineq.inequalities import Checked, catalog_entry
@@ -27,6 +26,12 @@ from svineq.numkernel import DEFAULT_TOL
 
 def _complex_square(params: np.ndarray, n: int) -> np.ndarray:
     return (params[: n * n] + 1j * params[n * n :]).reshape(n, n)
+
+
+def sequential_length(target_id: str, n: int) -> int:
+    if target_id == "bk-1.1-hermitian-B":
+        return 4 * n * n
+    return 2 * n * n
 
 
 def sequential_build(target_id: str, params: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
@@ -64,7 +69,7 @@ def sequential_search(target: SearchTarget, seed: int) -> Witness | None:
     for restart in range(target.budget):
         stream = randgen.prng_stream(seed, restart)
         n = dims[restart % len(dims)]
-        length = _search_param_length(target.target_id, n)
+        length = sequential_length(target.target_id, n)
         params = stream.normals(length)
         found_mats = sequential_build(target.target_id, params, n)
         best, qualifies, found = score(found_mats)
@@ -192,17 +197,29 @@ def test_search_matches_oracle_with_late_witness(target_id, seed):
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 @pytest.mark.parametrize("target_id", SEARCH_TARGET_IDS)
 def test_stacked_search_build_matches_one_matrix_build(target_id, n):
-    length = _search_param_length(target_id, n)
+    # The builder derived from the hypotheses a target keeps against the
+    # hand-written one-matrix builder.
+    length = sequential_length(target_id, n)
     params = randgen.prng_stream(17, np.arange(9, dtype=np.uint64)).normals(length)
     params[0] = 0.0
     params[1, ::3] = -0.0
-    stacked = _search_build(target_id, params, n)
+    stacked = _search_build(catalog_entry(target_id), params, n)
     for i, row in enumerate(params):
         single = sequential_build(target_id, row, n)
         assert len(stacked) == len(single)
         for m, s in zip(stacked, single):
             assert m.shape == (len(params), n, n)
             assert_same_bits(m[i], s)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("target_id", SEARCH_TARGET_IDS)
+def test_search_build_keeps_the_hypotheses_the_target_keeps(target_id, n):
+    entry = catalog_entry(target_id)
+    stream = randgen.prng_stream(3, np.arange(64, dtype=np.uint64))
+    params = stream.normals(2 * entry.arity * n * n)
+    checked = entry.run(_search_build(entry, params, n), DEFAULT_TOL)
+    assert checked.hypothesis_ok is None or checked.hypothesis_ok.all()
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -205,6 +205,12 @@ def test_tolerance_round_trip():
     assert tolerance_from_json(tolerance_to_json(t)) == t
 
 
+def test_tolerance_from_json_rejects_overflowing_numbers():
+    # JSON has no infinity, but 1e999 reads as one.
+    with pytest.raises(ValueError, match="tol_abs must be a nonnegative finite number"):
+        tolerance_from_json(loads_strict('{"tol_abs": 1e999, "tol_rel": 1e-9}'))
+
+
 def test_report_round_trip_preserves_everything():
     (a,) = draw("normal", 3, seed=4)
     rep = check("thm-2.1", [a])
