@@ -49,6 +49,7 @@ from .numkernel import (
     MAX_DIM,
     NoConvergence,
     NotHermitian,
+    ToleranceOverflow,
     _adj,
     _herm,
 )
@@ -365,7 +366,8 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Run every target of ``config`` and aggregate margins and verdicts.
 
     Raises ConfigInvalid when a chunk cannot be graded at the configured
-    scale: the eigensolver does not converge or a number overflows.
+    scale and tolerance: the eigensolver does not converge or a number
+    overflows.
     """
     jobs = _plan(config)
     results = []
@@ -382,7 +384,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                 mats = _build_inputs(entry, class_tag, plan, dim, stream, config.scale)
                 try:
                     _check_chunk(agg, first, dim, mats, config.tol)
-                except (NoConvergence, FloatingPointError) as exc:
+                except (NoConvergence, FloatingPointError, ToleranceOverflow) as exc:
                     raise ConfigInvalid(
                         f"{entry.ineq_id} on {class_tag} at dimension {dim} and scale"
                         f" {config.scale!r} cannot be graded: {exc}"

@@ -48,15 +48,20 @@ from .numkernel import (
     DimensionMismatch,
     InvalidMatrix,
     Tolerance,
+    ToleranceOverflow,
     _adj,
+    _apply,
     _block2,
-    _direct_sum,
+    _eigh,
     _eigvalsh,
     _fro,
     _herm,
     _require_hermitian,
     _zero_slices,
     abs_op,
+    direct_sum_spectrum,
+    hermitian_abs,
+    hermitian_singular_values,
     loewner_leq,
     psd_sqrt,
     singular_values,
@@ -338,7 +343,11 @@ def _core_scalar(mats, tol) -> Graded:
             raise ValueError("scalar-1.6 takes real scalars; imaginary part is not negligible")
         reals.append(z.real)
     a, b = reals
-    mod = np.sqrt(a * a + b * b)[:, None]
+    # |a+ib| is the singular value of the 1x1 matrix [a+ib], from the same
+    # kernel call as thm-2.1's s_1(A), so the two routes agree bit for bit.
+    z = np.empty((a.shape[0], 1, 1), dtype=np.complex128)
+    z.real[:, 0, 0], z.imag[:, 0, 0] = a, b
+    mod = singular_values(z)
     left = _spectrum_side("left", _INV_SQRT2 * np.abs(a + b)[:, None], mod)
     right = _spectrum_side("right", mod, (np.abs(a) + np.abs(b))[:, None])
     return Graded((left, right))
@@ -378,7 +387,8 @@ def _core_ak_1_3(mats, tol) -> Graded:
     """ak-1.3: s_j(B) <= s_j(A ⊕ C) when [[A,B],[B*,C]] is PSD."""
     a, b, c = mats
     _, hypotheses = _psd_block(mats, tol)
-    side = _spectrum_side("main", singular_values(b), singular_values(_direct_sum(a, c)))
+    rhs = direct_sum_spectrum(singular_values(a), singular_values(c))
+    side = _spectrum_side("main", singular_values(b), rhs)
     return Graded((side,), hypotheses)
 
 
@@ -396,7 +406,8 @@ def _core_ak_1_4(mats, tol) -> Graded:
         "minus_a_le_b": (plus_eig >= -plus_tol, {"min_eig_b_plus_a": plus_eig}),
     }
     lhs = 2.0 * singular_values(a)
-    side = _spectrum_side("main", lhs, singular_values(_direct_sum(b + a, b - a)))
+    rhs = direct_sum_spectrum(singular_values(b + a), singular_values(b - a))
+    side = _spectrum_side("main", lhs, rhs)
     return Graded((side,), hypotheses)
 
 
@@ -411,8 +422,9 @@ def _core_thm_2_1(mats, tol) -> Graded:
     (a,) = mats
     a1, a2 = cartesian(a)
     mid = singular_values(a)
-    left = _spectrum_side("left", _INV_SQRT2 * singular_values(a1 + a2), mid)
-    right = _spectrum_side("right", mid, singular_values(abs_op(a1) + abs_op(a2)))
+    left = _spectrum_side("left", _INV_SQRT2 * hermitian_singular_values(a1 + a2), mid)
+    abs_sum = hermitian_abs(a1) + hermitian_abs(a2)
+    right = _spectrum_side("right", mid, hermitian_singular_values(abs_sum))
     return Graded((left, right), _normal("", a, tol))
 
 
@@ -423,8 +435,10 @@ def _core_thm_2_4(mats, tol) -> Graded:
     order_eig, order_tol = loewner_leq(-a2, a1, tol)
     (plus1,) = jordan(a1, "plus")
     (plus2,) = jordan(a2, "plus")
-    rhs_mat = _direct_sum(2.0 * (plus1 + plus2), a1 + a2)
-    side = _spectrum_side("main", singular_values(a), singular_values(rhs_mat))
+    rhs = direct_sum_spectrum(
+        hermitian_singular_values(2.0 * (plus1 + plus2)), hermitian_singular_values(a1 + a2)
+    )
+    side = _spectrum_side("main", singular_values(a), rhs)
     order = (order_eig >= -order_tol, {"min_eig_a1_plus_a2": order_eig})
     return Graded((side,), {**_normal("", a, tol), "minus_a2_le_a1": order})
 
@@ -433,12 +447,14 @@ def _core_thm_2_5(half: str):
     """thm-2.5-plus/-minus: s_j(A±) <= s_j(|A| ⊕ (|A|∓A)/2) for Hermitian A."""
 
     def core(mats, tol) -> Graded:
+        # The Jordan part and |A| come from one eigendecomposition.
         h, _ = _require_hermitian(mats[0], "A")
-        (part,) = jordan(h, half)
-        absa = abs_op(h)
+        w, v = _eigh(h)
+        part = _apply(w, v, np.maximum(w if half == "plus" else -w, 0.0))
+        absa = _apply(w, v, np.abs(w))
         rest = (absa - h) / 2.0 if half == "plus" else (absa + h) / 2.0
-        rhs = singular_values(_direct_sum(absa, rest))
-        return Graded((_spectrum_side("main", singular_values(part), rhs),))
+        rhs = direct_sum_spectrum(hermitian_singular_values(absa), hermitian_singular_values(rest))
+        return Graded((_spectrum_side("main", hermitian_singular_values(part), rhs),))
 
     return core
 
@@ -447,7 +463,7 @@ def _core_thm_2_7(mats, tol) -> Graded:
     """thm-2.7: sqrt2 s_j(A1+A2) <= s_j(A+iA*) <= 2 s_j(A1+A2) for any A."""
     (a,) = mats
     a1, a2 = cartesian(a)
-    s_sum = singular_values(a1 + a2)
+    s_sum = hermitian_singular_values(a1 + a2)
     t = singular_values(a + 1j * _adj(a))
     left = _spectrum_side("left", _SQRT2 * s_sum, t)
     right = _spectrum_side("right", t, 2.0 * s_sum)
@@ -464,18 +480,21 @@ def _core_thm_2_8(mats, tol) -> Graded:
     """thm-2.8: s_j(AB+BA) <= s_j((A*A+B*B) ⊕ (AA*+BB*)) for any A, B."""
     a, b = mats
     lhs = singular_values(a @ b + b @ a)
-    gram_right = _adjoint(a) @ a + _adjoint(b) @ b
-    gram_left = a @ _adjoint(a) + b @ _adjoint(b)
-    side = _spectrum_side("main", lhs, singular_values(_direct_sum(gram_right, gram_left)))
+    gram_right = _herm(_adjoint(a) @ a + _adjoint(b) @ b)
+    gram_left = _herm(a @ _adjoint(a) + b @ _adjoint(b))
+    rhs = direct_sum_spectrum(
+        hermitian_singular_values(gram_right), hermitian_singular_values(gram_left)
+    )
+    side = _spectrum_side("main", lhs, rhs)
     return Graded((side,))
 
 
 def _core_cor_2_9(mats, tol) -> Graded:
     """cor-2.9: s_j(AB+BA) <= s_j((AA*+BB*) ⊕ (AA*+BB*)) for normal A, B."""
     a, b = mats
-    gram = a @ _adjoint(a) + b @ _adjoint(b)
+    s_gram = hermitian_singular_values(_herm(a @ _adjoint(a) + b @ _adjoint(b)))
     lhs = singular_values(a @ b + b @ a)
-    side = _spectrum_side("main", lhs, singular_values(_direct_sum(gram, gram)))
+    side = _spectrum_side("main", lhs, direct_sum_spectrum(s_gram, s_gram))
     return Graded((side,), {**_normal("a_", a, tol), **_normal("b_", b, tol)})
 
 
@@ -484,8 +503,8 @@ def _core_loewner_cartesian(mats, tol) -> Graded:
     (a,) = mats
     a1, a2 = cartesian(a)
     absa = abs_op(a)
-    left = _order_side("left", _INV_SQRT2 * abs_op(a1 + a2), absa)
-    right = _order_side("right", absa, abs_op(a1) + abs_op(a2))
+    left = _order_side("left", _INV_SQRT2 * hermitian_abs(a1 + a2), absa)
+    right = _order_side("right", absa, hermitian_abs(a1) + hermitian_abs(a2))
     return Graded((left, right))
 
 
@@ -498,7 +517,7 @@ def _core_proof_facts(mats, tol) -> Graded:
     squares = h1 @ h1 + h2 @ h2
     s = h1 + h2
     square = _order_side("square", s @ s, 2.0 * squares)
-    sqrt = _order_side("sqrt", psd_sqrt(_herm(squares)), abs_op(h1) + abs_op(h2))
+    sqrt = _order_side("sqrt", psd_sqrt(_herm(squares)), hermitian_abs(h1) + hermitian_abs(h2))
     sqrt.requires = "commute"
     commute = comm <= tol.effective(_fro(h1) * _fro(h2))
     return Graded((square, sqrt), {"commute": (commute, {"commutator_defect": comm})})
@@ -630,7 +649,8 @@ def check(ineq_id: str, inputs: Sequence, tol: Tolerance = DEFAULT_TOL) -> Inequ
     Validates arity, dimensions and finiteness before running the stacked
     checker on a stack of one; the report's id always equals the requested
     id.  Raises InvalidMatrix when finite inputs overflow the kernel, so
-    that no verdict is graded from a NaN or an infinity.
+    that no verdict is graded from a NaN or an infinity, and
+    ToleranceOverflow when only the tolerance does.
     """
     entry = catalog_entry(ineq_id)
     mats = [np.asarray(m, dtype=np.complex128) for m in inputs]
@@ -653,7 +673,10 @@ def check(ineq_id: str, inputs: Sequence, tol: Tolerance = DEFAULT_TOL) -> Inequ
     if not all(np.isfinite(m).all() for m in mats):
         raise InvalidMatrix(f"{ineq_id}: inputs contain non-finite entries")
     # Contiguous operands, so that no result depends on the caller's layout.
-    checked = entry.run([np.ascontiguousarray(m)[None] for m in mats], tol)
+    try:
+        checked = entry.run([np.ascontiguousarray(m)[None] for m in mats], tol)
+    except ToleranceOverflow as exc:
+        raise ToleranceOverflow(f"{ineq_id}: {exc}") from None
     if not checked.finite():
         raise InvalidMatrix(
             f"{ineq_id}: inputs overflow the kernel (non-finite margins or residuals)"

@@ -7,6 +7,15 @@ adjoints, block assembly and Frobenius norms.  Every operation takes
 stacks of shape (k, n, n); one matrix ``a`` is the stack ``a[None]``.  All
 functions are pure and treat matrices as immutable complex128 values.
 
+Each spectral quantity has one route, the cheapest accurate one for the
+structure its operand has by construction.  A general operand's singular
+values and |A| come from its SVD.  A Hermitian operand's singular values
+are its absolute eigenvalues and its |H| is ``V|w|V*`` from one ``eigh``.
+A direct sum's spectrum is the union of its blocks' spectra, so a direct
+sum is never assembled just to be measured.  No singular value is taken
+from the Gram matrix ``A*A``: that squares the condition number and
+loses half the digits of the small singular values.
+
 Matrices entering the system from outside (files, generator specs) are
 capped at ``MAX_DIM``; internally assembled block matrices may be up to
 twice that size.
@@ -43,11 +52,15 @@ class NotPSD(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """The eigensolver failed to converge."""
+    """The eigensolver or the SVD failed to converge."""
 
 
 class InvalidMatrix(ValueError):
     """Entries do not form a finite square complex matrix of supported size."""
+
+
+class ToleranceOverflow(ValueError):
+    """A finite tolerance overflows at a finite scale."""
 
 
 @dataclass(frozen=True)
@@ -69,7 +82,21 @@ class Tolerance:
                 raise ValueError(f"{name} must be a nonnegative finite number, got {value!r}")
 
     def effective(self, scale):
-        return self.tol_abs + self.tol_rel * np.maximum(1.0, scale)
+        """The tolerance at ``scale``.  Raises ToleranceOverflow where a
+        finite scale gives an infinite tolerance; a non-finite scale is
+        the kernel's overflow, which its callers report."""
+        with np.errstate(over="ignore"):
+            tol = self.tol_abs + self.tol_rel * np.maximum(1.0, scale)
+        if not np.isfinite(tol).all():
+            bad = ~np.isfinite(tol) & np.isfinite(scale)
+            if bad.any():
+                at = float(np.broadcast_to(scale, bad.shape)[bad][0])
+                raise ToleranceOverflow(
+                    f"tolerance overflows: tol_abs + tol_rel * max(1, scale) is not finite"
+                    f" for tol_abs={self.tol_abs!r}, tol_rel={self.tol_rel!r}"
+                    f" at scale {at:.6g}"
+                )
+        return tol
 
 
 DEFAULT_TOL = Tolerance()
@@ -99,8 +126,8 @@ def as_matrix(entries, max_dim: int = MAX_DIM) -> np.ndarray:
 #
 # The functions below take stacks of shape (k, n, n) and treat each slice
 # on its own: every result slice is bitwise equal to the result for the
-# stack of that matrix alone.  Stacked eigh/eigvalsh/qr and matmul are, per
-# slice, the same LAPACK/BLAS calls; reductions are not, so Frobenius norms
+# stack of that matrix alone.  Stacked eigh/eigvalsh/svd/qr and matmul are,
+# per slice, the same LAPACK/BLAS calls; reductions are not, so Frobenius norms
 # go through ``_fro`` and zero-matrix short-circuits are applied per slice.
 # Elementwise complex products can also round differently when stacking
 # changes which numpy loop runs them (see ``randgen._conjugate_diag``);
@@ -158,12 +185,22 @@ def _require_hermitian(x: np.ndarray, name: str = "matrix") -> tuple[np.ndarray,
     return (x + adj) / 2.0, norm
 
 
-def _eigvalsh(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of (already symmetrised) Hermitian matrices."""
+def _lapack(fn, *args, **kwargs):
     try:
-        return np.linalg.eigvalsh(h)
+        return fn(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
+
+
+def _eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of (already symmetrised) Hermitian matrices."""
+    return _lapack(np.linalg.eigvalsh, h)
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvector columns of (already
+    symmetrised) Hermitian matrices."""
+    return _lapack(np.linalg.eigh, h)
 
 
 def _min_eig(h: np.ndarray) -> np.ndarray:
@@ -184,10 +221,7 @@ def hermitian_eig(x: np.ndarray, name: str = "matrix"):
     identity).
     """
     h, norm = _require_hermitian(x, name)
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    w, v = _eigh(h)
     zero = _zero_slices(h)
     if zero is not None:
         w[zero] = 0.0
@@ -216,29 +250,51 @@ def psd_sqrt(x: np.ndarray) -> np.ndarray:
     return _apply(w, v, np.sqrt(np.maximum(w, 0.0)))
 
 
-def abs_op(x: np.ndarray) -> np.ndarray:
-    """Operator absolute values |A| = (A* A)^(1/2); defined for any square A."""
-    return psd_sqrt(_adj(x) @ x)
+def _svd(x: np.ndarray, compute_uv: bool):
+    """LAPACK's SVD of the finite slices of a stack; every number of a
+    slice that holds an infinity or a NaN is NaN.  Such a slice never
+    reaches LAPACK, whose argument checks would print to the process's
+    stdout."""
+    if np.isfinite(x).all():
+        return _lapack(np.linalg.svd, x, full_matrices=False, compute_uv=compute_uv)
+    finite = np.isfinite(x).all(axis=(-2, -1))
+    out = _svd(np.where(finite[:, None, None], x, 0.0), compute_uv)
+    for part in out if compute_uv else (out,):
+        part[~finite] = np.nan
+    return out
 
 
 def singular_values(x: np.ndarray) -> np.ndarray:
-    """Nonincreasing singular values per slice, shape (k, n), from the
-    spectrum of A* A; round-off negatives are clamped before the root."""
-    gram = _adj(x) @ x
-    w = _eigvalsh((gram + _adj(gram)) / 2.0)
-    vals = np.sqrt(np.maximum(w[:, ::-1], 0.0))
-    zero = _zero_slices(x)
-    if zero is not None:
-        vals[zero] = 0.0
-    return vals
+    """Nonincreasing singular values per slice, shape (k, n), by SVD."""
+    return _svd(x, compute_uv=False)
 
 
-def _direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    na, nb = a.shape[-1], b.shape[-1]
-    out = np.zeros(a.shape[:-2] + (na + nb, na + nb), dtype=np.complex128)
-    out[..., :na, :na] = a
-    out[..., na:, na:] = b
-    return out
+def hermitian_singular_values(h: np.ndarray) -> np.ndarray:
+    """Singular values of Hermitian slices, shape (k, n): their absolute
+    eigenvalues, nonincreasing.  For operands that are Hermitian by
+    construction; a hypothesis that an operand is Hermitian is graded,
+    not assumed, so such an operand takes ``singular_values``."""
+    return np.sort(np.abs(_eigvalsh(h)), axis=-1)[:, ::-1]
+
+
+def direct_sum_spectrum(*spectra: np.ndarray) -> np.ndarray:
+    """Singular values of the direct sum of blocks, from the blocks'
+    nonincreasing singular values: their union, nonincreasing."""
+    return np.sort(np.concatenate(spectra, axis=-1), axis=-1)[:, ::-1]
+
+
+def abs_op(x: np.ndarray) -> np.ndarray:
+    """Operator absolute values |A| = (A* A)^(1/2) = V diag(s) V*, from the
+    SVD A = U diag(s) V*; defined for any square A."""
+    _, s, vh = _svd(x, compute_uv=True)
+    return _apply(s, _adj(vh), s)
+
+
+def hermitian_abs(h: np.ndarray) -> np.ndarray:
+    """|H| = V|w|V* from one ``eigh`` of Hermitian slices (Hermitian by
+    construction, as for ``hermitian_singular_values``)."""
+    w, v = _eigh(h)
+    return _apply(w, v, np.abs(w))
 
 
 def _block2(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:

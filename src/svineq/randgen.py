@@ -10,7 +10,9 @@ Generator classes map onto the hypothesis classes the inequality catalog
 needs: plain Ginibre matrices, Hermitian/PSD/unitary/normal samples,
 PSD 2x2-block partitions, dominated Hermitian pairs (±A <= B by
 construction), order-constrained normal matrices (Hermitian part plus
-skew part PSD), and normal pairs sharing one eigenbasis.
+skew part PSD), normal pairs sharing one eigenbasis, and rank-deficient
+products U·V, whose small singular values are where a kernel's accuracy
+shows.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .numkernel import MAX_DIM, _adj, _herm, abs_op
+from .numkernel import MAX_DIM, _adj, _herm, hermitian_abs
 
 CLASS_ARITY: dict[str, int] = {
     "ginibre": 1,
@@ -30,6 +32,7 @@ CLASS_ARITY: dict[str, int] = {
     "dominated_pair": 2,
     "normal_order_constrained": 1,
     "normal_pair_shared_basis": 2,
+    "low_rank": 1,
 }
 
 CLASS_TAGS = tuple(CLASS_ARITY)
@@ -143,6 +146,15 @@ def _psd(stream: Stream, n: int, scale: float) -> np.ndarray:
     return _herm(_adj(g) @ g)
 
 
+def _low_rank(stream: Stream, n: int, scale: float) -> np.ndarray:
+    """U·V for n x r and r x n Ginibre factors, r = max(1, n // 2), scaled
+    so that entries have the second moment of a Ginibre draw."""
+    r = max(1, n // 2)
+    u = stream.complex_normals(n * r).reshape(-1, n, r)
+    v = stream.complex_normals(r * n).reshape(-1, r, n)
+    return (u @ v) * (scale / math.sqrt(r))
+
+
 def _unitary(stream: Stream, n: int) -> np.ndarray:
     g = _ginibre(stream, n, 1.0)
     q, r = np.linalg.qr(g)
@@ -182,7 +194,7 @@ def _sample(class_tag: str, dim: int, stream: Stream, scale: float) -> tuple[np.
     if class_tag == "dominated_pair":
         a = _hermitian(stream, n, scale)
         p = _psd(stream, n, scale)
-        return (a, _herm(abs_op(a) + p))
+        return (a, _herm(hermitian_abs(a) + p))
     if class_tag == "normal_order_constrained":
         u = _unitary(stream, n)
         d2 = stream.normals(n).reshape(-1, n) * scale
@@ -194,6 +206,8 @@ def _sample(class_tag: str, dim: int, stream: Stream, scale: float) -> tuple[np.
         da = stream.complex_normals(n).reshape(-1, n) * scale
         db = stream.complex_normals(n).reshape(-1, n) * scale
         return (_conjugate_diag(u, da), _conjugate_diag(u, db))
+    if class_tag == "low_rank":
+        return (_low_rank(stream, n, scale),)
     raise InvalidSpec(f"unknown class_tag {class_tag!r}")
 
 

@@ -35,6 +35,15 @@ def hermitian_defect(m) -> float:
     return frobenius_norm(m - m.conj().T)
 
 
+def direct_sum(a, b) -> np.ndarray:
+    """The block-diagonal matrix a ⊕ b (the kernels never assemble it)."""
+    na, nb = a.shape[-1], b.shape[-1]
+    out = np.zeros((na + nb, na + nb), dtype=np.complex128)
+    out[:na, :na] = a
+    out[na:, na:] = b
+    return out
+
+
 def cartesian_parts(a):
     """(A1, A2) of one matrix: slice 0 of the stacked splitting."""
     a1, a2 = cartesian(a[None])

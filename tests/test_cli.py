@@ -139,6 +139,19 @@ def test_infinite_tolerance_exit_3(normal_file, capsys):
     assert "error: tol_rel must be a nonnegative finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ineq_id", ["thm-2.7", "thm-2.8"])
+def test_fuzz_low_rank_class_reports_no_violation(ineq_id, tmp_path, capsys):
+    # Rank-deficient U*V inputs are where a Gram-matrix kernel loses the
+    # digits of the small singular values and reports false violations.
+    out = tmp_path / "c.json"
+    argv = ["fuzz", "--ineq", ineq_id, "--class", "low_rank", "--dims", "2..8", "--trials", "200"]
+    assert main([*argv, "--out", str(out)]) == 0
+    (result,) = loads_strict(out.read_text())["results"]
+    assert result["class"] == "low_rank"
+    assert result["trials"] == result["holds"] == 7 * 200
+    assert result["violated"] == 0
+
+
 def test_fuzz_huge_dimension_range_exit_3(capsys):
     # The bounds are checked before the range is built: 10**20 dimensions
     # would not fit in a list.
@@ -163,14 +176,63 @@ def test_verify_no_convergence_exit_3(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_verify_kernel_overflow_exit_3(tmp_path, capsys):
-    # Finite entries near 1e155 overflow the thm-2.7 margins to NaN; check()
-    # refuses them instead of printing a verdict graded from a NaN.
-    path = write_matrix(tmp_path, "a.json", draw("ginibre", 2, seed=0)[0] * 1e155)
-    rc = main(["verify", "thm-2.7", path])
+    # Finite entries near 1e155 overflow the products AB + BA of thm-2.8,
+    # so its margins are NaN; check() refuses them instead of printing a
+    # verdict graded from a NaN.
+    files = [
+        write_matrix(tmp_path, f"{name}.json", draw("ginibre", 2, seed=0, index=i)[0] * 1e155)
+        for i, name in enumerate("ab")
+    ]
+    rc = main(["verify", "thm-2.8", *files])
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.out == ""
-    assert captured.err.startswith("error: thm-2.7: inputs overflow the kernel")
+    assert captured.err.startswith("error: thm-2.8: inputs overflow the kernel")
+
+
+def test_verify_large_finite_input_gets_a_verdict(tmp_path, capsys):
+    # thm-2.7 at 1e155 takes no product of A with itself, so it is graded.
+    path = write_matrix(tmp_path, "a.json", draw("ginibre", 2, seed=0)[0] * 1e155)
+    rc = main(["verify", "thm-2.7", path])
+    doc = loads_strict(capsys.readouterr().out)
+    assert rc == 0
+    assert doc["report"]["verdict"] == "holds"
+    assert np.isfinite(doc["report"]["min_margin"])
+
+
+def test_verify_overflow_prints_nothing_from_lapack(tmp_path):
+    # The products of this matrix with itself overflow to infinities and
+    # NaNs.  LAPACK's SVD would report them on the process's stdout (out of
+    # reach of sys.stdout), so the kernel never hands them to it.
+    big = [[1e200, 1e200, 1], [1e200, 1e200, 0], [0, 1, 1e200]]
+    path = write_matrix(tmp_path, "f.json", np.array(big, dtype=complex))
+    proc = subprocess.run(
+        [sys.executable, "-m", "svineq", "verify", "thm-2.8", path, path],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+
+
+def test_verify_overflowing_tolerance_names_the_tolerance(tmp_path):
+    # 1e308 times the scale of diag(3, 1) overflows the tolerance, not the
+    # kernel: the error names the tolerance, and no RuntimeWarning is shown.
+    path = write_matrix(tmp_path, "a.json", np.diag([3.0, 1.0]).astype(complex))
+    proc = subprocess.run(
+        [sys.executable, "-m", "svineq", "verify", "thm-2.1", path, "--tol-rel", "1e308"],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: thm-2.1: tolerance overflows")
+    assert "tol_rel=1e+308" in proc.stderr
+    assert "Warning" not in proc.stderr and "overflow the kernel" not in proc.stderr
 
 
 def test_verify_out_file_equals_stdout(normal_file, tmp_path, capsys):

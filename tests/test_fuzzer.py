@@ -1,6 +1,7 @@
 """Campaign runner, histogram aggregation, witness replay, and search."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -152,11 +153,13 @@ def test_structurally_wrong_class_counts_hypothesis_violations():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("target", [("thm-2.7", "ginibre"), ("thm-2.8", "ginibre")])
+@pytest.mark.parametrize(
+    "target", [("cor-2.9", "normal_pair_shared_basis"), ("thm-2.8", "ginibre")]
+)
 def test_overflowing_campaign_is_config_invalid(target):
-    # At scale 1e160 the kernels overflow: thm-2.7 yields NaN margins (they
-    # used to reach the histogram as "cannot convert float NaN to integer"),
-    # thm-2.8's eigensolver raises NoConvergence.
+    # At scale 1e160 the products AB + BA overflow: the margins are NaN (NaN
+    # margins used to reach the histogram as "cannot convert float NaN to
+    # integer"), or the eigensolver raises NoConvergence on the Grams.
     config = small_config(targets=(target,), dims=(2,), trials_per_dim=3, scale=1e160)
     with pytest.raises(ConfigInvalid) as info:
         run_campaign(config)
@@ -164,6 +167,23 @@ def test_overflowing_campaign_is_config_invalid(target):
     assert target[0] in message
     assert "dimension 2" in message
     assert "1e+160" in message
+
+
+def test_large_scale_campaign_is_graded():
+    # thm-2.7 takes no product of A with itself, so scale 1e160 still
+    # gives every trial a verdict.
+    config = small_config(
+        targets=(("thm-2.7", "ginibre"),), dims=(2,), trials_per_dim=3, scale=1e160
+    )
+    (t,) = run_campaign(config).targets
+    assert t.holds == t.trials == 3
+    assert math.isfinite(t.min_margin)
+
+
+def test_overflowing_tolerance_is_config_invalid():
+    config = small_config(targets=(("thm-2.7", "ginibre"),), tol=Tolerance(0.0, 1e308))
+    with pytest.raises(ConfigInvalid, match="tolerance overflows.*tol_rel=1e\\+308"):
+        run_campaign(config)
 
 
 def test_non_hermitian_trial_in_a_chunk_is_rejected_alone():

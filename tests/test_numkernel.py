@@ -19,19 +19,21 @@ from svineq.numkernel import (
     _adj,
     _apply,
     _block2,
-    _direct_sum,
     _fro,
     _herm,
     _require_hermitian,
     abs_op,
     as_matrix,
+    direct_sum_spectrum,
+    hermitian_abs,
     hermitian_eig,
+    hermitian_singular_values,
     loewner_leq,
     psd_sqrt,
     singular_values,
 )
 
-from conftest import SHIFT_2, draw, frobenius_norm, mat
+from conftest import SHIFT_2, direct_sum, draw, frobenius_norm, mat
 
 # The kernels take (k, n, n) stacks; one matrix m is the stack m[None].
 
@@ -115,12 +117,11 @@ def test_adjoint_conjugate_transposes():
     assert np.array_equal(one(_adj, m), m.conj().T)
 
 
-def test_direct_sum_shapes():
+def test_direct_sum_spectrum_is_the_union_of_the_blocks():
     a = mat([[1, 0], [0, 2]])
-    s = one(_direct_sum, a, mat([[5]]))
-    assert s.shape == (3, 3)
-    assert s[2, 2] == 5
-    assert s[0, 2] == 0
+    s = one(direct_sum_spectrum, np.array([2.0, 1.0]), np.array([5.0]))
+    assert tuple(s) == (5.0, 2.0, 1.0)
+    assert tuple(s) == tuple(np.linalg.svd(direct_sum(a, mat([[5]])), compute_uv=False))
 
 
 def test_block2_assembles_and_validates():
@@ -237,13 +238,159 @@ def test_singular_values_zero_matrix():
     assert tuple(one(singular_values, mat(np.zeros((3, 3))))) == (0.0, 0.0, 0.0)
 
 
-@given(seed=seeds, n=dims)
-def test_singular_values_match_svd_oracle(seed, n):
-    # Independent route: LAPACK SVD versus the kernel's Gram eigensolve.
-    (g,) = draw("ginibre", n, seed)
-    ours = one(singular_values, g)
-    oracle = np.linalg.svd(g, compute_uv=False)
-    assert np.max(np.abs(ours - oracle)) <= 1e-10 * max(1.0, oracle[0])
+def test_hermitian_singular_values_known_diagonal():
+    s = one(hermitian_singular_values, mat([[-5, 0, 0], [0, 2, 0], [0, 0, 3]]))
+    assert tuple(s) == (5.0, 3.0, 2.0)
+
+
+def test_hermitian_abs_of_hermitian_diagonal():
+    assert one(hermitian_abs, mat([[3, 0], [0, -4]])) == pytest.approx(
+        mat([[3, 0], [0, 4]]), abs=1e-13
+    )
+
+
+# --- accuracy against a 40-digit oracle ----------------------------------------
+#
+# Every route is graded against mpmath's SVD at 40 significant digits on
+# ensembles where a Gram-matrix kernel (singular values from eig(A*A))
+# loses about half the digits of the small singular values: rank-deficient
+# products, graded spectra, nearly normal matrices, and entries near
+# 1e+-150.  An accurate route is within a small multiple of n*eps*||A||_2;
+# the Gram route misses that by a factor of about 1e7.
+
+ORACLE_N = 8
+ORACLE_SEEDS = range(3)
+ORACLE_C = 4.0
+ENSEMBLES = ("low_rank", "graded", "nearly_normal", "huge", "tiny")
+
+
+def _general(kind: str, seed: int, n: int = ORACLE_N) -> np.ndarray:
+    if kind == "low_rank":
+        return draw("ginibre", n, seed)[0][:, :3] @ draw("ginibre", n, seed, index=1)[0][:3, :]
+    if kind == "graded":
+        q1, q2 = (draw("unitary", n, seed, index=i)[0] for i in (0, 1))
+        return (q1 * 10.0 ** -(2.0 * np.arange(n))) @ q2
+    if kind == "nearly_normal":
+        return draw("normal", n, seed)[0] + 1e-8 * draw("ginibre", n, seed, index=1)[0]
+    return draw("ginibre", n, seed)[0] * (1e150 if kind == "huge" else 1e-150)
+
+
+def _hermitian(kind: str, seed: int, n: int = ORACLE_N) -> np.ndarray:
+    q = draw("unitary", n, seed)[0]
+    if kind == "low_rank":
+        w = np.zeros(n)
+        w[:3] = (1.5, -2.0, 0.25)
+    elif kind == "graded":
+        w = (-1.0) ** np.arange(n) * 10.0 ** -(2.0 * np.arange(n))
+    elif kind == "nearly_normal":
+        noise = one(_herm, draw("ginibre", n, seed, index=1)[0])
+        return draw("hermitian", n, seed)[0] + 1e-8 * noise
+    else:
+        return draw("hermitian", n, seed)[0] * (1e150 if kind == "huge" else 1e-150)
+    return one(_herm, (q * w) @ q.conj().T)
+
+
+@pytest.fixture(scope="module")
+def mpmath():
+    return pytest.importorskip("mpmath")
+
+
+def _oracle(mpmath, m: np.ndarray, absolute: bool = False):
+    """Singular values of ``m`` (nonincreasing) or |m| = V* diag(s) V, at
+    40 digits, rounded to doubles."""
+    with mpmath.workdps(40):
+        a = mpmath.matrix(m.tolist())
+        if not absolute:
+            s = mpmath.svd_c(a, compute_uv=False)
+            return np.array(sorted((float(x) for x in s), reverse=True))
+        _, s, v = mpmath.svd_c(a)
+        absa = v.H * mpmath.diag(s) * v
+        return np.array([[complex(absa[i, j]) for j in range(a.cols)] for i in range(a.rows)])
+
+
+def _within_bound(err: float, norm: float) -> bool:
+    return err <= ORACLE_C * ORACLE_N * np.finfo(float).eps * norm
+
+
+@pytest.mark.parametrize("kind", ENSEMBLES)
+def test_singular_values_match_mpmath_oracle(mpmath, kind):
+    for seed in ORACLE_SEEDS:
+        for route, m in (
+            (singular_values, _general(kind, seed)),
+            (hermitian_singular_values, _hermitian(kind, seed)),
+        ):
+            exact = _oracle(mpmath, m)
+            err = np.max(np.abs(one(route, m) - exact))
+            assert _within_bound(err, exact[0]), (route.__name__, seed, err)
+
+
+@pytest.mark.parametrize("kind", ENSEMBLES)
+def test_direct_sum_spectrum_matches_mpmath_oracle(mpmath, kind):
+    half = ORACLE_N // 2
+    for seed in ORACLE_SEEDS:
+        for route, build in ((singular_values, _general), (hermitian_singular_values, _hermitian)):
+            blocks = [build(kind, seed, half), build(kind, seed + 7, half)]
+            exact = _oracle(mpmath, direct_sum(*blocks))
+            ours = one(direct_sum_spectrum, *(one(route, b) for b in blocks))
+            err = np.max(np.abs(ours - exact))
+            assert _within_bound(err, exact[0]), (route.__name__, seed, err)
+
+
+@pytest.mark.parametrize("kind", ENSEMBLES)
+def test_abs_op_matches_mpmath_oracle(mpmath, kind):
+    for seed in ORACLE_SEEDS:
+        for route, m in ((abs_op, _general(kind, seed)), (hermitian_abs, _hermitian(kind, seed))):
+            exact = _oracle(mpmath, m, absolute=True)
+            err = np.linalg.norm(one(route, m) - exact, 2)
+            assert _within_bound(err, np.linalg.norm(exact, 2)), (route.__name__, seed, err)
+
+
+def _stack():
+    """Five matrices of one size from different ensembles, and their
+    Hermitian parts."""
+    g = np.stack([_general(kind, 11) for kind in ENSEMBLES])
+    return g, np.stack([one(_herm, m) for m in g])
+
+
+@pytest.mark.parametrize(
+    "route, hermitian",
+    [
+        (singular_values, False),
+        (abs_op, False),
+        (hermitian_singular_values, True),
+        (hermitian_abs, True),
+    ],
+)
+def test_spectral_kernels_stacked_equal_single(route, hermitian):
+    general, herm = _stack()
+    stack = herm if hermitian else general
+    stacked = route(stack)
+    for i, m in enumerate(stack):
+        assert np.array_equal(stacked[i], route(m[None])[0])
+
+
+def test_direct_sum_spectrum_stacked_equals_single():
+    general, _ = _stack()
+    s, t = singular_values(general), singular_values(general[::-1].copy())
+    stacked = direct_sum_spectrum(s, t)
+    for i in range(len(general)):
+        assert np.array_equal(stacked[i], direct_sum_spectrum(s[i : i + 1], t[i : i + 1])[0])
+
+
+@pytest.mark.parametrize("route", [singular_values, abs_op])
+def test_svd_kernels_give_nan_for_non_finite_slices(route):
+    # A slice holding an infinity or a NaN never reaches LAPACK (whose
+    # argument checks would print to the process's stdout); its result is
+    # NaN, and the other slices are what they are alone.
+    general, _ = _stack()
+    stack = general.copy()
+    stack[1, 0, 0] = np.inf
+    stack[3, 2, 1] = np.nan
+    out = route(stack)
+    for i in (1, 3):
+        assert np.isnan(out[i]).all()
+    for i in (0, 2, 4):
+        assert np.array_equal(out[i], route(general[i][None])[0])
 
 
 # --- Loewner order --------------------------------------------------------------

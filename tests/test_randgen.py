@@ -196,6 +196,11 @@ def _assert_class_residuals(class_tag, mats):
         # shared eigenbasis implies a commuting pair
         scale = max(1.0, frobenius_norm(a) * frobenius_norm(b))
         assert frobenius_norm(a @ b - b @ a) <= 1e-10 * scale
+    elif class_tag == "low_rank":
+        (m,) = mats
+        n = m.shape[0]
+        s = np.linalg.svd(m, compute_uv=False)
+        assert np.all(s[max(1, n // 2):] <= 1e-12 * s[0])
     else:
         assert class_tag == "ginibre"
         (m,) = mats
