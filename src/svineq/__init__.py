@@ -4,8 +4,8 @@ of dense complex matrices.
 The package is organised bottom-up:
 
 - ``numkernel``: matrix primitives over (k, n, n) stacks (Hermitian
-  eigendecomposition, singular spectra and operator absolute values by
-  SVD or, for Hermitian operands, by eigendecomposition, direct-sum
+  eigendecomposition, operator absolute values by SVD, singular spectra
+  by SVD or, for Hermitian operands, by eigendecomposition, direct-sum
   spectra, the positive-semidefinite order check, block assembly).
 - ``decomp``: Hermitian/skew splitting, positive/negative part splitting,
   and graded Hermitian / PSD / normal class tests.

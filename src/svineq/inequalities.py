@@ -50,9 +50,7 @@ from .numkernel import (
     Tolerance,
     ToleranceOverflow,
     _adj,
-    _apply,
     _block2,
-    _eigh,
     _eigvalsh,
     _fro,
     _herm,
@@ -60,7 +58,6 @@ from .numkernel import (
     _zero_slices,
     abs_op,
     direct_sum_spectrum,
-    hermitian_abs,
     hermitian_singular_values,
     loewner_leq,
     psd_sqrt,
@@ -423,7 +420,7 @@ def _core_thm_2_1(mats, tol) -> Graded:
     a1, a2 = cartesian(a)
     mid = singular_values(a)
     left = _spectrum_side("left", _INV_SQRT2 * hermitian_singular_values(a1 + a2), mid)
-    abs_sum = hermitian_abs(a1) + hermitian_abs(a2)
+    abs_sum = abs_op(a1) + abs_op(a2)
     right = _spectrum_side("right", mid, hermitian_singular_values(abs_sum))
     return Graded((left, right), _normal("", a, tol))
 
@@ -447,11 +444,10 @@ def _core_thm_2_5(half: str):
     """thm-2.5-plus/-minus: s_j(A±) <= s_j(|A| ⊕ (|A|∓A)/2) for Hermitian A."""
 
     def core(mats, tol) -> Graded:
-        # The Jordan part and |A| come from one eigendecomposition.
         h, _ = _require_hermitian(mats[0], "A")
-        w, v = _eigh(h)
-        part = _apply(w, v, np.maximum(w if half == "plus" else -w, 0.0))
-        absa = _apply(w, v, np.abs(w))
+        plus, minus = jordan(h, "plus", "minus")
+        absa = plus + minus
+        part = plus if half == "plus" else minus
         rest = (absa - h) / 2.0 if half == "plus" else (absa + h) / 2.0
         rhs = direct_sum_spectrum(hermitian_singular_values(absa), hermitian_singular_values(rest))
         return Graded((_spectrum_side("main", hermitian_singular_values(part), rhs),))
@@ -502,9 +498,11 @@ def _core_loewner_cartesian(mats, tol) -> Graded:
     """loewner-cartesian: (1/sqrt2)|A1+A2| <= |A| <= |A1|+|A2| in the Loewner order."""
     (a,) = mats
     a1, a2 = cartesian(a)
+    # Every |.| takes the same route as |A|: for Hermitian A, A1 is A bit
+    # for bit and A2 is 0, so the right side's |A1|+|A2|-|A| is exactly 0.
     absa = abs_op(a)
-    left = _order_side("left", _INV_SQRT2 * hermitian_abs(a1 + a2), absa)
-    right = _order_side("right", absa, hermitian_abs(a1) + hermitian_abs(a2))
+    left = _order_side("left", _INV_SQRT2 * abs_op(a1 + a2), absa)
+    right = _order_side("right", absa, abs_op(a1) + abs_op(a2))
     return Graded((left, right))
 
 
@@ -517,7 +515,7 @@ def _core_proof_facts(mats, tol) -> Graded:
     squares = h1 @ h1 + h2 @ h2
     s = h1 + h2
     square = _order_side("square", s @ s, 2.0 * squares)
-    sqrt = _order_side("sqrt", psd_sqrt(_herm(squares)), hermitian_abs(h1) + hermitian_abs(h2))
+    sqrt = _order_side("sqrt", psd_sqrt(_herm(squares)), abs_op(h1) + abs_op(h2))
     sqrt.requires = "commute"
     commute = comm <= tol.effective(_fro(h1) * _fro(h2))
     return Graded((square, sqrt), {"commute": (commute, {"commutator_defect": comm})})

@@ -8,13 +8,15 @@ stacks of shape (k, n, n); one matrix ``a`` is the stack ``a[None]``.  All
 functions are pure and treat matrices as immutable complex128 values.
 
 Each spectral quantity has one route, the cheapest accurate one for the
-structure its operand has by construction.  A general operand's singular
-values and |A| come from its SVD.  A Hermitian operand's singular values
-are its absolute eigenvalues and its |H| is ``V|w|V*`` from one ``eigh``.
-A direct sum's spectrum is the union of its blocks' spectra, so a direct
-sum is never assembled just to be measured.  No singular value is taken
-from the Gram matrix ``A*A``: that squares the condition number and
-loses half the digits of the small singular values.
+structure its operand has by construction.  Singular values come from
+the SVD, and every |A| is ``V diag(s) V*`` from the same SVD, so that
+order comparisons between absolute values share one route.  The
+singular values of an operand that is Hermitian by construction are its
+absolute eigenvalues.  A direct sum's spectrum is the union of its
+blocks' spectra, so a direct sum is never assembled just to be measured.
+No singular value is taken from the Gram matrix ``A*A``: that squares
+the condition number and loses half the digits of the small singular
+values.
 
 Matrices entering the system from outside (files, generator specs) are
 capped at ``MAX_DIM``; internally assembled block matrices may be up to
@@ -197,12 +199,6 @@ def _eigvalsh(h: np.ndarray) -> np.ndarray:
     return _lapack(np.linalg.eigvalsh, h)
 
 
-def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvector columns of (already
-    symmetrised) Hermitian matrices."""
-    return _lapack(np.linalg.eigh, h)
-
-
 def _min_eig(h: np.ndarray) -> np.ndarray:
     """Per-slice smallest eigenvalue; 0 for a zero slice."""
     w = _eigvalsh(h)[:, 0]
@@ -221,7 +217,7 @@ def hermitian_eig(x: np.ndarray, name: str = "matrix"):
     identity).
     """
     h, norm = _require_hermitian(x, name)
-    w, v = _eigh(h)
+    w, v = _lapack(np.linalg.eigh, h)
     zero = _zero_slices(h)
     if zero is not None:
         w[zero] = 0.0
@@ -288,13 +284,6 @@ def abs_op(x: np.ndarray) -> np.ndarray:
     SVD A = U diag(s) V*; defined for any square A."""
     _, s, vh = _svd(x, compute_uv=True)
     return _apply(s, _adj(vh), s)
-
-
-def hermitian_abs(h: np.ndarray) -> np.ndarray:
-    """|H| = V|w|V* from one ``eigh`` of Hermitian slices (Hermitian by
-    construction, as for ``hermitian_singular_values``)."""
-    w, v = _eigh(h)
-    return _apply(w, v, np.abs(w))
 
 
 def _block2(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .numkernel import MAX_DIM, _adj, _herm, hermitian_abs
+from .numkernel import MAX_DIM, _adj, _herm, abs_op
 
 CLASS_ARITY: dict[str, int] = {
     "ginibre": 1,
@@ -194,7 +194,7 @@ def _sample(class_tag: str, dim: int, stream: Stream, scale: float) -> tuple[np.
     if class_tag == "dominated_pair":
         a = _hermitian(stream, n, scale)
         p = _psd(stream, n, scale)
-        return (a, _herm(hermitian_abs(a) + p))
+        return (a, _herm(abs_op(a) + p))
     if class_tag == "normal_order_constrained":
         u = _unitary(stream, n)
         d2 = stream.normals(n).reshape(-1, n) * scale

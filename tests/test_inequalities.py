@@ -537,11 +537,7 @@ def test_loewner_cartesian_hermitian_right_equality():
     h = mat([[1, 2], [2, 5]])
     rep = check("loewner-cartesian", (h,))
     assert rep.verdict is Verdict.HOLDS
-    # |A1|+|A2| - |A| is zero in exact arithmetic.  |A| comes from the SVD
-    # of a general operand and |A1| from the eigendecomposition of a
-    # Hermitian part, so the two differ by round-off of order eps*||A||.
-    eps_norm = np.finfo(float).eps * np.linalg.norm(h, 2)
-    assert abs(rep.side("right").min_margin) <= 4 * eps_norm
+    assert rep.side("right").min_margin == 0.0  # |A1|+|A2| - |A| is exactly zero
 
 
 def test_loewner_cartesian_diagonal_normal_holds():

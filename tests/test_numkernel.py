@@ -25,7 +25,6 @@ from svineq.numkernel import (
     abs_op,
     as_matrix,
     direct_sum_spectrum,
-    hermitian_abs,
     hermitian_eig,
     hermitian_singular_values,
     loewner_leq,
@@ -243,12 +242,6 @@ def test_hermitian_singular_values_known_diagonal():
     assert tuple(s) == (5.0, 3.0, 2.0)
 
 
-def test_hermitian_abs_of_hermitian_diagonal():
-    assert one(hermitian_abs, mat([[3, 0], [0, -4]])) == pytest.approx(
-        mat([[3, 0], [0, 4]]), abs=1e-13
-    )
-
-
 # --- accuracy against a 40-digit oracle ----------------------------------------
 #
 # Every route is graded against mpmath's SVD at 40 significant digits on
@@ -339,10 +332,10 @@ def test_direct_sum_spectrum_matches_mpmath_oracle(mpmath, kind):
 @pytest.mark.parametrize("kind", ENSEMBLES)
 def test_abs_op_matches_mpmath_oracle(mpmath, kind):
     for seed in ORACLE_SEEDS:
-        for route, m in ((abs_op, _general(kind, seed)), (hermitian_abs, _hermitian(kind, seed))):
+        for m in (_general(kind, seed), _hermitian(kind, seed)):
             exact = _oracle(mpmath, m, absolute=True)
-            err = np.linalg.norm(one(route, m) - exact, 2)
-            assert _within_bound(err, np.linalg.norm(exact, 2)), (route.__name__, seed, err)
+            err = np.linalg.norm(one(abs_op, m) - exact, 2)
+            assert _within_bound(err, np.linalg.norm(exact, 2)), (seed, err)
 
 
 def _stack():
@@ -357,8 +350,8 @@ def _stack():
     [
         (singular_values, False),
         (abs_op, False),
+        (abs_op, True),
         (hermitian_singular_values, True),
-        (hermitian_abs, True),
     ],
 )
 def test_spectral_kernels_stacked_equal_single(route, hermitian):
