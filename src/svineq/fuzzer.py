@@ -7,7 +7,13 @@ then repetitions) draws its inputs from ``prng_stream(seed, t)``, so the
 result is a pure function of the config and independent of execution
 order.  The trials of one (target, dimension) block are drawn and checked
 as stacks of at most ``CHUNK_ELEMENTS // n**2`` trials; the chunk size
-never shows in the result.
+never shows in the result.  When the process may use two CPUs, chunks of
+at least ``THREAD_ELEMENTS`` matrix entries are graded on the calling
+thread and one worker thread: numpy releases the GIL in LAPACK calls and
+large loops, so one thread's kernels overlap the other's Python.  The
+caller folds every chunk in trial order, so the result is the one a
+single thread gives: byte-identical on one machine and BLAS
+configuration, while the BLAS thread count can change last bits.
 
 Searches target statements that are false (or of unknown truth) in
 general: random restarts from an ambient parameterisation that preserves
@@ -23,8 +29,11 @@ the restarts give when run one after the other, one candidate at a time.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +67,15 @@ from .numkernel import (
 # Matrix entries per operand stack a campaign checks at once: bounds the
 # memory of one chunk (blocks of 2n x 2n entries and their temporaries).
 CHUNK_ELEMENTS = 1 << 14
+
+# Matrix entries (k * n**2) from which a chunk is worth handing to the
+# worker thread: below it the hand-off costs more than the overlap saves.
+# Timed on a 2-core x86-64 box with one BLAS thread (see CHANGES.md).
+THREAD_ELEMENTS = 2048
+
+# Chunks the graders may run ahead of the one the caller folds next, so at
+# most this many graded chunks wait to be folded.
+_AHEAD = 2
 
 
 class ConfigInvalid(ValueError):
@@ -265,10 +283,15 @@ class _TargetAggregator:
         self.worst_violation = math.inf
         self.worst: tuple[int, int, tuple[np.ndarray, ...]] | None = None
 
-    def add_structural(self) -> None:
-        """A trial whose checker rejected an operand as not Hermitian."""
-        self.trials += 1
-        self.hypothesis_violated += 1
+    def fold(self, dim: int, parts) -> None:
+        """Add the parts of one checked chunk (see ``_check_chunk``)."""
+        for first_trial, mats, checked in parts:
+            if checked is None:
+                # A trial whose checker rejected an operand as not Hermitian.
+                self.trials += 1
+                self.hypothesis_violated += 1
+            else:
+                self.add(first_trial, dim, mats, checked)
 
     def add(self, first_trial: int, dim: int, mats, checked: Checked) -> None:
         k = len(checked)
@@ -338,28 +361,114 @@ class _TargetAggregator:
         )
 
 
-def _check_chunk(agg: _TargetAggregator, first_trial: int, dim: int, mats, tol: Tolerance):
-    """Check one chunk of trials and fold it into ``agg``.
+def _check_chunk(entry: CatalogEntry, first_trial: int, mats, tol: Tolerance) -> list:
+    """Check one chunk of trials: its parts (first trial, operand stacks,
+    Checked) in trial order.
 
     A checker rejects a whole stack when one operand is not Hermitian; the
-    chunk is then checked trial by trial, and each rejected trial counts as
-    a hypothesis violation while the others are graded as usual.  A chunk
-    that yields a non-finite number raises FloatingPointError, so that no
-    count comes from a NaN or an infinity.
+    chunk is then checked trial by trial, and each rejected trial is a part
+    (trial, None, None), a hypothesis violation, while the others are
+    graded as usual.  A chunk that yields a non-finite number raises
+    FloatingPointError, so that no count comes from a NaN or an infinity.
     """
     try:
-        checked = agg.entry.run(mats, tol)
+        checked = entry.run(mats, tol)
     except NotHermitian:
         k = mats[0].shape[0]
         if k == 1:
-            agg.add_structural()
-            return
-        for i in range(k):
-            _check_chunk(agg, first_trial + i, dim, [m[i : i + 1] for m in mats], tol)
-        return
+            return [(first_trial, None, None)]
+        return [
+            part
+            for i in range(k)
+            for part in _check_chunk(entry, first_trial + i, [m[i : i + 1] for m in mats], tol)
+        ]
     if not checked.finite():
         raise FloatingPointError("non-finite margins or residuals")
-    agg.add(first_trial, dim, mats, checked)
+    return [(first_trial, mats, checked)]
+
+
+def _grade_chunk(config: CampaignConfig, chunk) -> list:
+    """Draw the inputs of ``chunk`` (entry, class, plan, dim, first trial,
+    trials) and check them."""
+    entry, class_tag, plan, dim, first, k = chunk
+    stream = randgen.prng_stream(config.seed, np.arange(first, first + k, dtype=np.uint64))
+    mats = _build_inputs(entry, class_tag, plan, dim, stream, config.scale)
+    return _check_chunk(entry, first, mats, config.tol)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _graded(chunks: list, grade, shared: list[bool]):
+    """Yield ``grade(chunk)`` for each chunk in order; what grading a chunk
+    raised is raised at that chunk's turn.
+
+    With no chunk marked ``shared``, each chunk is graded on the calling
+    thread at its turn.  Otherwise one worker thread grades too: each
+    thread takes the next ungraded chunk, the worker only a marked one,
+    and neither takes one more than ``_AHEAD`` past the chunk whose turn
+    it is.  Close the generator to stop the worker early; it has ended
+    when the generator has.
+    """
+    if not any(shared):
+        for chunk in chunks:
+            yield grade(chunk)
+        return
+    cond = threading.Condition()
+    graded: dict[int, tuple[BaseException | None, object]] = {}
+    taken = turn = 0
+    stop = False
+
+    def run(i: int) -> None:
+        try:
+            out = None, grade(chunks[i])
+        except BaseException as exc:  # re-raised by the caller at chunk i's turn
+            out = exc, None
+        with cond:
+            graded[i] = out
+            cond.notify_all()
+
+    def work() -> None:
+        nonlocal taken
+        while True:
+            with cond:
+                while not (stop or taken == len(chunks)) and not (
+                    shared[taken] and taken <= turn + _AHEAD
+                ):
+                    cond.wait()
+                if stop or taken == len(chunks):
+                    return
+                i, taken = taken, taken + 1
+            run(i)
+
+    worker = threading.Thread(target=work, name="svineq-grader", daemon=True)
+    worker.start()
+    try:
+        for i in range(len(chunks)):
+            with cond:
+                turn = i
+                cond.notify_all()
+            while True:
+                with cond:
+                    if i in graded:
+                        exc, out = graded.pop(i)
+                        break
+                    if taken == len(chunks) or taken > i + _AHEAD:
+                        cond.wait()
+                        continue
+                    j, taken = taken, taken + 1
+                run(j)
+            if exc is not None:
+                raise exc
+            yield out
+    finally:
+        with cond:
+            stop = True
+            cond.notify_all()
+        worker.join()
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
@@ -369,28 +478,34 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     scale and tolerance: the eigensolver does not converge or a number
     overflows.
     """
-    jobs = _plan(config)
-    results = []
+    targets = []
     trial = 0
-    for entry, class_tag, plan, dims in jobs:
-        agg = _TargetAggregator(entry, class_tag, dims)
+    for entry, class_tag, plan, dims in _plan(config):
+        chunks = []
         for dim in dims:
-            chunk = max(1, CHUNK_ELEMENTS // (dim * dim))
-            for start in range(0, config.trials_per_dim, chunk):
-                k = min(chunk, config.trials_per_dim - start)
-                first = trial + start
-                indices = np.arange(first, first + k, dtype=np.uint64)
-                stream = randgen.prng_stream(config.seed, indices)
-                mats = _build_inputs(entry, class_tag, plan, dim, stream, config.scale)
+            size = max(1, CHUNK_ELEMENTS // (dim * dim))
+            for start in range(0, config.trials_per_dim, size):
+                k = min(size, config.trials_per_dim - start)
+                chunks.append((entry, class_tag, plan, dim, trial + start, k))
+            trial += config.trials_per_dim
+        targets.append((_TargetAggregator(entry, class_tag, dims), chunks))
+    order = [chunk for _, chunks in targets for chunk in chunks]
+    two_cpus = _usable_cpus() >= 2
+    shared = [two_cpus and k * dim * dim >= THREAD_ELEMENTS for *_, dim, _, k in order]
+    grade = functools.partial(_grade_chunk, config)
+    results = []
+    with contextlib.closing(_graded(order, grade, shared)) as graded:
+        for agg, chunks in targets:
+            for entry, class_tag, _, dim, _, _ in chunks:
                 try:
-                    _check_chunk(agg, first, dim, mats, config.tol)
+                    parts = next(graded)
                 except (NoConvergence, FloatingPointError, ToleranceOverflow) as exc:
                     raise ConfigInvalid(
                         f"{entry.ineq_id} on {class_tag} at dimension {dim} and scale"
                         f" {config.scale!r} cannot be graded: {exc}"
                     ) from None
-            trial += config.trials_per_dim
-        results.append(agg.finish(config.seed, config.tol))
+                agg.fold(dim, parts)
+            results.append(agg.finish(config.seed, config.tol))
     return CampaignResult(config=config, targets=tuple(results))
 
 

@@ -47,6 +47,7 @@ from .numkernel import (
     DEFAULT_TOL,
     DimensionMismatch,
     InvalidMatrix,
+    NoConvergence,
     Tolerance,
     ToleranceOverflow,
     _adj,
@@ -647,8 +648,10 @@ def check(ineq_id: str, inputs: Sequence, tol: Tolerance = DEFAULT_TOL) -> Inequ
     Validates arity, dimensions and finiteness before running the stacked
     checker on a stack of one; the report's id always equals the requested
     id.  Raises InvalidMatrix when finite inputs overflow the kernel, so
-    that no verdict is graded from a NaN or an infinity, and
-    ToleranceOverflow when only the tolerance does.
+    that no verdict is graded from a NaN or an infinity (the overflow is
+    reported by that error alone, not by RuntimeWarnings),
+    ToleranceOverflow when only the tolerance does, and NoConvergence when
+    the eigensolver gives up; each error names ``ineq_id``.
     """
     entry = catalog_entry(ineq_id)
     mats = [np.asarray(m, dtype=np.complex128) for m in inputs]
@@ -672,9 +675,12 @@ def check(ineq_id: str, inputs: Sequence, tol: Tolerance = DEFAULT_TOL) -> Inequ
         raise InvalidMatrix(f"{ineq_id}: inputs contain non-finite entries")
     # Contiguous operands, so that no result depends on the caller's layout.
     try:
-        checked = entry.run([np.ascontiguousarray(m)[None] for m in mats], tol)
+        with np.errstate(over="ignore", invalid="ignore"):
+            checked = entry.run([np.ascontiguousarray(m)[None] for m in mats], tol)
     except ToleranceOverflow as exc:
         raise ToleranceOverflow(f"{ineq_id}: {exc}") from None
+    except NoConvergence as exc:
+        raise NoConvergence(f"{ineq_id}: {exc}") from None
     if not checked.finite():
         raise InvalidMatrix(
             f"{ineq_id}: inputs overflow the kernel (non-finite margins or residuals)"

@@ -25,6 +25,7 @@ twice that size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,23 +157,39 @@ def _zero_slices(x: np.ndarray) -> np.ndarray | None:
 
 def _fro(x: np.ndarray) -> np.ndarray:
     """Per-slice Frobenius norms of a complex stack, bitwise equal to
-    ``np.linalg.norm`` of each slice.
+    ``np.linalg.norm`` of each slice whose sum of squares is finite.
 
     ``np.linalg.norm`` sums re*re and im*im with one strided BLAS dot each,
     over the slice in memory order; ``np.vecdot`` over the rows of a
     C-contiguous (k, n*n) view makes the same dot calls.  A stack of one,
     the case of ``check`` and of the search, takes the two dots directly,
     which costs less than the gufunc call.
+
+    A slice of finite entries whose sum of squares overflows, while its
+    norm may not, is recomputed as ``m * sqrt(sum |x/m|**2)`` with ``m``
+    its largest absolute entry.  One Python sum over the k norms tells
+    whether any is not finite; for the small stacks of a check or a search
+    step it costs a fraction of a numpy reduction, so the common path pays
+    almost nothing for the rescue.
     """
     if not x.flags.c_contiguous:
-        return np.array([np.linalg.norm(s) for s in x])
-    k = x.shape[0]
-    flat = x.reshape(k, x.shape[-2] * x.shape[-1])
-    re, im = flat.real, flat.imag
-    if k == 1:
-        re, im = re[0], im[0]
-        return np.sqrt(re.dot(re) + im.dot(im))[None]
-    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+        out = np.array([np.linalg.norm(s) for s in x])
+    else:
+        k = x.shape[0]
+        flat = x.reshape(k, x.shape[-2] * x.shape[-1])
+        re, im = flat.real, flat.imag
+        if k == 1:
+            re, im = re[0], im[0]
+            out = np.sqrt(re.dot(re) + im.dot(im))[None]
+        else:
+            out = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    if not math.isfinite(sum(out.tolist())):
+        for i in np.flatnonzero(np.isinf(out)):
+            a = np.abs(x[i])
+            m = a.max()
+            if np.isfinite(m):
+                out[i] = m * np.sqrt(np.sum(np.square(a / m)))
+    return out
 
 
 def _require_hermitian(x: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:

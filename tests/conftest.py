@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, set before numpy loads BLAS: the goldens pin last bits of
+# LAPACK results, and the BLAS thread count can change them.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ[_var] = "1"
+
 import numpy as np
 from hypothesis import HealthCheck, settings
 

@@ -2,11 +2,17 @@
 
 import dataclasses
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from svineq import fuzzer
 from svineq.fuzzer import (
+    CHUNK_ELEMENTS,
+    THREAD_ELEMENTS,
     CampaignConfig,
     ConfigInvalid,
     MalformedWitness,
@@ -20,8 +26,8 @@ from svineq.fuzzer import (
     run_campaign,
     search_counterexample,
 )
-from svineq.inequalities import Verdict, catalog_entry, check
-from svineq.numkernel import DEFAULT_TOL, Tolerance
+from svineq.inequalities import Verdict, catalog_entry, catalog_ids, check
+from svineq.numkernel import DEFAULT_TOL, NotPSD, Tolerance
 from svineq.serialize import campaign_document, dumps
 
 from conftest import draw, mat
@@ -188,17 +194,162 @@ def test_overflowing_tolerance_is_config_invalid():
 
 def test_non_hermitian_trial_in_a_chunk_is_rejected_alone():
     # The checker rejects the whole stack; the chunk is then checked trial
-    # by trial, so only the non-Hermitian middle trial counts as a
-    # hypothesis violation and the other two are graded as usual.
+    # by trial, so only the non-Hermitian middle trial is a structural part
+    # (a hypothesis violation) and the other two are graded as usual.
     entry = catalog_entry("thm-2.5-plus")
     good = [draw("hermitian", 2, seed=3, index=i)[0] for i in range(2)]
     stack = np.stack([good[0], mat([[0, 1], [0, 0]]), good[1]])
+    parts = _check_chunk(entry, 5, [stack], DEFAULT_TOL)
+    assert [first for first, _, _ in parts] == [5, 6, 7]
+    assert parts[1] == (6, None, None)
     agg = _TargetAggregator(entry, "hermitian", (2,))
-    _check_chunk(agg, 0, 2, [stack], DEFAULT_TOL)
+    agg.fold(2, parts)
     t = agg.finish(0, DEFAULT_TOL)
     assert (t.trials, t.holds, t.hypothesis_violated) == (3, 2, 1)
     assert t.histogram.total == 2
     assert t.min_margin == min(check("thm-2.5-plus", [m]).min_margin for m in good)
+
+
+# --- grading on two threads ---------------------------------------------------------
+
+
+@pytest.fixture
+def graders(monkeypatch):
+    """Names of the threads that graded chunks, and a switch for the CPU
+    count the campaign sees (2 starts the worker where chunks are large
+    enough, 1 keeps every chunk on the calling thread)."""
+    names = set()
+    grade = fuzzer._grade_chunk
+
+    def recording(config, chunk):
+        names.add(threading.current_thread().name)
+        return grade(config, chunk)
+
+    monkeypatch.setattr(fuzzer, "_grade_chunk", recording)
+
+    def cpus(count):
+        names.clear()
+        monkeypatch.setattr(fuzzer, "_usable_cpus", lambda: count)
+        return names
+
+    return cpus
+
+
+def campaign_bytes(config):
+    return dumps(campaign_document(run_campaign(config))).encode()
+
+
+ALL_TARGETS = tuple((i, catalog_entry(i).canonical_class) for i in catalog_ids())
+
+
+@pytest.mark.parametrize(
+    "targets, trials",
+    [
+        (ALL_TARGETS, 5),
+        ((("thm-2.5-plus", "ginibre"), ("thm-2.7", "ginibre")), 40),
+    ],
+    ids=["all", "not-hermitian"],
+)
+def test_worker_leaves_documents_byte_identical(graders, targets, trials):
+    # At n = 8 a chunk of 5 trials holds 320 entries and stays on the
+    # caller; at n = 32 and 64 chunks reach THREAD_ELEMENTS, and n = 64
+    # splits each block into chunks of 4 and 1.  thm-2.5-plus on ginibre
+    # retries every trial of its chunks alone (NotHermitian), also in the
+    # worker, and 40 trials at n = 32 make three chunks per block.
+    assert 5 * 8**2 < THREAD_ELEMENTS <= 5 * 32**2
+    assert CHUNK_ELEMENTS // 64**2 < 5 and CHUNK_ELEMENTS // 32**2 < 40
+    config = small_config(targets=targets, dims=(8, 32, 64), trials_per_dim=trials)
+    before = threading.active_count()
+    names = graders(1)
+    alone = campaign_bytes(config)
+    assert names == {"MainThread"}
+    names = graders(2)
+    shared = campaign_bytes(config)
+    assert names == {"MainThread", "svineq-grader"}
+    assert shared == alone
+    assert threading.active_count() == before
+
+
+def test_worker_hand_off_under_frequent_thread_switches(graders, monkeypatch):
+    # Every chunk is shared and all but scalar-1.6's hold one or two
+    # trials, so the threads
+    # hand over hundreds of chunks while the interpreter switches between
+    # them as often as it can; a chunk lost or folded out of turn would
+    # change the document.
+    config = small_config(targets=ALL_TARGETS, dims=(2, 3), trials_per_dim=7)
+    monkeypatch.setattr(fuzzer, "CHUNK_ELEMENTS", 8)
+    graders(1)
+    alone = campaign_bytes(config)
+    monkeypatch.setattr(fuzzer, "THREAD_ELEMENTS", 1)
+    names = graders(2)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        shared = campaign_bytes(config)
+    finally:
+        sys.setswitchinterval(interval)
+    assert names == {"MainThread", "svineq-grader"}
+    assert shared == alone
+    assert threading.active_count() == before
+
+
+OVERFLOW_TARGETS = (
+    ("thm-2.8", "ginibre"),
+    ("thm-2.7", "ginibre"),
+    ("cor-2.9", "normal_pair_shared_basis"),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_worker_reports_the_first_target_that_cannot_be_graded(graders):
+    # At scale 1e160 thm-2.8 and cor-2.9 overflow and thm-2.7 does not;
+    # whichever thread grades a chunk first, the error names thm-2.8.
+    config = small_config(targets=OVERFLOW_TARGETS, dims=(32,), trials_per_dim=3, scale=1e160)
+    before = threading.active_count()
+    messages = []
+    for cpus in (1, 2):
+        graders(cpus)
+        with pytest.raises(ConfigInvalid) as info:
+            run_campaign(config)
+        messages.append(str(info.value))
+        assert threading.active_count() == before
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("thm-2.8 on ginibre at dimension 32 and scale 1e+160")
+
+
+def test_worker_raises_a_chunk_error_at_that_chunk_turn(graders, monkeypatch):
+    # NotPSD is no configuration error: it reaches the caller as raised, at
+    # the turn of the chunk (trials 4, 5) that raised it, so the chunks
+    # before it are folded and the ones after it are not.  The worker
+    # sleeps in each chunk it grades, so it is still grading a later chunk
+    # when the error reaches the caller, which must wait for it to end.
+    check_chunk = fuzzer._check_chunk
+    add = _TargetAggregator.add
+    folded = []
+
+    def failing(entry, first_trial, mats, tol):
+        if first_trial == 4:
+            raise NotPSD("planted")
+        if threading.current_thread().name == "svineq-grader":
+            time.sleep(0.1)
+        return check_chunk(entry, first_trial, mats, tol)
+
+    def recording(agg, first_trial, *args):
+        folded.append(first_trial)
+        return add(agg, first_trial, *args)
+
+    monkeypatch.setattr(fuzzer, "_check_chunk", failing)
+    monkeypatch.setattr(_TargetAggregator, "add", recording)
+    config = small_config(targets=(("thm-2.7", "ginibre"),) * 6, dims=(32,), trials_per_dim=2)
+    before = threading.active_count()
+    for cpus in (1, 2):
+        graders(cpus)
+        folded.clear()
+        with pytest.raises(NotPSD, match="planted"):
+            run_campaign(config)
+        assert folded == [0, 2]
+        assert threading.active_count() == before
 
 
 def test_violating_target_stores_replayable_worst_witness():

@@ -6,8 +6,10 @@ the checkers were rewritten over stacked operands (the repro outputs
 before the one-matrix kernels were removed, the verify reports before the
 matrix decoder was vectorised), so they pin the exact bytes a campaign, a
 search, a worst witness, a fixture reproduction and a report on matrix
-files must keep (``criterion-3.json`` is compared in test_acceptance.py).  Regenerate them
-only for a change that is meant to alter the numerics:
+files must keep (``criterion-3.json`` is compared in test_acceptance.py).  They
+are written and compared with one BLAS thread, which conftest.py pins,
+because the BLAS thread count can change last bits.  Regenerate them only
+for a change that is meant to alter the numerics:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -15,19 +17,23 @@ only for a change that is meant to alter the numerics:
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import io
+import os
 import sys
 from pathlib import Path
 
 import pytest
+
+# Ahead of svineq, which loads numpy: conftest pins BLAS to one thread, also
+# when this file runs as a script.
+from conftest import BLAS_THREAD_VARS, draw
 
 from svineq import fuzzer
 from svineq.cli import main
 from svineq.fixtures import EX_2_2
 from svineq.fuzzer import CampaignConfig, SEARCH_TARGET_IDS, replay, run_campaign
 from svineq.serialize import campaign_document, dumps, matrix_to_json
-
-from conftest import draw
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -123,6 +129,35 @@ def documents(tmp: Path):
 
 
 GOLDEN_NAMES = [name for name, _ in documents(Path("."))]
+
+
+def openblas_threads() -> int | None:
+    """Threads of the loaded OpenBLAS, asked through its own API; None
+    where no OpenBLAS can be found."""
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
+
+
+def test_blas_is_pinned_to_one_thread():
+    # The goldens were written with one BLAS thread; conftest.py pins it
+    # before numpy loads BLAS, which reads the setting only then.
+    assert all(os.environ[var] == "1" for var in BLAS_THREAD_VARS)
+    threads = openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS this test can ask")
+    assert threads == 1
 
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)

@@ -679,10 +679,24 @@ def test_check_rejects_kernel_overflow(ineq_id, inputs):
         check(ineq_id, inputs())
 
 
-def test_check_grades_large_finite_input():
-    # thm-2.7 takes singular values of A itself, never of a product, so
-    # entries near 1e155 get a verdict with finite margins.
-    rep = check("thm-2.7", [draw("ginibre", 2, seed=0)[0] * 1e155])
+# Finite inputs that the kernel can grade although some intermediate sum of
+# squares overflows.  thm-2.7 takes singular values of A itself, never of a
+# product.  The others take Frobenius norms of residuals near 1e200 (the
+# normality defect, or the commutator of the shared-basis pair), whose
+# squares overflow; those used to raise InvalidMatrix.
+LARGE_INPUTS = {
+    "thm-2.7": lambda: [draw("ginibre", 2, seed=0)[0] * 1e155],
+    "thm-2.1": lambda: draw("normal", 3, seed=0, scale=1e100),
+    "thm-2.4": lambda: draw("normal_order_constrained", 3, seed=0, scale=1e100),
+    "cor-2.9": lambda: draw("normal_pair_shared_basis", 3, seed=0, scale=1e100),
+    "proof-facts-2.1": lambda: cartesian_parts(draw("normal", 3, seed=0, scale=1e100)[0]),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("ineq_id", LARGE_INPUTS)
+def test_check_grades_large_finite_input(ineq_id):
+    rep = check(ineq_id, LARGE_INPUTS[ineq_id]())
     assert rep.verdict is Verdict.HOLDS
     assert math.isfinite(rep.min_margin) and math.isfinite(rep.tol_used)
 

@@ -139,6 +139,16 @@ def test_frobenius_norm_matches_numpy():
     assert float(one(_fro, m)) == pytest.approx(np.linalg.norm(m))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_frobenius_norm_rescales_overflowing_squares():
+    # The squares of 3e300 and 4e300 overflow, the norm 5e300 does not; a
+    # slice whose norm overflows, or that holds an infinity, stays infinite.
+    m = mat([[3, 4j], [0, 0]])
+    stack = np.stack([m, m * 1e300, m * 1e308, mat([[np.inf, 0], [0, 1]])])
+    assert _fro(stack).tolist() == [5.0, pytest.approx(5e300, rel=1e-15), np.inf, np.inf]
+    assert float(one(_fro, m * 1e300)) == pytest.approx(5e300, rel=1e-15)
+
+
 def test_hermitian_part_is_exactly_hermitian():
     h = one(_herm, mat([[1 + 1j, 2], [5j, 3 - 2j]]))
     assert np.array_equal(h, h.conj().T)
