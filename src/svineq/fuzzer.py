@@ -10,10 +10,13 @@ as stacks of at most ``CHUNK_ELEMENTS // n**2`` trials; the chunk size
 never shows in the result.  When the process may use two CPUs, chunks of
 at least ``THREAD_ELEMENTS`` matrix entries are graded on the calling
 thread and one worker thread: numpy releases the GIL in LAPACK calls and
-large loops, so one thread's kernels overlap the other's Python.  The
-caller folds every chunk in trial order, so the result is the one a
-single thread gives: byte-identical on one machine and BLAS
-configuration, while the BLAS thread count can change last bits.
+large loops, so one thread's kernels overlap the other's Python.  Unless
+BLAS runs one thread, only chunks of matrices at most
+``THREADED_BLAS_DIM`` square are shared, since BLAS spreads larger ones
+over the CPUs itself.  The caller folds every chunk in trial order, so
+the result is the one a single thread gives: byte-identical on one
+machine and BLAS configuration, while the BLAS thread count can change
+last bits.
 
 Searches target statements that are false (or of unknown truth) in
 general: random restarts from an ambient parameterisation that preserves
@@ -30,10 +33,10 @@ the restarts give when run one after the other, one candidate at a time.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +75,11 @@ CHUNK_ELEMENTS = 1 << 14
 # worker thread: below it the hand-off costs more than the overlap saves.
 # Timed on a 2-core x86-64 box with one BLAS thread (see CHANGES.md).
 THREAD_ELEMENTS = 2048
+
+# Largest dimension whose chunks the worker takes when BLAS may run more
+# than one thread: from n = 32 on, BLAS spreads a chunk's kernels over the
+# CPUs itself, and a second grader made campaigns slower on the same box.
+THREADED_BLAS_DIM = 16
 
 # Chunks the graders may run ahead of the one the caller folds next, so at
 # most this many graded chunks wait to be folded.
@@ -402,73 +410,92 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@functools.cache
+def _openblas_thread_query():
+    """The loaded OpenBLAS's own thread-count function; None where no
+    OpenBLAS shows in the process's memory map."""
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Threads numpy's BLAS runs; None where it cannot be asked."""
+    query = _openblas_thread_query()
+    return None if query is None else int(query())
+
+
+def _shared_chunks(order: list) -> list[bool]:
+    """Which chunks the worker may grade.  None on one CPU.  With more,
+    the chunks of at least THREAD_ELEMENTS entries, and unless BLAS runs
+    one thread, only those whose matrices are at most THREADED_BLAS_DIM
+    square."""
+    if _usable_cpus() < 2:
+        return [False] * len(order)
+    max_dim = MAX_DIM if _blas_threads() == 1 else THREADED_BLAS_DIM
+    return [k * dim * dim >= THREAD_ELEMENTS and dim <= max_dim for *_, dim, _, k in order]
+
+
 def _graded(chunks: list, grade, shared: list[bool]):
     """Yield ``grade(chunk)`` for each chunk in order; what grading a chunk
     raised is raised at that chunk's turn.
 
-    With no chunk marked ``shared``, each chunk is graded on the calling
-    thread at its turn.  Otherwise one worker thread grades too: each
-    thread takes the next ungraded chunk, the worker only a marked one,
-    and neither takes one more than ``_AHEAD`` past the chunk whose turn
-    it is.  Close the generator to stop the worker early; it has ended
-    when the generator has.
+    Chunks marked ``shared`` up to ``_AHEAD`` past the one whose turn it
+    is are queued for one worker thread.  At its turn the caller grades a
+    chunk the worker has not begun, and while the worker grades it, grades
+    the later queued chunks the worker has not begun.  Close the generator
+    to stop the worker early; it has ended when the generator has.
     """
     if not any(shared):
         for chunk in chunks:
             yield grade(chunk)
         return
-    cond = threading.Condition()
-    graded: dict[int, tuple[BaseException | None, object]] = {}
-    taken = turn = 0
-    stop = False
+    # Imported here, as only such campaigns use it: it loads logging, which
+    # would add about 6 ms to the start-up of every command.
+    from concurrent.futures import Future, ThreadPoolExecutor
 
-    def run(i: int) -> None:
+    def inline(chunk) -> Future:
+        """A finished future holding what ``grade(chunk)`` returned or raised."""
+        future = Future()
         try:
-            out = None, grade(chunks[i])
-        except BaseException as exc:  # re-raised by the caller at chunk i's turn
-            out = exc, None
-        with cond:
-            graded[i] = out
-            cond.notify_all()
+            future.set_result(grade(chunk))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
-    def work() -> None:
-        nonlocal taken
-        while True:
-            with cond:
-                while not (stop or taken == len(chunks)) and not (
-                    shared[taken] and taken <= turn + _AHEAD
-                ):
-                    cond.wait()
-                if stop or taken == len(chunks):
-                    return
-                i, taken = taken, taken + 1
-            run(i)
-
-    worker = threading.Thread(target=work, name="svineq-grader", daemon=True)
-    worker.start()
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="svineq-grader")
+    queued: dict[int, Future] = {}
     try:
-        for i in range(len(chunks)):
-            with cond:
-                turn = i
-                cond.notify_all()
-            while True:
-                with cond:
-                    if i in graded:
-                        exc, out = graded.pop(i)
-                        break
-                    if taken == len(chunks) or taken > i + _AHEAD:
-                        cond.wait()
-                        continue
-                    j, taken = taken, taken + 1
-                run(j)
-            if exc is not None:
-                raise exc
-            yield out
+        for i, chunk in enumerate(chunks):
+            for j in range(i, min(i + _AHEAD + 1, len(chunks))):
+                if shared[j] and j not in queued:
+                    queued[j] = pool.submit(grade, chunks[j])
+            future = queued.pop(i, None)
+            if future is None or future.cancel():
+                yield grade(chunk)
+                continue
+            for j, later in queued.items():
+                if future.done():
+                    break
+                if later.cancel():
+                    queued[j] = inline(chunks[j])
+            yield future.result()
     finally:
-        with cond:
-            stop = True
-            cond.notify_all()
-        worker.join()
+        pool.shutdown(cancel_futures=True)
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
@@ -490,11 +517,9 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             trial += config.trials_per_dim
         targets.append((_TargetAggregator(entry, class_tag, dims), chunks))
     order = [chunk for _, chunks in targets for chunk in chunks]
-    two_cpus = _usable_cpus() >= 2
-    shared = [two_cpus and k * dim * dim >= THREAD_ELEMENTS for *_, dim, _, k in order]
     grade = functools.partial(_grade_chunk, config)
     results = []
-    with contextlib.closing(_graded(order, grade, shared)) as graded:
+    with contextlib.closing(_graded(order, grade, _shared_chunks(order))) as graded:
         for agg, chunks in targets:
             for entry, class_tag, _, dim, _, _ in chunks:
                 try:

@@ -215,14 +215,15 @@ def test_non_hermitian_trial_in_a_chunk_is_rejected_alone():
 
 @pytest.fixture
 def graders(monkeypatch):
-    """Names of the threads that graded chunks, and a switch for the CPU
-    count the campaign sees (2 starts the worker where chunks are large
-    enough, 1 keeps every chunk on the calling thread)."""
+    """Names of the threads that graded chunks (the worker's without the
+    number its pool appends), and a switch for the CPU count the campaign
+    sees (2 starts the worker where chunks are large enough, 1 keeps
+    every chunk on the calling thread)."""
     names = set()
     grade = fuzzer._grade_chunk
 
     def recording(config, chunk):
-        names.add(threading.current_thread().name)
+        names.add(threading.current_thread().name.partition("_")[0])
         return grade(config, chunk)
 
     monkeypatch.setattr(fuzzer, "_grade_chunk", recording)
@@ -294,6 +295,43 @@ def test_worker_hand_off_under_frequent_thread_switches(graders, monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize(
+    "cpus, blas, expected",
+    [
+        (1, 1, [False, False, False, False]),
+        (2, 1, [False, True, True, True]),
+        (2, 2, [False, True, False, False]),
+        (2, None, [False, True, False, False]),
+    ],
+)
+def test_shared_chunks_follow_cpus_size_and_blas_threads(monkeypatch, cpus, blas, expected):
+    # (dim, trials): one chunk below THREAD_ELEMENTS, one at the size and
+    # dimension limits, and two above THREADED_BLAS_DIM.  A BLAS that
+    # cannot be asked (None) counts as one that runs several threads.
+    sizes = [(8, 31), (16, 8), (32, 2), (64, 1)]
+    assert 31 * 8**2 < THREAD_ELEMENTS == 8 * 16**2 and fuzzer.THREADED_BLAS_DIM == 16
+    monkeypatch.setattr(fuzzer, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(fuzzer, "_blas_threads", lambda: blas)
+    order = [(None, None, None, dim, 0, k) for dim, k in sizes]
+    assert fuzzer._shared_chunks(order) == expected
+
+
+def test_threaded_blas_keeps_large_matrices_on_the_caller(graders, monkeypatch):
+    # With BLAS on two threads, n = 32 chunks stay on the caller, while the
+    # n = 8 chunk of 40 trials (2560 entries) is still shared.
+    monkeypatch.setattr(fuzzer, "_blas_threads", lambda: 2)
+    targets = (("thm-2.7", "ginibre"), ("thm-2.5-plus", "hermitian"))
+    graders(1)
+    alone = campaign_bytes(small_config(targets=targets, dims=(8, 32), trials_per_dim=40))
+    names = graders(2)
+    campaign_bytes(small_config(targets=targets, dims=(32,), trials_per_dim=40))
+    assert names == {"MainThread"}
+    names = graders(2)
+    shared = campaign_bytes(small_config(targets=targets, dims=(8, 32), trials_per_dim=40))
+    assert names == {"MainThread", "svineq-grader"}
+    assert shared == alone
+
+
 OVERFLOW_TARGETS = (
     ("thm-2.8", "ginibre"),
     ("thm-2.7", "ginibre"),
@@ -331,7 +369,7 @@ def test_worker_raises_a_chunk_error_at_that_chunk_turn(graders, monkeypatch):
     def failing(entry, first_trial, mats, tol):
         if first_trial == 4:
             raise NotPSD("planted")
-        if threading.current_thread().name == "svineq-grader":
+        if threading.current_thread() is not threading.main_thread():
             time.sleep(0.1)
         return check_chunk(entry, first_trial, mats, tol)
 
@@ -350,6 +388,30 @@ def test_worker_raises_a_chunk_error_at_that_chunk_turn(graders, monkeypatch):
             run_campaign(config)
         assert folded == [0, 2]
         assert threading.active_count() == before
+
+
+def test_interrupt_while_grading_ahead_stops_the_campaign_at_once(graders, monkeypatch):
+    # The caller grades chunks ahead of their turn while the worker is busy.
+    # A KeyboardInterrupt there ends the campaign at once: it is not held
+    # for that chunk's turn, where the worker's error on an earlier chunk
+    # would be raised in its place.
+    check_chunk = fuzzer._check_chunk
+
+    def failing(entry, first_trial, mats, tol):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.2)
+            raise FloatingPointError("planted")
+        if first_trial:
+            raise KeyboardInterrupt
+        return check_chunk(entry, first_trial, mats, tol)
+
+    monkeypatch.setattr(fuzzer, "_check_chunk", failing)
+    config = small_config(targets=(("thm-2.7", "ginibre"),) * 4, dims=(32,), trials_per_dim=2)
+    before = threading.active_count()
+    graders(2)
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign(config)
+    assert threading.active_count() == before
 
 
 def test_violating_target_stores_replayable_worst_witness():

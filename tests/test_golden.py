@@ -17,7 +17,6 @@ for a change that is meant to alter the numerics:
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import io
 import os
 import sys
@@ -131,30 +130,11 @@ def documents(tmp: Path):
 GOLDEN_NAMES = [name for name, _ in documents(Path("."))]
 
 
-def openblas_threads() -> int | None:
-    """Threads of the loaded OpenBLAS, asked through its own API; None
-    where no OpenBLAS can be found."""
-    try:
-        with open("/proc/self/maps") as maps:
-            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for lib in libs:
-        handle = ctypes.CDLL(lib)
-        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                    "openblas_get_num_threads"):
-            fn = getattr(handle, sym, None)
-            if fn is not None:
-                fn.restype = ctypes.c_int
-                return int(fn())
-    return None
-
-
 def test_blas_is_pinned_to_one_thread():
     # The goldens were written with one BLAS thread; conftest.py pins it
     # before numpy loads BLAS, which reads the setting only then.
     assert all(os.environ[var] == "1" for var in BLAS_THREAD_VARS)
-    threads = openblas_threads()
+    threads = fuzzer._blas_threads()
     if threads is None:
         pytest.skip("numpy's BLAS is not an OpenBLAS this test can ask")
     assert threads == 1
