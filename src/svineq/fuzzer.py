@@ -77,8 +77,10 @@ CHUNK_ELEMENTS = 1 << 14
 THREAD_ELEMENTS = 2048
 
 # Largest dimension whose chunks the worker takes when BLAS may run more
-# than one thread: from n = 32 on, BLAS spreads a chunk's kernels over the
-# CPUs itself, and a second grader made campaigns slower on the same box.
+# than one thread.  On the same box with two BLAS threads, the worker made
+# campaigns 1.5-1.9x faster up to n = 16 and 1.2x at n = 24; from n = 32
+# on, BLAS spreads a chunk's kernels over the CPUs itself, and the worker
+# made them slower.
 THREADED_BLAS_DIM = 16
 
 # Chunks the graders may run ahead of the one the caller folds next, so at
