@@ -118,7 +118,7 @@ def _write_out(path: str | None, text: str) -> None:
 
 def _tolerance(args) -> Tolerance:
     try:
-        return Tolerance(tol_abs=args.tol_abs, tol_rel=args.tol_rel)
+        return Tolerance(tol_rel=args.tol_rel)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -246,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check one inequality on matrix files")
     p_verify.add_argument("ineq", help="inequality id (see README for the catalog)")
     p_verify.add_argument("files", nargs="+", help="matrix JSON files")
-    p_verify.add_argument("--tol-abs", type=float, default=DEFAULT_TOL.tol_abs)
     p_verify.add_argument("--tol-rel", type=float, default=DEFAULT_TOL.tol_rel)
     p_verify.add_argument("--out", help="also write the report document to this file")
     p_verify.set_defaults(func=cmd_verify)
@@ -266,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--dims", default="2,3,5,8", help='e.g. "2..6" or "2,3,5,8"')
     p_fuzz.add_argument("--trials", type=int, default=100, help="trials per dimension")
     p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--tol-abs", type=float, default=DEFAULT_TOL.tol_abs)
     p_fuzz.add_argument("--tol-rel", type=float, default=DEFAULT_TOL.tol_rel)
     p_fuzz.add_argument("--out", help="write the campaign document to this file")
     p_fuzz.set_defaults(func=cmd_fuzz)

@@ -25,10 +25,11 @@ sides test a Loewner inequality ``X <= Y``; their per-index entries are
 the ascending eigenvalues of ``Y - X`` (so ``j = 1`` is the decisive one)
 with ``lhs = 0``.
 
-The effective tolerance of a report is
-``tol_abs + tol_rel * max(1, scale)`` where ``scale`` is the largest
-leading singular value (spectrum sides) or difference norm (order sides)
-over all sides.
+The effective tolerance of a report is ``tol_rel * scale``, where
+``scale`` is the largest side scale: the larger leading singular value of
+a spectrum side, the larger Frobenius norm of the two operands of an order
+side.  Both scale with the inputs the way the margins do, so the verdict
+does not depend on the units of the inputs.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ class MarginSide:
 
     ``kind`` is "spectrum" for singular-value comparisons and "order" for
     Loewner comparisons.  ``scale`` feeds the report tolerance: the larger
-    head value for spectra, the Frobenius norm of the difference for
-    orders.
+    head value for spectra, the larger Frobenius norm of the two operands
+    for orders.
     """
 
     label: str
@@ -216,15 +217,16 @@ def _spectrum_side(label: str, lhs: np.ndarray, rhs: np.ndarray) -> SideBatch:
 
 
 def _order_side(label: str, x: np.ndarray, y: np.ndarray) -> SideBatch:
-    """Loewner side X <= Y, graded by the ascending spectrum of Y - X."""
-    diff = _herm(y) - _herm(x)
+    """Loewner side X <= Y, graded by the ascending spectrum of Y - X at
+    the scale of X and Y, to which the rounding in Y - X is relative."""
+    hx, hy = _herm(x), _herm(y)
+    diff = hy - hx
     eigs = _eigvalsh(diff)
     zero = _zero_slices(diff)
     if zero is not None:
         eigs[zero] = 0.0
-    return SideBatch(
-        label, "order", np.zeros_like(eigs), eigs, eigs, _fro(diff), eigs[:, 0].copy()
-    )
+    scale = np.maximum(_fro(hx), _fro(hy))
+    return SideBatch(label, "order", np.zeros_like(eigs), eigs, eigs, scale, eigs[:, 0].copy())
 
 
 @dataclass(slots=True)
@@ -309,9 +311,8 @@ def _grade(ineq_id: str, dims: tuple[int, ...], graded: Graded, tol: Tolerance, 
     residuals = {k: v for _, backing in graded.hypotheses.values() for k, v in backing.items()}
     # Sides are combined in order.  The minimum margin keeps the first of
     # equal values, as min over a sequence does (0.0 before -0.0 stays
-    # 0.0); the scale only enters the tolerance through max(1, scale).  A
-    # side absent from a trial holds NaN there, which fmax and the strict
-    # comparison pass over.  The first side is never absent.
+    # 0.0).  A side absent from a trial holds NaN there, which fmax and the
+    # strict comparison pass over.  The first side is never absent.
     first, *rest = sides
     scale, min_margin = first.scale, first.min_margin
     for side in rest:
@@ -337,7 +338,7 @@ def _core_scalar(mats, tol) -> Graded:
     reals = []
     for m in mats:
         z = m[:, 0, 0]
-        if np.any(np.abs(z.imag) > 1e-12 * np.maximum(1.0, np.abs(z))):
+        if np.any(np.abs(z.imag) > 1e-12 * np.abs(z)):
             raise ValueError("scalar-1.6 takes real scalars; imaginary part is not negligible")
         reals.append(z.real)
     a, b = reals

@@ -33,12 +33,12 @@ import numpy as np
 MAX_DIM = 64
 
 # Inputs to Hermitian-only operations may deviate from exact Hermitian
-# symmetry by this much, relative to max(1, ||M||_F); beyond it they are
-# rejected rather than silently symmetrised.
+# symmetry by this much times ||M||_F; beyond it they are rejected rather
+# than silently symmetrised.
 HERMITIAN_RTOL = 1e-12
 
-# Eigenvalues of a nominally PSD matrix within this (relative) band below
-# zero are clamped to zero; anything lower means the matrix is not PSD.
+# Eigenvalues of a nominally PSD matrix M down to this much times -||M||_F
+# are clamped to zero; anything lower means the matrix is not PSD.
 PSD_CLAMP_RTOL = 1e-12
 
 
@@ -68,36 +68,33 @@ class ToleranceOverflow(ValueError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Scale-aware comparison tolerance.
+    """Relative comparison tolerance.
 
-    A quantity at scale ``s`` is compared against
-    ``tol_abs + tol_rel * max(1, s)`` so that tiny and large problems are
-    treated uniformly.  ``effective`` also takes an array of scales.
+    A quantity at scale ``s``, the size of the operands it is computed
+    from, is compared against ``tol_rel * s``.  Every statement graded
+    here is positively homogeneous, so this makes a verdict independent of
+    the units of the inputs.  ``effective`` also takes an array of scales.
     """
 
-    tol_abs: float = 1e-12
     tol_rel: float = 1e-9
 
     def __post_init__(self):
-        for name in ("tol_abs", "tol_rel"):
-            value = getattr(self, name)
-            if not 0 <= value < np.inf:
-                raise ValueError(f"{name} must be a nonnegative finite number, got {value!r}")
+        if not 0 <= self.tol_rel < np.inf:
+            raise ValueError(f"tol_rel must be a nonnegative finite number, got {self.tol_rel!r}")
 
     def effective(self, scale):
         """The tolerance at ``scale``.  Raises ToleranceOverflow where a
         finite scale gives an infinite tolerance; a non-finite scale is
         the kernel's overflow, which its callers report."""
         with np.errstate(over="ignore"):
-            tol = self.tol_abs + self.tol_rel * np.maximum(1.0, scale)
+            tol = self.tol_rel * scale
         if not np.isfinite(tol).all():
             bad = ~np.isfinite(tol) & np.isfinite(scale)
             if bad.any():
                 at = float(np.broadcast_to(scale, bad.shape)[bad][0])
                 raise ToleranceOverflow(
-                    f"tolerance overflows: tol_abs + tol_rel * max(1, scale) is not finite"
-                    f" for tol_abs={self.tol_abs!r}, tol_rel={self.tol_rel!r}"
-                    f" at scale {at:.6g}"
+                    f"tolerance overflows: tol_rel * scale is not finite"
+                    f" for tol_rel={self.tol_rel!r} at scale {at:.6g}"
                 )
         return tol
 
@@ -198,7 +195,7 @@ def _require_hermitian(x: np.ndarray, name: str = "matrix") -> tuple[np.ndarray,
     adj = _adj(x)
     norm = _fro(x)
     defect = _fro(x - adj)
-    bad = defect > HERMITIAN_RTOL * np.maximum(1.0, norm)
+    bad = defect > HERMITIAN_RTOL * norm
     if np.count_nonzero(bad):
         raise NotHermitian(f"{name} is not Hermitian (defect {defect[bad.argmax()]:.3e})")
     return (x + adj) / 2.0, norm
@@ -255,7 +252,7 @@ def psd_sqrt(x: np.ndarray) -> np.ndarray:
     genuinely negative spectrum raises NotPSD.
     """
     w, v, norm = hermitian_eig(x)
-    clamp = PSD_CLAMP_RTOL * np.maximum(1.0, norm)
+    clamp = PSD_CLAMP_RTOL * norm
     bad = w[:, 0] < -clamp
     if np.count_nonzero(bad):
         i = bad.argmax()
@@ -318,9 +315,10 @@ def loewner_leq(x: np.ndarray, y: np.ndarray, tol: Tolerance):
 
     Both operands must be Hermitian within round-off.  ``min_eig`` is the
     smallest eigenvalue of Y - X; the order holds where it is at least
-    ``-tol_used``, the tolerance at the scale of ||Y - X||_F.
+    ``-tol_used``, the tolerance at max(||X||_F, ||Y||_F).  The scale is
+    that of the operands, not of Y - X, because the rounding in Y - X is
+    relative to X and Y.
     """
-    hx, _ = _require_hermitian(x, "left operand")
-    hy, _ = _require_hermitian(y, "right operand")
-    diff = hy - hx
-    return _min_eig(diff), tol.effective(_fro(diff))
+    hx, norm_x = _require_hermitian(x, "left operand")
+    hy, norm_y = _require_hermitian(y, "right operand")
+    return _min_eig(hy - hx), tol.effective(np.maximum(norm_x, norm_y))

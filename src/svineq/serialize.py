@@ -127,11 +127,11 @@ def parse_matrix_text(text: str) -> np.ndarray:
 
 
 def tolerance_to_json(tol: Tolerance) -> dict[str, float]:
-    return {"tol_abs": tol.tol_abs, "tol_rel": tol.tol_rel}
+    return {"tol_rel": tol.tol_rel}
 
 
 def tolerance_from_json(doc) -> Tolerance:
-    return Tolerance(tol_abs=float(doc["tol_abs"]), tol_rel=float(doc["tol_rel"]))
+    return Tolerance(tol_rel=float(doc["tol_rel"]))
 
 
 def _side_to_json(side: MarginSide) -> dict[str, Any]:
@@ -250,27 +250,10 @@ def _histogram_to_json(h: MarginHistogram) -> dict[str, Any]:
     }
 
 
-def _histogram_from_json(doc) -> MarginHistogram:
-    h = MarginHistogram()
-    h.counts = [int(c) for c in doc["counts"]]
-    h.underflow = int(doc["underflow"])
-    h.overflow = int(doc["overflow"])
-    return h
-
-
 def _side_stats_to_json(stats: dict[str, SideStats]) -> dict[str, Any]:
     return {
         label: {"min_margin": s.min_margin, "max_abs_margin": s.max_abs_margin}
         for label, s in stats.items()
-    }
-
-
-def _side_stats_from_json(doc) -> dict[str, SideStats]:
-    return {
-        label: SideStats(
-            min_margin=float(s["min_margin"]), max_abs_margin=float(s["max_abs_margin"])
-        )
-        for label, s in doc.items()
     }
 
 
@@ -291,25 +274,6 @@ def _target_to_json(t: TargetResult) -> dict[str, Any]:
     }
 
 
-def _target_from_json(doc) -> TargetResult:
-    return TargetResult(
-        ineq_id=doc["id"],
-        class_tag=doc["class"],
-        dims=tuple(int(d) for d in doc["dims"]),
-        trials=int(doc["trials"]),
-        holds=int(doc["holds"]),
-        violated=int(doc["violated"]),
-        hypothesis_violated=int(doc["hypothesis_violated"]),
-        expected_to_hold=bool(doc["expected_to_hold"]),
-        min_margin=None if doc["min_margin"] is None else float(doc["min_margin"]),
-        histogram=_histogram_from_json(doc["histogram"]),
-        side_stats=_side_stats_from_json(doc["side_stats"]),
-        worst_witness=None
-        if doc["worst_witness"] is None
-        else witness_from_json(doc["worst_witness"]),
-    )
-
-
 def config_to_json(config: CampaignConfig) -> dict[str, Any]:
     return {
         "targets": [[ineq_id, class_tag] for ineq_id, class_tag in config.targets],
@@ -321,17 +285,6 @@ def config_to_json(config: CampaignConfig) -> dict[str, Any]:
     }
 
 
-def config_from_json(doc) -> CampaignConfig:
-    return CampaignConfig(
-        targets=tuple((t[0], t[1]) for t in doc["targets"]),
-        dims=tuple(int(d) for d in doc["dims"]),
-        trials_per_dim=int(doc["trials_per_dim"]),
-        seed=int(doc["seed"]),
-        scale=float(doc.get("scale", 1.0)),
-        tol=tolerance_from_json(doc["tol"]),
-    )
-
-
 def campaign_document(result: CampaignResult) -> dict[str, Any]:
     return document(
         "campaign",
@@ -339,15 +292,6 @@ def campaign_document(result: CampaignResult) -> dict[str, Any]:
             "config": config_to_json(result.config),
             "results": [_target_to_json(t) for t in result.targets],
         },
-    )
-
-
-def campaign_from_document(doc) -> CampaignResult:
-    if not isinstance(doc, dict) or doc.get("kind") != "campaign":
-        raise ValueError('expected a document with "kind": "campaign"')
-    return CampaignResult(
-        config=config_from_json(doc["config"]),
-        targets=tuple(_target_from_json(t) for t in doc["results"]),
     )
 
 

@@ -126,15 +126,15 @@ def test_verify_integer_outside_float_range_exit_3(tmp_path, capsys):
 
 
 def test_verify_negative_tolerance_exit_3(normal_file, capsys):
-    rc = main(["verify", "thm-2.1", normal_file, "--tol-abs", "-1"])
+    rc = main(["verify", "thm-2.1", normal_file, "--tol-rel", "-1"])
     assert rc == 3
 
 
 def test_infinite_tolerance_exit_3(normal_file, capsys):
     # An infinite tolerance is a usage error that names the tolerance, not
     # a kernel overflow (verify) or a target that cannot be graded (fuzz).
-    assert main(["verify", "thm-2.1", normal_file, "--tol-abs", "inf"]) == 3
-    assert "error: tol_abs must be a nonnegative finite number" in capsys.readouterr().err
+    assert main(["verify", "thm-2.1", normal_file, "--tol-rel", "inf"]) == 3
+    assert "error: tol_rel must be a nonnegative finite number" in capsys.readouterr().err
     assert main(["fuzz", "--ineq", "thm-2.7", "--tol-rel", "inf", "--trials", "1"]) == 3
     assert "error: tol_rel must be a nonnegative finite number" in capsys.readouterr().err
 

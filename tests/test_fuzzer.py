@@ -187,7 +187,7 @@ def test_large_scale_campaign_is_graded():
 
 
 def test_overflowing_tolerance_is_config_invalid():
-    config = small_config(targets=(("thm-2.7", "ginibre"),), tol=Tolerance(0.0, 1e308))
+    config = small_config(targets=(("thm-2.7", "ginibre"),), tol=Tolerance(1e308))
     with pytest.raises(ConfigInvalid, match="tolerance overflows.*tol_rel=1e\\+308"):
         run_campaign(config)
 

@@ -6,6 +6,7 @@ from running the checker and copying its output.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,10 +27,12 @@ from svineq.numkernel import (
     DEFAULT_TOL,
     DimensionMismatch,
     InvalidMatrix,
+    NoConvergence,
     NotHermitian,
     Tolerance,
 )
 from svineq.randgen import prng_stream
+from svineq.serialize import loads_strict, witness_from_document
 
 from conftest import PAULI_X, SHIFT_2, cartesian_parts, direct_sum, draw, frobenius_norm, mat
 
@@ -864,6 +867,89 @@ def test_scale_covariance_degree_two(seed, n, c):
         assert y == pytest.approx(c2 * x, rel=1e-9, abs=1e-12)
 
 
+# --- scale invariance ---------------------------------------------------------------
+#
+# Every catalog statement is positively homogeneous, so scaling all inputs
+# by c > 0 must not change its outcome.  Scaling by an exact power of two
+# scales every margin, scale and residual exactly, away from overflow and
+# subnormals, so the outcome at 2^k must be the outcome at 1 bit for bit.
+
+SEARCH_WITNESSES = {
+    path.stem: witness_from_document(loads_strict(path.read_text()))
+    for path in sorted((Path(__file__).parent / "golden").glob("search-*.json"))
+}
+
+
+def outcome(ineq_id, inputs):
+    """(verdict, skipped sides) of a check with finite margins, or the class
+    of the error the check raises."""
+    try:
+        rep = check(ineq_id, inputs)
+    except (ValueError, NoConvergence) as exc:
+        return type(exc)
+    assert all(math.isfinite(e.margin) for side in rep.sides for e in side.entries)
+    return rep.verdict, rep.skipped
+
+
+def drawn_inputs(ineq_id, class_tag, n, seed):
+    """One input set for ``ineq_id``, drawn as a campaign draws it."""
+    entry = catalog_entry(ineq_id)
+    class_tag = class_tag or entry.canonical_class
+    plan = _input_plan(entry, class_tag)
+    stream = prng_stream(seed, np.zeros(1, dtype=np.uint64))
+    return [m[0] for m in _build_inputs(entry, class_tag, plan, entry.fixed_dim or n, stream, 1.0)]
+
+
+scale_cases = st.one_of(
+    st.sampled_from([(w.ineq_id, w.inputs) for w in SEARCH_WITNESSES.values()]),
+    st.builds(
+        lambda ineq_id, class_tag, n, seed: (ineq_id, drawn_inputs(ineq_id, class_tag, n, seed)),
+        st.sampled_from(catalog_ids()),
+        st.sampled_from([None, "ginibre", "hermitian"]),
+        st.sampled_from([1, 2, 3, 8]),
+        seeds,
+    ),
+)
+
+
+@given(case=scale_cases, k=st.integers(min_value=-200, max_value=200))
+def test_outcome_is_invariant_under_power_of_two_scaling(case, k):
+    # Canonical-class draws of every core id, Ginibre and Hermitian draws
+    # (hypothesis violations, skipped sides, structural rejections), and
+    # the witnesses the searches found.
+    ineq_id, inputs = case
+    c = 2.0**k
+    assert outcome(ineq_id, [c * m for m in inputs]) == outcome(ineq_id, inputs)
+
+
+def test_scaled_down_witness_is_still_violated():
+    # Margin -0.239 at unit scale: a counterexample at every scale.
+    w = SEARCH_WITNESSES["search-thm-2.1-nonnormal"]
+    rep = check(w.ineq_id, [2.0**-40 * m for m in w.inputs])
+    assert rep.verdict is Verdict.VIOLATED
+    assert rep.min_margin == 2.0**-40 * check(w.ineq_id, w.inputs).min_margin
+
+
+@given(seed=seeds)
+def test_commuting_pair_at_large_scale_holds(seed):
+    # (A1 + A2)^2 <= 2(A1^2 + A2^2) has gap (A1 - A2)^2, at round-off here.
+    # The rounding in Y - X is relative to X and Y, not to ||Y - X||_F.
+    (a,) = draw("hermitian", 4, seed)
+    a = 2.0**30 * a
+    assert check("proof-facts-2.1", (a, (1 + 1e-12) * a)).verdict is Verdict.HOLDS
+
+
+def test_scaled_down_non_hermitian_input_is_rejected():
+    # The Hermitian test is relative to ||A||_F at every scale.
+    with pytest.raises(NotHermitian):
+        check("thm-2.5-plus", (2.0**-50 * SHIFT_2,))
+
+
+def test_scaled_down_imaginary_scalar_is_rejected():
+    with pytest.raises(ValueError, match="real scalars"):
+        check("scalar-1.6", [mat([[(1 + 0.5j) * 2.0**-50]]), mat([[2.0**-50]])])
+
+
 @given(
     seed=seeds,
     n=dims,
@@ -872,7 +958,7 @@ def test_scale_covariance_degree_two(seed, n, c):
 )
 def test_verdict_monotone_in_tolerance(seed, n, t1, t2):
     # Holds at a tight tolerance implies Holds at any looser one.
-    lo, hi = Tolerance(tol_abs=t1, tol_rel=t1), Tolerance(tol_abs=max(t1, t2), tol_rel=max(t1, t2))
+    lo, hi = Tolerance(tol_rel=t1), Tolerance(tol_rel=max(t1, t2))
     (g,) = draw("ginibre", n, seed)
     tight = check("loewner-cartesian-general", (g,), lo)
     loose = check("loewner-cartesian-general", (g,), hi)

@@ -81,26 +81,25 @@ def test_as_matrix_dimension_bounds():
 
 
 def test_tolerance_defaults_and_effective():
-    assert DEFAULT_TOL == Tolerance(tol_abs=1e-12, tol_rel=1e-9)
-    assert DEFAULT_TOL.effective(0.0) == 1e-12 + 1e-9
-    assert DEFAULT_TOL.effective(100.0) == pytest.approx(1e-12 + 1e-7)
-    # the relative part never shrinks below scale 1
-    assert Tolerance(0.0, 1e-9).effective(0.5) == 1e-9
+    assert DEFAULT_TOL == Tolerance(tol_rel=1e-9)
+    assert DEFAULT_TOL.effective(0.0) == 0.0
+    assert DEFAULT_TOL.effective(100.0) == pytest.approx(1e-7)
+    # homogeneous: no floor below unit scale
+    assert Tolerance(1e-9).effective(0.5) == 0.5e-9
+    assert Tolerance(1e-9).effective(2.0**-600) == 1e-9 * 2.0**-600
 
 
 def test_tolerance_rejects_negative():
     with pytest.raises(ValueError):
-        Tolerance(tol_abs=-1e-12, tol_rel=0.0)
+        Tolerance(tol_rel=-1e-12)
     with pytest.raises(ValueError):
-        Tolerance(tol_abs=0.0, tol_rel=-1.0)
+        Tolerance(tol_rel=-1.0)
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan"), float("1e999")])
 def test_tolerance_rejects_non_finite(bad):
-    with pytest.raises(ValueError, match="tol_abs must be a nonnegative finite number"):
-        Tolerance(tol_abs=bad, tol_rel=0.0)
     with pytest.raises(ValueError, match="tol_rel must be a nonnegative finite number"):
-        Tolerance(tol_abs=0.0, tol_rel=bad)
+        Tolerance(tol_rel=bad)
 
 
 # --- elementary operations ---------------------------------------------------
