@@ -19,6 +19,7 @@ the eigensolver does not converge, ``NoConvergence``), 4 search exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -131,8 +132,8 @@ def cmd_verify(args) -> int:
     mats = []
     for name in args.files:
         try:
-            text = Path(name).read_text()
-        except OSError as exc:
+            text = Path(name).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise _UsageError(f"cannot read {name}: {exc}") from None
         try:
             mats.append(parse_matrix_text(text))
@@ -238,7 +239,15 @@ def cmd_search(args) -> int:
 # --- parser / dispatch ---------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``svineq`` parser, built on the first call and shared after it.
+
+    Parsing leaves the parser unchanged and gives each call a fresh
+    namespace, so repeated ``main`` calls in one process share it.  Each
+    subcommand's ``func`` default is bound when the parser is built: a
+    ``cmd_*`` function replaced on this module afterwards is not called.
+    """
     parser = _Parser(prog="svineq", description=__doc__)
     parser.add_argument("--version", action="version", version=f"svineq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

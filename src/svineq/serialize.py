@@ -118,7 +118,7 @@ def matrix_from_json(doc) -> np.ndarray:
 def parse_matrix_text(text: str) -> np.ndarray:
     try:
         doc = loads_strict(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidMatrix(f"not valid JSON: {exc}") from exc
     return matrix_from_json(doc)
 

@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour: exit codes, output documents, determinism."""
 
+import argparse
 import dataclasses
+import gc
 import os
 import shutil
 import subprocess
@@ -123,6 +125,27 @@ def test_verify_integer_outside_float_range_exit_3(tmp_path, capsys):
     assert rc == 3
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "big.json" in captured.err
+
+
+def test_verify_deeply_nested_file_exit_3(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    rc = main(["verify", "thm-2.7", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: not valid JSON: ")
+    assert "Traceback" not in captured.err
+
+
+def test_verify_non_utf8_file_exit_3(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 1, "entries": [[[1, 0]]]} \xff')
+    rc = main(["verify", "thm-2.7", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
 
 
 def test_verify_negative_tolerance_exit_3(normal_file, capsys):
@@ -529,6 +552,77 @@ def test_unknown_subcommand_exit_3(capsys):
     assert main(["frobnicate"]) == 3
 
 
+# --- one parser per process ------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FUZZ_SMALL = ["fuzz", "--ineq", "all", "--dims", "2,3,5,8", "--trials", "8", "--seed", "0"]
+SEARCH_LOEWNER = ["search", "--target", "loewner-cartesian-general", "--seed", "0"]
+
+
+def run_main(argv, capsys) -> tuple[int, str]:
+    rc = main(argv)
+    return rc, capsys.readouterr().out
+
+
+def test_fuzz_tolerance_does_not_carry_to_next_call(capsys):
+    first = run_main(FUZZ_SMALL, capsys)
+    assert first[1].endswith((GOLDEN / "fuzz-small.json").read_text())
+    rc, out = run_main([*FUZZ_SMALL, "--tol-rel", "1e-6"], capsys)
+    assert rc == 0 and '"tol_rel": 1e-06' in out
+    assert run_main(FUZZ_SMALL, capsys) == first
+
+
+def test_verify_out_does_not_carry_to_next_call(ex22_file, tmp_path, capsys):
+    argv = ["verify", "loewner-cartesian", ex22_file]
+    first = run_main(argv, capsys)
+    assert first == (1, (GOLDEN / "verify-loewner-cartesian-n2.txt").read_text())
+    out_path = tmp_path / "report.json"
+    assert run_main([*argv, "--out", str(out_path)], capsys) == first
+    out_path.unlink()
+    assert run_main(argv, capsys) == first
+    assert not out_path.exists()
+
+
+def test_usage_error_does_not_carry_to_next_call(capsys):
+    first = run_main(SEARCH_LOEWNER, capsys)
+    assert first[0] == 0
+    assert first[1].endswith((GOLDEN / "search-loewner-cartesian-general.json").read_text())
+    assert main(["search", "--target", "loewner-cartesian-general", "--budget", "x"]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert run_main(SEARCH_LOEWNER, capsys) == first
+
+
+def test_warm_main_leaves_no_argparse_garbage(normal_file, capsys):
+    # Building a parser leaves HelpFormatter/_Section reference cycles;
+    # once the parser is shared, a call leaves none for the collector.
+    calls = [
+        SEARCH_LOEWNER,
+        ["verify", "thm-2.1", normal_file],
+        ["fuzz", "--ineq", "thm-2.1", "--dims", "2", "--trials", "2"],
+    ]
+    argparse_types = (
+        argparse.HelpFormatter,
+        argparse.HelpFormatter._Section,
+        argparse.Action,
+        argparse.ArgumentParser,
+    )
+    for argv in calls:
+        assert main(argv) == 0
+    gc.collect()
+    saved_flags = gc.get_debug()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in calls:
+            assert main(argv) == 0
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage if isinstance(o, argparse_types)]
+    finally:
+        gc.set_debug(saved_flags)
+        gc.garbage.clear()
+    assert leaked == []
+
+
 def _subprocess_env() -> dict:
     # A child interpreter imports the package this suite imported, whether
     # it came from PYTHONPATH or from pytest's own ``pythonpath`` setting.
@@ -569,3 +663,17 @@ def test_console_script_help():
         proc = subprocess.run(command, capture_output=True, text=True, env=_subprocess_env())
         assert proc.returncode == 0
         assert "verify" in proc.stdout and "search" in proc.stdout
+
+
+def test_import_loads_no_thread_pool_or_logging():
+    # fuzzer imports concurrent.futures (and with it logging) only when a
+    # campaign grades on two threads, which keeps it off every start-up.
+    probe = (
+        "import sys, svineq.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

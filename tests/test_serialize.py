@@ -105,10 +105,17 @@ MALFORMED = [
     ('{"n": 1, "entries": [[[1e400,0]]]}', "matrix has non-finite entries"),
     ("[1,2,3]", "matrix document must be a JSON object"),
     ("not json", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    (  # nested deeper than the decoder's recursion limit
+        "[" * 100000 + "]" * 100000,
+        "not valid JSON: maximum recursion depth exceeded while decoding a JSON array"
+        " from a unicode string",
+    ),
 ]
+# A payload names its case, shortened when it is too long to read.
+MALFORMED_IDS = [p if len(p) <= 80 else f"{p[:8]}...({len(p)} chars)" for p, _ in MALFORMED]
 
 
-@pytest.mark.parametrize("payload, message", MALFORMED, ids=[p for p, _ in MALFORMED])
+@pytest.mark.parametrize("payload, message", MALFORMED, ids=MALFORMED_IDS)
 def test_parse_matrix_text_rejects_malformed(payload, message):
     with pytest.raises(InvalidMatrix) as info:
         parse_matrix_text(payload)
