@@ -24,35 +24,16 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .fixtures import FIXTURE_KEYS, reproduce
+from .fixtures import FIXTURE_KEYS, _fmt, reproduce
 from .fuzzer import (
     CampaignConfig,
-    ConfigInvalid,
-    MalformedWitness,
     SEARCH_TARGET_IDS,
     SearchTarget,
     run_campaign,
     search_counterexample,
 )
-from .inequalities import (
-    ArityMismatch,
-    Tolerance,
-    UnknownInequality,
-    Verdict,
-    catalog_entry,
-    catalog_ids,
-    check,
-)
-from .numkernel import (
-    DEFAULT_TOL,
-    DimensionMismatch,
-    InvalidMatrix,
-    MAX_DIM,
-    NoConvergence,
-    NotHermitian,
-    NotPSD,
-)
-from .randgen import InvalidSpec
+from .inequalities import Tolerance, Verdict, catalog_entry, catalog_ids, check
+from .numkernel import DEFAULT_TOL, InvalidMatrix, MAX_DIM, NoConvergence, NotHermitian, NotPSD
 from .serialize import (
     campaign_document,
     dumps,
@@ -75,7 +56,7 @@ _VERDICT_EXIT = {
 }
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -84,26 +65,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
-
-
 def _parse_dims(text: str) -> tuple[int, ...]:
     text = text.strip()
     try:
         if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if lo > hi:
-                raise _UsageError(f"empty dimension range {text!r}")
-            # A range outside 1..MAX_DIM is reported by its bounds, before
-            # any list of that length is built.
-            in_bounds = 1 <= lo and hi <= MAX_DIM
-            dims = list(range(lo, hi + 1)) if in_bounds else [lo, hi]
+            lo, hi = map(int, text.split("..", 1))
         else:
             dims = [int(p) for p in text.split(",") if p.strip() != ""]
     except ValueError:
         raise _UsageError(f"cannot parse dimensions {text!r}") from None
+    if ".." in text:
+        if lo > hi:
+            raise _UsageError(f"empty dimension range {text!r}")
+        # A range outside 1..MAX_DIM is reported by its bounds, before any
+        # list of that length is built.
+        dims = list(range(lo, hi + 1)) if 1 <= lo and hi <= MAX_DIM else [lo, hi]
     if not dims:
         raise _UsageError(f"no dimensions in {text!r}")
     for d in dims:
@@ -117,18 +93,22 @@ def _write_out(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _tolerance(args) -> Tolerance:
-    try:
-        return Tolerance(tol_rel=args.tol_rel)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+def _out_or_stdout(path: str | None, lines: list[str], text: str) -> None:
+    """Print ``lines``, then write ``text`` to the file ``path`` or, without
+    one, to stdout.  The file is written first, so that a failed write
+    prints nothing."""
+    _write_out(path, text)
+    for line in lines:
+        print(line)
+    if not path:
+        sys.stdout.write(text)
 
 
 # --- verify ------------------------------------------------------------------
 
 
 def cmd_verify(args) -> int:
-    tol = _tolerance(args)
+    tol = Tolerance(tol_rel=args.tol_rel)
     mats = []
     for name in args.files:
         try:
@@ -145,8 +125,8 @@ def cmd_verify(args) -> int:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS_VIOLATED
     text = dumps(report_document(report, tol))
-    sys.stdout.write(text)
     _write_out(args.out, text)
+    sys.stdout.write(text)
     return _VERDICT_EXIT[report.verdict]
 
 
@@ -155,10 +135,9 @@ def cmd_verify(args) -> int:
 
 def cmd_repro(args) -> int:
     lines, doc, reproduced = reproduce(args.fixture)
-    for line in lines:
-        print(line)
-    print(dumps_compact(doc))
     _write_out(args.out, dumps(doc))
+    for line in [*lines, dumps_compact(doc)]:
+        print(line)
     return EXIT_HOLDS if reproduced else EXIT_VIOLATED
 
 
@@ -183,7 +162,7 @@ def _fuzz_targets(args) -> tuple[tuple[str, str], ...]:
 
 
 def cmd_fuzz(args) -> int:
-    tol = _tolerance(args)
+    tol = Tolerance(tol_rel=args.tol_rel)
     config = CampaignConfig(
         targets=_fuzz_targets(args),
         dims=_parse_dims(args.dims),
@@ -192,21 +171,18 @@ def cmd_fuzz(args) -> int:
         tol=tol,
     )
     result = run_campaign(config)
+    lines = []
     for t in result.targets:
         mm = "n/a" if t.min_margin is None else _fmt(t.min_margin)
         flag = "" if t.expected_to_hold else " (violations expected)"
-        print(
+        lines.append(
             f"{t.ineq_id} class={t.class_tag} dims={','.join(map(str, t.dims))}"
             f" trials={t.trials} holds={t.holds} violated={t.violated}"
             f" hypothesis_violated={t.hypothesis_violated} min_margin={mm}{flag}"
         )
     unexpected = result.unexpected_violations()
-    print(f"campaign: {len(result.targets)} target(s), {unexpected} unexpected violation(s)")
-    text = dumps(campaign_document(result))
-    if args.out:
-        _write_out(args.out, text)
-    else:
-        sys.stdout.write(text)
+    lines.append(f"campaign: {len(result.targets)} target(s), {unexpected} unexpected violation(s)")
+    _out_or_stdout(args.out, lines, dumps(campaign_document(result)))
     return EXIT_HOLDS if unexpected == 0 else EXIT_VIOLATED
 
 
@@ -224,15 +200,11 @@ def cmd_search(args) -> int:
         )
         return EXIT_EXHAUSTED
     report = witness.report
-    print(
+    found = (
         f"witness found: target={args.target} dim={witness.dim} restart={witness.trial}"
         f" min_margin={_fmt(report.min_margin)} (threshold {_fmt(-10.0 * report.tol_used)})"
     )
-    text = dumps(witness_document(witness))
-    if args.out:
-        _write_out(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _out_or_stdout(args.out, [found], dumps(witness_document(witness)))
     return EXIT_HOLDS
 
 
@@ -294,21 +266,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        UnknownInequality,
-        ArityMismatch,
-        DimensionMismatch,
-        InvalidMatrix,
-        ConfigInvalid,
-        MalformedWitness,
-        InvalidSpec,
-        NoConvergence,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (ValueError, OSError, NoConvergence) as exc:
+        # Usage errors and every error of the package but NoConvergence are
+        # ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .decomp import cartesian
 from .inequalities import InequalityReport, Verdict, check
-from .numkernel import DEFAULT_TOL, Tolerance, abs_op, as_matrix, loewner_leq
+from .numkernel import DEFAULT_TOL, abs_op, as_matrix, loewner_leq
 from .serialize import document, matrix_to_json, report_to_json
 
 FIXTURE_KEYS = ("ex-2.2", "ex-2.3")
@@ -83,26 +83,27 @@ def _head(key: str, a, claimed_a1, claimed_a2, thm_2_1: InequalityReport):
     return a1, a2, a1_ok and a2_ok, lines, fields
 
 
-def _reproduce_ex22(tol: Tolerance) -> tuple[list[str], dict, bool]:
+def _reproduce_ex22() -> tuple[list[str], dict, bool]:
     a = EX_2_2
     a1, a2, parts_ok, lines, fields = _head(
-        "ex-2.2", a, EX_2_2_A1, EX_2_2_A2, check("thm-2.1", (a,), tol)
+        "ex-2.2", a, EX_2_2_A1, EX_2_2_A2, check("thm-2.1", (a,))
     )
-    report = check("loewner-cartesian", (a,), tol)
-    # (min_eig, tol_used) of each comparison; only the as-displayed
-    # reading is in no report.
-    order = {s.label: (s.min_margin, float(tol.effective(s.scale))) for s in report.sides}
+    report = check("loewner-cartesian", (a,))
+    # (min_eig, scale) of each comparison; only the as-displayed reading
+    # is in no report.
+    order = {s.label: (s.min_margin, s.scale) for s in report.sides}
     abs_sum, abs_shown = abs_op(np.stack([a1 + a2, a1 + 1j * a1]))
-    shown = loewner_leq((_INV_SQRT2 * abs_sum)[None], abs_shown[None], tol)
+    eigs, scale = loewner_leq((_INV_SQRT2 * abs_sum)[None], abs_shown[None])
     comparisons = (
-        ("left-as-displayed", "(1/sqrt2)|A1+A2|", "|A1+i*A1|", [float(v[0]) for v in shown]),
+        ("left-as-displayed", "(1/sqrt2)|A1+A2|", "|A1+i*A1|", (eigs[0, 0], scale[0])),
         ("left-corrected", "(1/sqrt2)|A1+A2|", "|A1+i*A2|", order["left"]),
         ("right", "|A1+i*A2|", "|A1|+|A2|", order["right"]),
     )
     claimed = EX_2_2_CLAIMED_HOLDS
     checks = []
     discrepancies = []
-    for name, lhs, rhs, (min_eig, tol_used) in comparisons:
+    for name, lhs, rhs, (min_eig, scale) in comparisons:
+        min_eig, tol_used = float(min_eig), float(DEFAULT_TOL.effective(scale))
         holds = min_eig >= -tol_used
         checks.append(
             {
@@ -174,9 +175,9 @@ def _value(name: str, recomputed: float, oracle: float, claimed: float | None) -
     }
 
 
-def _reproduce_ex23(tol: Tolerance) -> tuple[list[str], dict, bool]:
+def _reproduce_ex23() -> tuple[list[str], dict, bool]:
     a = EX_2_3
-    theorem = check("thm-2.1", (a,), tol)
+    theorem = check("thm-2.1", (a,))
     a1, _, parts_ok, lines, fields = _head("ex-2.3", a, EX_2_3_A1, EX_2_3_A2, theorem)
 
     # Oracle route, independent of the eigensolver: A = A1 + i*I with A1
@@ -262,8 +263,8 @@ def _reproduce_ex23(tol: Tolerance) -> tuple[list[str], dict, bool]:
     return lines, doc, reproduced
 
 
-def reproduce(key: str, tol: Tolerance = DEFAULT_TOL) -> tuple[list[str], dict, bool]:
-    """Recompute example ``key`` (one of ``FIXTURE_KEYS``): the lines to
-    print, the ``repro`` document, and whether the documented claims
-    reproduced as expected."""
-    return {"ex-2.2": _reproduce_ex22, "ex-2.3": _reproduce_ex23}[key](tol)
+def reproduce(key: str) -> tuple[list[str], dict, bool]:
+    """Recompute example ``key`` (one of ``FIXTURE_KEYS``) at the default
+    tolerance: the lines to print, the ``repro`` document, and whether the
+    documented claims reproduced as expected."""
+    return {"ex-2.2": _reproduce_ex22, "ex-2.3": _reproduce_ex23}[key]()

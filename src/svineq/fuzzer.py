@@ -283,13 +283,11 @@ class _TargetAggregator:
         self.class_tag = class_tag
         self.dims = dims
         self.trials = 0
-        self.holds = 0
         self.violated = 0
         self.hypothesis_violated = 0
         self.histogram = MarginHistogram()
         self.side_stats: dict[str, SideStats] = {}
         self.margin_floor = math.inf
-        self.saw_margins = False
         self.worst_violation = math.inf
         self.worst: tuple[int, int, tuple[np.ndarray, ...]] | None = None
 
@@ -311,8 +309,6 @@ class _TargetAggregator:
         self.trials += k
         self.violated += violated
         self.hypothesis_violated += hypothesis_violated
-        self.holds += k - violated - hypothesis_violated
-        self.saw_margins = True
         margins = checked.min_margin
         self.margin_floor = min(self.margin_floor, float(margins[margins.argmin()]))
         for margin in margins.tolist():
@@ -336,22 +332,11 @@ class _TargetAggregator:
         worst_witness = None
         if self.worst is not None:
             trial, dim, inputs = self.worst
-            # Rebuilt through the one-input path, so the stored report is
-            # what replay() recomputes.
-            report = self.entry.run([m[None] for m in inputs], tol).report(0)
-            worst_witness = Witness(
-                ineq_id=self.entry.ineq_id,
-                class_tag=self.class_tag,
-                dim=dim,
-                seed=seed,
-                trial=trial,
-                tol=tol,
-                inputs=inputs,
-                report=report,
-            )
+            worst_witness = _witness(self.entry, self.class_tag, dim, seed, trial, tol, inputs)
         if self.violated:
             min_margin = self.worst_violation
-        elif self.saw_margins:
+        elif math.isfinite(self.margin_floor):
+            # Some trial was graded: every graded margin is finite.
             min_margin = self.margin_floor
         else:
             min_margin = None
@@ -360,7 +345,7 @@ class _TargetAggregator:
             class_tag=self.class_tag,
             dims=self.dims,
             trials=self.trials,
-            holds=self.holds,
+            holds=self.trials - self.violated - self.hypothesis_violated,
             violated=self.violated,
             hypothesis_violated=self.hypothesis_violated,
             expected_to_hold=self.entry.expected_to_hold(self.class_tag),
@@ -369,6 +354,20 @@ class _TargetAggregator:
             side_stats=self.side_stats,
             worst_witness=worst_witness,
         )
+
+
+def _witness(
+    entry: CatalogEntry, class_tag: str, dim: int, seed: int, trial: int, tol: Tolerance,
+    inputs, checked: Checked | None = None,
+) -> Witness:
+    """The witness of ``inputs``, with the report replay() recomputes: that
+    of ``checked`` when it graded ``inputs`` as a stack of one, else one
+    rebuilt through that path.  Most searches hit at restart 0's first
+    point, alone, where grading it again would add about a third to the
+    search."""
+    if checked is None or len(checked) > 1:
+        checked = entry.run([m[None] for m in inputs], tol)
+    return Witness(entry.ineq_id, class_tag, dim, seed, trial, tol, inputs, checked.report(0))
 
 
 def _check_chunk(entry: CatalogEntry, first_trial: int, mats, tol: Tolerance) -> list:
@@ -547,17 +546,20 @@ _DEFAULT_SEARCH_DIMS = {
 SEARCH_TARGET_IDS = tuple(_DEFAULT_SEARCH_DIMS)
 
 
+# Greedy perturbation steps each restart of a search runs at most.
+PERTURB_STEPS = 64
+
+
 @dataclass(frozen=True)
 class SearchTarget:
     """A statement to search for counterexamples of.
 
     ``budget`` counts random restarts; each restart runs up to
-    ``perturb_steps`` greedy perturbation steps.
+    ``PERTURB_STEPS`` greedy perturbation steps.
     """
 
     target_id: str
     budget: int
-    perturb_steps: int = 64
     dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -567,8 +569,6 @@ class SearchTarget:
             )
         if not randgen.is_integer(self.budget) or self.budget < 0:
             raise ConfigInvalid(f"budget must be >= 0, got {self.budget!r}")
-        if not randgen.is_integer(self.perturb_steps) or self.perturb_steps < 0:
-            raise ConfigInvalid(f"perturb_steps must be >= 0, got {self.perturb_steps!r}")
         if self.dims is not None:
             object.__setattr__(self, "dims", _validate_dims(self.dims, "search dims"))
 
@@ -738,24 +738,13 @@ def search_counterexample(target: SearchTarget, seed: int) -> Witness | None:
             if found is not None:
                 restarts = [r for r in restarts if r < found[0]]
             if restarts:
-                found = _search_restarts(entry, seed, restarts, n, target.perturb_steps) or found
+                found = _search_restarts(entry, seed, restarts, n, PERTURB_STEPS) or found
         if found is not None:
             restart, mats, checked, i = found
             inputs = tuple(m[i].copy() for m in mats)
-            if len(checked) > 1:
-                # Rebuilt through the one-input path, so the stored report
-                # is what replay() recomputes.
-                checked, i = entry.run([m[None] for m in inputs], DEFAULT_TOL), 0
-            return Witness(
-                ineq_id=target.target_id,
-                class_tag=f"search:{target.target_id}",
-                dim=dims[restart % len(dims)],
-                seed=seed,
-                trial=restart,
-                tol=DEFAULT_TOL,
-                inputs=inputs,
-                report=checked.report(i),
-            )
+            class_tag = f"search:{target.target_id}"
+            dim = dims[restart % len(dims)]
+            return _witness(entry, class_tag, dim, seed, restart, DEFAULT_TOL, inputs, checked)
         start = stop
     return None
 

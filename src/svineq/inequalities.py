@@ -53,11 +53,9 @@ from .numkernel import (
     ToleranceOverflow,
     _adj,
     _block2,
-    _eigvalsh,
     _fro,
     _herm,
     _require_hermitian,
-    _zero_slices,
     abs_op,
     direct_sum_spectrum,
     hermitian_singular_values,
@@ -217,16 +215,18 @@ def _spectrum_side(label: str, lhs: np.ndarray, rhs: np.ndarray) -> SideBatch:
 
 
 def _order_side(label: str, x: np.ndarray, y: np.ndarray) -> SideBatch:
-    """Loewner side X <= Y, graded by the ascending spectrum of Y - X at
-    the scale of X and Y, to which the rounding in Y - X is relative."""
-    hx, hy = _herm(x), _herm(y)
-    diff = hy - hx
-    eigs = _eigvalsh(diff)
-    zero = _zero_slices(diff)
-    if zero is not None:
-        eigs[zero] = 0.0
-    scale = np.maximum(_fro(hx), _fro(hy))
+    """Loewner side X <= Y: the ascending spectrum of Y - X, at the scale
+    of X and Y (see ``loewner_leq``)."""
+    eigs, scale = loewner_leq(x, y)
     return SideBatch(label, "order", np.zeros_like(eigs), eigs, eigs, scale, eigs[:, 0].copy())
+
+
+def _order_hypothesis(name: str, residual: str, x, y, tol: Tolerance) -> dict:
+    """Hypothesis ``name``: X <= Y, backed by ``residual``, the smallest
+    eigenvalue of Y - X."""
+    eigs, scale = loewner_leq(x, y)
+    min_eig = eigs[:, 0]
+    return {name: (min_eig >= -tol.effective(scale), {residual: min_eig})}
 
 
 @dataclass(slots=True)
@@ -396,13 +396,11 @@ def _core_ak_1_4(mats, tol) -> Graded:
     a, b = mats
     a_defect, a_hermitian, _ = _hermitian_grade(a, tol)
     ha, hb = _herm(a), _herm(b)
-    minus_eig, minus_tol = loewner_leq(ha, hb, tol)
-    plus_eig, plus_tol = loewner_leq(-ha, hb, tol)
     hypotheses = {
         "a_hermitian": (a_hermitian, {"a_hermitian_defect": a_defect}),
         **_psd_hypotheses("b", b, tol),
-        "a_le_b": (minus_eig >= -minus_tol, {"min_eig_b_minus_a": minus_eig}),
-        "minus_a_le_b": (plus_eig >= -plus_tol, {"min_eig_b_plus_a": plus_eig}),
+        **_order_hypothesis("a_le_b", "min_eig_b_minus_a", ha, hb, tol),
+        **_order_hypothesis("minus_a_le_b", "min_eig_b_plus_a", -ha, hb, tol),
     }
     lhs = 2.0 * singular_values(a)
     rhs = direct_sum_spectrum(singular_values(b + a), singular_values(b - a))
@@ -431,15 +429,14 @@ def _core_thm_2_4(mats, tol) -> Graded:
     """thm-2.4: s_j(A) <= s_j(2(A1⁺+A2⁺) ⊕ (A1+A2)) for normal A with -A2 <= A1."""
     (a,) = mats
     a1, a2 = cartesian(a)
-    order_eig, order_tol = loewner_leq(-a2, a1, tol)
     (plus1,) = jordan(a1, "plus")
     (plus2,) = jordan(a2, "plus")
     rhs = direct_sum_spectrum(
         hermitian_singular_values(2.0 * (plus1 + plus2)), hermitian_singular_values(a1 + a2)
     )
     side = _spectrum_side("main", singular_values(a), rhs)
-    order = (order_eig >= -order_tol, {"min_eig_a1_plus_a2": order_eig})
-    return Graded((side,), {**_normal("", a, tol), "minus_a2_le_a1": order})
+    order = _order_hypothesis("minus_a2_le_a1", "min_eig_a1_plus_a2", -a2, a1, tol)
+    return Graded((side,), {**_normal("", a, tol), **order})
 
 
 def _core_thm_2_5(half: str):

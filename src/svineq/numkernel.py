@@ -102,7 +102,7 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def as_matrix(entries, max_dim: int = MAX_DIM) -> np.ndarray:
+def as_matrix(entries) -> np.ndarray:
     """Validate and copy ``entries`` into a square complex128 array.
 
     Raises InvalidMatrix for non-square / empty / oversized input or any
@@ -115,8 +115,8 @@ def as_matrix(entries, max_dim: int = MAX_DIM) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidMatrix(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
-    if n < 1 or n > max_dim:
-        raise InvalidMatrix(f"dimension {n} outside supported range 1..{max_dim}")
+    if n < 1 or n > MAX_DIM:
+        raise InvalidMatrix(f"dimension {n} outside supported range 1..{MAX_DIM}")
     if not np.all(np.isfinite(m)):
         raise InvalidMatrix("matrix has non-finite entries")
     return m
@@ -153,14 +153,15 @@ def _zero_slices(x: np.ndarray) -> np.ndarray | None:
 
 
 def _fro(x: np.ndarray) -> np.ndarray:
-    """Per-slice Frobenius norms of a complex stack, bitwise equal to
-    ``np.linalg.norm`` of each slice whose sum of squares is finite.
+    """Per-slice Frobenius norms of a C-contiguous complex stack, bitwise
+    equal to ``np.linalg.norm`` of each slice whose sum of squares is
+    finite.
 
     ``np.linalg.norm`` sums re*re and im*im with one strided BLAS dot each,
-    over the slice in memory order; ``np.vecdot`` over the rows of a
-    C-contiguous (k, n*n) view makes the same dot calls.  A stack of one,
-    the case of ``check`` and of the search, takes the two dots directly,
-    which costs less than the gufunc call.
+    over the slice in memory order; ``np.vecdot`` over the rows of the
+    (k, n*n) view makes the same dot calls.  A stack of one, the case of
+    ``check`` and of the search, takes the two dots directly, which costs
+    less than the gufunc call.
 
     A slice of finite entries whose sum of squares overflows, while its
     norm may not, is recomputed as ``m * sqrt(sum |x/m|**2)`` with ``m``
@@ -169,17 +170,14 @@ def _fro(x: np.ndarray) -> np.ndarray:
     step it costs a fraction of a numpy reduction, so the common path pays
     almost nothing for the rescue.
     """
-    if not x.flags.c_contiguous:
-        out = np.array([np.linalg.norm(s) for s in x])
+    k = x.shape[0]
+    flat = x.reshape(k, x.shape[-2] * x.shape[-1])
+    re, im = flat.real, flat.imag
+    if k == 1:
+        re, im = re[0], im[0]
+        out = np.sqrt(re.dot(re) + im.dot(im))[None]
     else:
-        k = x.shape[0]
-        flat = x.reshape(k, x.shape[-2] * x.shape[-1])
-        re, im = flat.real, flat.imag
-        if k == 1:
-            re, im = re[0], im[0]
-            out = np.sqrt(re.dot(re) + im.dot(im))[None]
-        else:
-            out = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+        out = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
     if not math.isfinite(sum(out.tolist())):
         for i in np.flatnonzero(np.isinf(out)):
             a = np.abs(x[i])
@@ -222,7 +220,7 @@ def _min_eig(h: np.ndarray) -> np.ndarray:
     return w
 
 
-def hermitian_eig(x: np.ndarray, name: str = "matrix"):
+def hermitian_eig(x: np.ndarray):
     """(eigenvalues, eigenvectors, norms) of a Hermitian stack.
 
     Eigenvalues are ascending and eigenvectors are columns.  Each slice may
@@ -230,7 +228,7 @@ def hermitian_eig(x: np.ndarray, name: str = "matrix"):
     defects raise NotHermitian.  A zero slice short-circuits to (zeros,
     identity).
     """
-    h, norm = _require_hermitian(x, name)
+    h, norm = _require_hermitian(x)
     w, v = _lapack(np.linalg.eigh, h)
     zero = _zero_slices(h)
     if zero is not None:
@@ -310,15 +308,20 @@ def _block2(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.nd
     return out
 
 
-def loewner_leq(x: np.ndarray, y: np.ndarray, tol: Tolerance):
-    """(min_eig, tol_used) of the order test X <= Y per slice.
+def loewner_leq(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, scale) of the order test X <= Y per slice, taken on
+    the Hermitian parts of X and Y.
 
-    Both operands must be Hermitian within round-off.  ``min_eig`` is the
-    smallest eigenvalue of Y - X; the order holds where it is at least
-    ``-tol_used``, the tolerance at max(||X||_F, ||Y||_F).  The scale is
-    that of the operands, not of Y - X, because the rounding in Y - X is
-    relative to X and Y.
+    ``eigenvalues``, shape (k, n), is the ascending spectrum of Y - X (all
+    0 where Y - X is 0); the order holds where its first entry is at least
+    minus the tolerance at ``scale``, the larger Frobenius norm of the two
+    Hermitian parts.  The scale is that of the operands, not of Y - X,
+    because the rounding in Y - X is relative to X and Y.
     """
-    hx, norm_x = _require_hermitian(x, "left operand")
-    hy, norm_y = _require_hermitian(y, "right operand")
-    return _min_eig(hy - hx), tol.effective(np.maximum(norm_x, norm_y))
+    hx, hy = _herm(x), _herm(y)
+    diff = hy - hx
+    eigs = _eigvalsh(diff)
+    zero = _zero_slices(diff)
+    if zero is not None:
+        eigs[zero] = 0.0
+    return eigs, np.maximum(_fro(hx), _fro(hy))

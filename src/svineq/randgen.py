@@ -35,8 +35,6 @@ CLASS_ARITY: dict[str, int] = {
     "low_rank": 1,
 }
 
-CLASS_TAGS = tuple(CLASS_ARITY)
-
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _SALT = _U64(0xD1B54A32D192ED03)

@@ -123,6 +123,42 @@ def parse_matrix_text(text: str) -> np.ndarray:
     return matrix_from_json(doc)
 
 
+# --- strict readers of JSON values ---------------------------------------------
+#
+# A reader takes a value of one JSON type only: no value is coerced from
+# another type, and a bool, though Python's json gives it as an int
+# subclass, is not a number.  Each raises ValueError.
+
+
+def _expect(value, types: tuple, what: str):
+    if type(value) not in types:
+        raise ValueError(f"expected {what}, got {value!r:.40}")
+    return value
+
+
+def _int(value) -> int:
+    return _expect(value, (int,), "an integer")
+
+
+def _number(value) -> float:
+    try:
+        return float(_expect(value, (int, float), "a number"))
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ValueError("number outside float range") from None
+
+
+def _str(value) -> str:
+    return _expect(value, (str,), "a string")
+
+
+def _list(value) -> list:
+    return _expect(value, (list,), "a list")
+
+
+def _object(value) -> dict:
+    return _expect(value, (dict,), "an object")
+
+
 # --- tolerances and reports --------------------------------------------------
 
 
@@ -131,7 +167,7 @@ def tolerance_to_json(tol: Tolerance) -> dict[str, float]:
 
 
 def tolerance_from_json(doc) -> Tolerance:
-    return Tolerance(tol_rel=float(doc["tol_rel"]))
+    return Tolerance(tol_rel=_number(_object(doc)["tol_rel"]))
 
 
 def _side_to_json(side: MarginSide) -> dict[str, Any]:
@@ -147,16 +183,17 @@ def _side_to_json(side: MarginSide) -> dict[str, Any]:
 
 
 def _side_from_json(doc) -> MarginSide:
+    doc = _object(doc)
     entries = tuple(
-        IndexMargin(j=int(e["j"]), lhs=float(e["lhs"]), rhs=float(e["rhs"]), margin=float(e["margin"]))
-        for e in doc["per_index"]
+        IndexMargin(j=_int(e["j"]), lhs=_number(e["lhs"]), rhs=_number(e["rhs"]), margin=_number(e["margin"]))
+        for e in map(_object, _list(doc["per_index"]))
     )
     return MarginSide(
-        label=doc["label"],
-        kind=doc["kind"],
+        label=_str(doc["label"]),
+        kind=_str(doc["kind"]),
         entries=entries,
-        scale=float(doc["scale"]),
-        min_margin=float(doc["min_margin"]),
+        scale=_number(doc["scale"]),
+        min_margin=_number(doc["min_margin"]),
     )
 
 
@@ -174,15 +211,18 @@ def report_to_json(report: InequalityReport) -> dict[str, Any]:
 
 
 def report_from_json(doc) -> InequalityReport:
+    doc = _object(doc)
     return InequalityReport(
-        ineq_id=doc["id"],
-        dims=tuple(int(d) for d in doc["dims"]),
-        verdict=Verdict(doc["verdict"]),
-        min_margin=None if doc["min_margin"] is None else float(doc["min_margin"]),
-        tol_used=float(doc["tol_used"]),
-        sides=tuple(_side_from_json(s) for s in doc["sides"]),
-        skipped=tuple(doc["skipped"]),
-        hypothesis_residuals={k: float(v) for k, v in doc["hypothesis_residuals"].items()},
+        ineq_id=_str(doc["id"]),
+        dims=tuple(map(_int, _list(doc["dims"]))),
+        verdict=Verdict(_str(doc["verdict"])),
+        min_margin=None if doc["min_margin"] is None else _number(doc["min_margin"]),
+        tol_used=_number(doc["tol_used"]),
+        sides=tuple(map(_side_from_json, _list(doc["sides"]))),
+        skipped=tuple(map(_str, _list(doc["skipped"]))),
+        hypothesis_residuals={
+            k: _number(v) for k, v in _object(doc["hypothesis_residuals"]).items()
+        },
     )
 
 
@@ -210,20 +250,18 @@ def witness_from_json(doc) -> Witness:
     if missing:
         raise MalformedWitness(f"witness document missing fields: {missing}")
     try:
-        inputs = tuple(matrix_from_json(m) for m in doc["inputs"])
+        inputs = tuple(map(matrix_from_json, _list(doc["inputs"])))
         return Witness(
-            ineq_id=doc["ineq_id"],
-            class_tag=doc["class"],
-            dim=int(doc["dim"]),
-            seed=int(doc["seed"]),
-            trial=int(doc["trial"]),
+            ineq_id=_str(doc["ineq_id"]),
+            class_tag=_str(doc["class"]),
+            dim=_int(doc["dim"]),
+            seed=_int(doc["seed"]),
+            trial=_int(doc["trial"]),
             tol=tolerance_from_json(doc["tol"]),
             inputs=inputs,
             report=report_from_json(doc["report"]),
         )
-    except MalformedWitness:
-        raise
-    except (KeyError, TypeError, ValueError, InvalidMatrix) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise MalformedWitness(f"cannot parse witness: {exc}") from exc
 
 
@@ -234,6 +272,8 @@ def witness_document(witness: Witness) -> dict[str, Any]:
 def witness_from_document(doc) -> Witness:
     if not isinstance(doc, dict) or doc.get("kind") != "witness":
         raise MalformedWitness('expected a document with "kind": "witness"')
+    if type(doc.get("schema")) is not int or doc["schema"] != SCHEMA_VERSION:
+        raise MalformedWitness(f'a witness document needs "schema": {SCHEMA_VERSION}')
     return witness_from_json(doc)
 
 

@@ -270,6 +270,24 @@ def test_verify_out_file_equals_stdout(normal_file, tmp_path, capsys):
     assert out_path.read_text() == capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["verify", "repro", "fuzz", "search"])
+def test_failed_out_write_exits_3_with_empty_stdout(command, normal_file, tmp_path, capsys):
+    # The --out file is written before anything is printed, so a write
+    # that fails leaves stdout empty: no report, repro lines or summary.
+    argv = {
+        "verify": ["verify", "thm-2.1", normal_file],
+        "repro": ["repro", "ex-2.3"],
+        "fuzz": ["fuzz", "--ineq", "thm-2.1", "--dims", "2", "--trials", "2"],
+        "search": ["search", "--target", "loewner-cartesian-general", "--seed", "0"],
+    }[command]
+    out_path = tmp_path / "missing-dir" / "doc.json"
+    assert main([*argv, "--out", str(out_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "No such file or directory" in captured.err
+    assert not out_path.exists()
+
+
 # --- repro ---------------------------------------------------------------------
 
 

@@ -93,7 +93,6 @@ LOEWNER = "loewner-cartesian-general"
 # bool subclasses int, so each of these used to run as if 1 or 0 was given.
 BOOL_CONFIGS = {
     "search-budget": lambda: SearchTarget(LOEWNER, budget=True),
-    "search-perturb-steps": lambda: SearchTarget(LOEWNER, budget=1, perturb_steps=False),
     "search-dims": lambda: SearchTarget(LOEWNER, budget=1, dims=(True,)),
     "search-seed": lambda: search_counterexample(SearchTarget(LOEWNER, budget=1), True),
     "search-numpy-seed": lambda: search_counterexample(SearchTarget(LOEWNER, budget=1), np.True_),

@@ -22,13 +22,14 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 # Ahead of svineq, which loads numpy: conftest pins BLAS to one thread, also
 # when this file runs as a script.
 from conftest import BLAS_THREAD_VARS, draw
 
-from svineq import fuzzer
+from svineq import decomp, fuzzer, inequalities, numkernel, randgen
 from svineq.cli import main
 from svineq.fixtures import EX_2_2
 from svineq.fuzzer import CampaignConfig, SEARCH_TARGET_IDS, replay, run_campaign
@@ -144,6 +145,39 @@ def test_blas_is_pinned_to_one_thread():
 def test_document_matches_golden(name, tmp_path):
     build = dict(documents(tmp_path))[name]
     assert build() == (GOLDEN / name).read_bytes()
+
+
+def test_frobenius_norms_see_only_contiguous_stacks(tmp_path, monkeypatch):
+    # numkernel._fro reads each slice through a (k, n*n) view of its stack,
+    # which makes the dot calls of np.linalg.norm only for a C-contiguous
+    # stack.  Every route to it, through the three modules that call it,
+    # must hand it one.
+    original = numkernel._fro
+    calls, strided = [], []
+
+    def contiguous_fro(x):
+        calls.append(x.shape)
+        if not x.flags.c_contiguous:
+            strided.append((x.shape, x.strides))
+        return original(x)
+
+    for module in (numkernel, decomp, inequalities):
+        monkeypatch.setattr(module, "_fro", contiguous_fro)
+    for ineq_id in inequalities.catalog_ids(include_variants=True):
+        entry = inequalities.catalog_entry(ineq_id)
+        plan = fuzzer._input_plan(entry, entry.canonical_class)
+        for n in (entry.fixed_dim,) if entry.fixed_dim else (1, 2, 3):
+            stream = randgen.prng_stream(0, np.arange(1, dtype=np.uint64))
+            mats = fuzzer._build_inputs(entry, entry.canonical_class, plan, n, stream, 1.0)
+            inequalities.check(ineq_id, [m[0] for m in mats])
+    fuzz = ["fuzz", "--ineq", "all", "--dims", "1,2,3", "--seed", "0"]
+    assert main([*fuzz, "--out", str(tmp_path / "fuzz.json")]) == 0
+    for target in SEARCH_TARGET_IDS:
+        name = f"search-{target}.json"
+        assert _cli_document(["search", "--target", target, "--seed", "0"], tmp_path) == (
+            GOLDEN / name
+        ).read_bytes()
+    assert calls and strided == []
 
 
 @pytest.mark.parametrize("budget", [1, 3, 200, fuzzer.CHUNK_ELEMENTS])

@@ -44,7 +44,8 @@ def one(op, *mats):
 
 def order(x, y, tol=DEFAULT_TOL):
     """(holds, min_eig, tol_used) of the order test x <= y."""
-    min_eig, tol_used = (float(v[0]) for v in loewner_leq(x[None], y[None], tol))
+    eigs, scale = loewner_leq(x[None], y[None])
+    min_eig, tol_used = float(eigs[0, 0]), float(tol.effective(scale[0]))
     return min_eig >= -tol_used, min_eig, tol_used
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
@@ -413,11 +414,22 @@ def test_loewner_leq_tolerates_roundoff_slack():
     assert min_eig == pytest.approx(-5e-13)
 
 
-def test_loewner_leq_requires_hermitian():
-    with pytest.raises(NotHermitian):
-        order(SHIFT_2, mat(np.eye(2)), DEFAULT_TOL)
-    with pytest.raises(NotHermitian):
-        order(mat(np.eye(2)), SHIFT_2, DEFAULT_TOL)
+def test_loewner_leq_reads_the_hermitian_parts():
+    # A non-Hermitian operand is not refused: the nilpotent shift S is
+    # compared as (S + S*)/2, whose eigenvalues are -1/2 and 1/2.
+    eye = mat(np.eye(2))
+    eigs, scale = loewner_leq(np.stack([eye, SHIFT_2]), np.stack([SHIFT_2, eye]))
+    assert np.allclose(eigs, [[-1.5, -0.5], [0.5, 1.5]])
+    assert scale.tolist() == [math.sqrt(2.0)] * 2
+
+
+def test_loewner_leq_gives_the_whole_ascending_spectrum():
+    x, y = mat(np.diag([3.0, 1.0, 0.0])), mat(np.diag([1.0, 4.0, 0.0]))
+    eigs, scale = loewner_leq(x[None], y[None])
+    assert eigs[0].tolist() == [-2.0, 0.0, 3.0]
+    assert scale[0] == max(math.sqrt(10.0), math.sqrt(17.0))
+    zero_eigs, _ = loewner_leq(x[None], x[None])
+    assert zero_eigs[0].tolist() == [0.0, 0.0, 0.0]
 
 
 @given(seed=seeds, n=dims)

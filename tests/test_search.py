@@ -54,7 +54,8 @@ def sequential_search(target: SearchTarget, seed: int) -> Witness | None:
 
     Restart ``r`` draws from ``prng_stream(seed, r)`` and cycles through
     the target's dimensions, so the search is a pure function of
-    (target, seed).  Candidates are scored one at a time by the stacked
+    (target, seed).  Each restart takes up to ``fuzzer.PERTURB_STEPS``
+    greedy steps.  Candidates are scored one at a time by the stacked
     checker on a stack of one; only the witness gets a full report.
     """
     dims = target.dims or fuzzer._DEFAULT_SEARCH_DIMS[target.target_id]
@@ -74,7 +75,7 @@ def sequential_search(target: SearchTarget, seed: int) -> Witness | None:
         found_mats = sequential_build(target.target_id, params, n)
         best, qualifies, found = score(found_mats)
         sigma = 0.5
-        for _ in range(0 if qualifies else target.perturb_steps):
+        for _ in range(0 if qualifies else fuzzer.PERTURB_STEPS):
             candidate = params + sigma * stream.normals(length)
             found_mats = sequential_build(target.target_id, candidate, n)
             margin, qualifies, found = score(found_mats)
@@ -129,14 +130,11 @@ BUDGETS = (0, 1, 7)
 STEPS = (0, 1, 5, 64)
 
 
-def case(target_id: str, seed: int) -> SearchTarget:
-    """Seeds 0..35 visit every (dims, budget, perturb_steps) combination."""
-    return SearchTarget(
-        target_id,
-        budget=BUDGETS[(seed // 3) % 3],
-        perturb_steps=STEPS[(seed // 9) % 4],
-        dims=DIMS[seed % 3],
-    )
+def case(target_id: str, seed: int, monkeypatch) -> SearchTarget:
+    """Seeds 0..35 visit every (dims, budget, PERTURB_STEPS) combination;
+    the step count is patched into the fuzzer."""
+    monkeypatch.setattr(fuzzer, "PERTURB_STEPS", STEPS[(seed // 9) % 4])
+    return SearchTarget(target_id, budget=BUDGETS[(seed // 3) % 3], dims=DIMS[seed % 3])
 
 
 CASES = [("loewner-cartesian-general", s) for s in range(200)] + [
@@ -145,8 +143,8 @@ CASES = [("loewner-cartesian-general", s) for s in range(200)] + [
 
 
 @pytest.mark.parametrize("target_id,seed", CASES)
-def test_search_matches_sequential_oracle(target_id, seed):
-    target = case(target_id, seed)
+def test_search_matches_sequential_oracle(target_id, seed, monkeypatch):
+    target = case(target_id, seed, monkeypatch)
     assert_same_witness(search_counterexample(target, seed), sequential_search(target, seed))
 
 
@@ -164,7 +162,7 @@ def test_search_matches_oracle_at_any_depth_and_block_cap(target_id, depth, chun
     monkeypatch.setattr(fuzzer, "_TREE_ELEMENTS", 1 << 20)
     monkeypatch.setattr(fuzzer, "CHUNK_ELEMENTS", chunk)
     for seed in range(12, 36):
-        target = case(target_id, seed)
+        target = case(target_id, seed, monkeypatch)
         assert_same_witness(search_counterexample(target, seed), sequential_search(target, seed))
 
 
@@ -181,7 +179,8 @@ def test_search_matches_oracle_with_a_depth_per_dimension(target_id, seed, steps
     # One search over dimensions whose trees have depths 4, 3, 2 and 1,
     # in restart blocks large enough to hold all four.
     monkeypatch.setattr(fuzzer, "CHUNK_ELEMENTS", 1 << 20)
-    target = SearchTarget(target_id, budget=12, perturb_steps=steps, dims=(4, 5, 7, 11))
+    monkeypatch.setattr(fuzzer, "PERTURB_STEPS", steps)
+    target = SearchTarget(target_id, budget=12, dims=(4, 5, 7, 11))
     assert_same_witness(search_counterexample(target, seed), sequential_search(target, seed))
 
 
@@ -255,5 +254,6 @@ def test_mixed_dimension_blocks_return_the_lowest_witness(dims, steps, seed, mon
     # later stack can hold a lower witness than an earlier one.  Few
     # perturbation steps make failed restarts, and so large blocks, common.
     monkeypatch.setattr(fuzzer, "CHUNK_ELEMENTS", 1 << 20)
-    target = SearchTarget("thm-2.1-nonnormal", budget=40, perturb_steps=steps, dims=dims)
+    monkeypatch.setattr(fuzzer, "PERTURB_STEPS", steps)
+    target = SearchTarget("thm-2.1-nonnormal", budget=40, dims=dims)
     assert_same_witness(search_counterexample(target, seed), sequential_search(target, seed))

@@ -286,6 +286,83 @@ def test_witness_json_rejects_missing_fields():
         witness_from_json({"id": "thm-2.1"})
 
 
+@pytest.fixture(scope="module")
+def witness_text():
+    w = search_counterexample(SearchTarget(target_id="thm-2.1-nonnormal", budget=20), seed=0)
+    return dumps(witness_document(w))
+
+
+def _set(doc, path: str, value) -> None:
+    *parents, last = (int(k) if k.isdigit() else k for k in path.split("."))
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+# (field path, JSON text of its replacement): integer fields take JSON
+# integers only, number fields JSON integers or floats, neither a bool;
+# list fields take lists, string fields strings, and the schema is 1.
+MALFORMED_WITNESS_FIELDS = [
+    ("dim", "1e400"),
+    ("dim", "true"),
+    ("dim", "2.0"),
+    ("seed", "2.5"),
+    ("seed", '"7"'),
+    ("trial", "null"),
+    ("schema", "99"),
+    ("schema", "true"),
+    ("schema", "1.0"),
+    ("ineq_id", "5"),
+    ("class", "null"),
+    ("tol", "[]"),
+    ("tol.tol_rel", "true"),
+    ("tol.tol_rel", '"1e-9"'),
+    ("tol.tol_rel", "-1"),
+    ("inputs", '{"n": 2}'),
+    ("inputs.0", "[]"),
+    ("report", "[]"),
+    ("report.id", "[]"),
+    ("report.dims", '"22"'),
+    ("report.dims.0", "1e400"),
+    ("report.dims.0", "false"),
+    ("report.verdict", "1"),
+    ("report.verdict", '"maybe"'),
+    ("report.min_margin", "true"),
+    ("report.min_margin", "1" + "0" * 400),
+    ("report.tol_used", '"0"'),
+    ("report.skipped", '"abc"'),
+    ("report.skipped", "[1]"),
+    ("report.hypothesis_residuals", "[]"),
+    ("report.hypothesis_residuals.normality_defect", "true"),
+    ("report.sides", "{}"),
+    ("report.sides.0", "[]"),
+    ("report.sides.0.label", "0"),
+    ("report.sides.0.scale", '"x"'),
+    ("report.sides.0.per_index", "{}"),
+    ("report.sides.0.per_index.0.j", "1.0"),
+    ("report.sides.0.per_index.0.margin", "false"),
+]
+
+
+@pytest.mark.parametrize("path, text", MALFORMED_WITNESS_FIELDS)
+def test_witness_reader_rejects_wrongly_typed_fields(witness_text, path, text):
+    from svineq.fuzzer import MalformedWitness
+
+    doc = loads_strict(witness_text)
+    _set(doc, path, loads_strict(text))
+    with pytest.raises(MalformedWitness):
+        witness_from_document(doc)
+
+
+def test_witness_reader_takes_integers_as_numbers(witness_text):
+    doc = loads_strict(witness_text)
+    _set(doc, "report.sides.0.scale", 3)
+    _set(doc, "tol.tol_rel", 0)
+    w = witness_from_document(doc)
+    assert w.report.sides[0].scale == 3.0 and type(w.report.sides[0].scale) is float
+    assert w.tol == Tolerance(tol_rel=0.0)
+
+
 # --- campaigns ---------------------------------------------------------------------
 
 
