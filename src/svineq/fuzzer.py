@@ -7,16 +7,11 @@ then repetitions) draws its inputs from ``prng_stream(seed, t)``, so the
 result is a pure function of the config and independent of execution
 order.  The trials of one (target, dimension) block are drawn and checked
 as stacks of at most ``CHUNK_ELEMENTS // n**2`` trials; the chunk size
-never shows in the result.  When the process may use two CPUs, chunks of
-at least ``THREAD_ELEMENTS`` matrix entries are graded on the calling
-thread and one worker thread: numpy releases the GIL in LAPACK calls and
-large loops, so one thread's kernels overlap the other's Python.  Unless
-BLAS runs one thread, only chunks of matrices at most
-``THREADED_BLAS_DIM`` square are shared, since BLAS spreads larger ones
-over the CPUs itself.  The caller folds every chunk in trial order, so
-the result is the one a single thread gives: byte-identical on one
-machine and BLAS configuration, while the BLAS thread count can change
-last bits.
+never shows in the result.  When the process may use two CPUs, large
+chunks (see ``_shared_chunks``) are shared with a child process forked
+for the campaign, and the caller folds every chunk in trial order, so the
+result is the one a single process gives: byte-identical on one machine
+and BLAS configuration, while the BLAS thread count can change last bits.
 
 Searches target statements that are false (or of unknown truth) in
 general: random restarts from an ambient parameterisation that preserves
@@ -37,6 +32,11 @@ import ctypes
 import functools
 import math
 import os
+import pickle
+import select
+import signal
+import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,21 +71,17 @@ from .numkernel import (
 # memory of one chunk (blocks of 2n x 2n entries and their temporaries).
 CHUNK_ELEMENTS = 1 << 14
 
-# Matrix entries (k * n**2) from which a chunk is worth handing to the
-# worker thread: below it the hand-off costs more than the overlap saves.
-# Timed on a 2-core x86-64 box with one BLAS thread (see CHANGES.md).
+# Matrix entries (k * n**2) from which a chunk is worth sharing with the
+# forked child: below it the hand-off costs more than the overlap saves.
+# Timed for a worker thread on a 2-core x86-64 box (see CHANGES.md).
 THREAD_ELEMENTS = 2048
 
-# Largest dimension whose chunks the worker takes when BLAS may run more
-# than one thread.  On the same box with two BLAS threads, the worker made
-# campaigns 1.5-1.9x faster up to n = 16 and 1.2x at n = 24; from n = 32
+# Largest dimension whose chunks the child takes when BLAS may run more
+# than one thread.  On the same box with two BLAS threads, a worker thread
+# made campaigns 1.5-1.9x faster up to n = 16 and 1.2x at n = 24; from n = 32
 # on, BLAS spreads a chunk's kernels over the CPUs itself, and the worker
 # made them slower.
 THREADED_BLAS_DIM = 16
-
-# Chunks the graders may run ahead of the one the caller folds next, so at
-# most this many graded chunks wait to be folded.
-_AHEAD = 2
 
 
 class ConfigInvalid(ValueError):
@@ -371,8 +367,8 @@ def _witness(
 
 
 def _check_chunk(entry: CatalogEntry, first_trial: int, mats, tol: Tolerance) -> list:
-    """Check one chunk of trials: its parts (first trial, operand stacks,
-    Checked) in trial order.
+    """Check one chunk of trials: its parts (first trial, operand stacks or,
+    with no trial violated, None, Checked) in trial order.
 
     A checker rejects a whole stack when one operand is not Hermitian; the
     chunk is then checked trial by trial, and each rejected trial is a part
@@ -393,7 +389,7 @@ def _check_chunk(entry: CatalogEntry, first_trial: int, mats, tol: Tolerance) ->
         ]
     if not checked.finite():
         raise FloatingPointError("non-finite margins or residuals")
-    return [(first_trial, mats, checked)]
+    return [(first_trial, mats if checked.violated.any() else None, checked)]
 
 
 def _grade_chunk(config: CampaignConfig, chunk) -> list:
@@ -441,7 +437,7 @@ def _blas_threads() -> int | None:
 
 
 def _shared_chunks(order: list) -> list[bool]:
-    """Which chunks the worker may grade.  None on one CPU.  With more,
+    """Which chunks the child may grade.  None on one CPU.  With more,
     the chunks of at least THREAD_ELEMENTS entries, and unless BLAS runs
     one thread, only those whose matrices are at most THREADED_BLAS_DIM
     square."""
@@ -451,52 +447,105 @@ def _shared_chunks(order: list) -> list[bool]:
     return [k * dim * dim >= THREAD_ELEMENTS and dim <= max_dim for *_, dim, _, k in order]
 
 
+def _attempt(grade, chunk):
+    """What ``grade(chunk)`` returns, or the Exception it raises."""
+    try:
+        return grade(chunk)
+    except Exception as exc:
+        return exc
+
+
+def _claim(claims: int, total: int) -> int:
+    """Claim the next of ``total`` chunks counted in the memfd ``claims``
+    (``total`` once all are), under a lock that dies with its holder."""
+    os.lockf(claims, os.F_LOCK, 0)
+    k = int.from_bytes(os.pread(claims, 8, 0), "little")
+    os.pwrite(claims, min(k + 1, total).to_bytes(8, "little"), 0)
+    os.lockf(claims, os.F_ULOCK, 0)
+    return k
+
+
+def _receive(inbox: int, done: dict, block: bool) -> bool:
+    """Move the (index, result) messages waiting in ``inbox``, or if
+    ``block`` at least one, into ``done``; False once the child has ended."""
+    poller, pending = select.poll(), bytearray()  # select() stops at fd 1023
+    poller.register(inbox, select.POLLIN)
+    while poller.poll(None if block else 0):
+        if not (data := os.read(inbox, 1 << 20)):
+            return False
+        pending += data
+        while len(pending) >= 8 + (size := int.from_bytes(pending[:8], "little")):
+            index, result = pickle.loads(pending[8 : 8 + size])
+            done[index] = result
+            del pending[: 8 + size]
+        block = bool(pending)  # wait for the rest of a message begun
+    return True
+
+
 def _graded(chunks: list, grade, shared: list[bool]):
     """Yield ``grade(chunk)`` for each chunk in order; what grading a chunk
     raised is raised at that chunk's turn.
 
-    Chunks marked ``shared`` up to ``_AHEAD`` past the one whose turn it
-    is are queued for one worker thread.  At its turn the caller grades a
-    chunk the worker has not begun, and while the worker grades it, grades
-    the later queued chunks the worker has not begun.  Close the generator
-    to stop the worker early; it has ended when the generator has.
+    The caller and a child forked here claim the ``shared`` chunks in trial
+    order.  The child pipes back what it grades and stops after its first
+    error.  The caller grades the other chunks, and any the child claimed
+    but died before sending, at their turn, and buffers results until
+    theirs.  The child ignores SIGINT and ends with ``os._exit``; the caller
+    kills and reaps it when the generator ends, also when it is closed early.
     """
-    if not any(shared):
+    # Fork only on Linux with numpy's OpenBLAS, whose fork handlers stop its
+    # threads, and only while one thread runs: a fork copies no other.
+    if not (sys.platform == "linux" and hasattr(os, "memfd_create") and len(chunks) > 1
+            and any(shared) and threading.active_count() == 1 and _blas_threads() is not None):
         for chunk in chunks:
             yield grade(chunk)
         return
-    # Imported here, as only such campaigns use it: it loads logging, which
-    # would add about 6 ms to the start-up of every command.
-    from concurrent.futures import Future, ThreadPoolExecutor
+    import fcntl  # Unix only
 
-    def inline(chunk) -> Future:
-        """A finished future holding what ``grade(chunk)`` returned or raised."""
-        future = Future()
-        try:
-            future.set_result(grade(chunk))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="svineq-grader")
-    queued: dict[int, Future] = {}
+    order = [i for i, share in enumerate(shared) if share]
+    pid, fds = -1, [os.memfd_create("svineq-claims"), *os.pipe()]
+    claims, inbox, outbox = fds
     try:
-        for i, chunk in enumerate(chunks):
-            for j in range(i, min(i + _AHEAD + 1, len(chunks))):
-                if shared[j] and j not in queued:
-                    queued[j] = pool.submit(grade, chunks[j])
-            future = queued.pop(i, None)
-            if future is None or future.cancel():
-                yield grade(chunk)
-                continue
-            for j, later in queued.items():
-                if future.done():
+        # Room for several results of 100-200 KB: the child seldom waits.
+        with contextlib.suppress(OSError):
+            fcntl.fcntl(inbox, fcntl.F_SETPIPE_SZ, 1 << 20)
+        with contextlib.suppress(OSError):  # no process to spare: grade alone
+            pid = os.fork()
+        if not pid:  # the child; the finally ends it, also on an exception
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            out = open(outbox, "wb", closefd=False)
+            while (k := _claim(claims, len(order))) < len(order):
+                result = _attempt(grade, chunks[order[k]])
+                try:
+                    data = pickle.dumps((order[k], result))
+                except Exception:  # an exception that does not pickle
+                    data = pickle.dumps((order[k], result := RuntimeError(repr(result))))
+                out.write(len(data).to_bytes(8, "little") + data)
+                out.flush()
+                if isinstance(result, Exception):
                     break
-                if later.cancel():
-                    queued[j] = inline(chunks[j])
-            yield future.result()
+            return
+        os.close(fds.pop())  # outbox: the pipe ends with the child
+        done = {}
+        for turn, chunk in enumerate(chunks):
+            # Grade turn, or chunks after it while the child grades turn;
+            # once all are claimed, wait for it unless the child has died.
+            while shared[turn] and turn not in done and (k := _claim(claims, len(order))) < len(order):
+                done[order[k]] = _attempt(grade, chunks[order[k]])
+                _receive(inbox, done, block=False)
+            while shared[turn] and turn not in done and _receive(inbox, done, block=True):
+                pass
+            if isinstance(result := done.pop(turn) if turn in done else grade(chunk), Exception):
+                raise result
+            yield result
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pid == 0:
+            os._exit(0)
+        if pid > 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:

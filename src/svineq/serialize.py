@@ -127,7 +127,8 @@ def parse_matrix_text(text: str) -> np.ndarray:
 #
 # A reader takes a value of one JSON type only: no value is coerced from
 # another type, and a bool, though Python's json gives it as an int
-# subclass, is not a number.  Each raises ValueError.
+# subclass, is not a number (``_finite`` also rejects 1e400, which Python's
+# json reads as an infinity).  Each raises ValueError.
 
 
 def _expect(value, types: tuple, what: str):
@@ -145,6 +146,12 @@ def _number(value) -> float:
         return float(_expect(value, (int, float), "a number"))
     except OverflowError:  # a JSON integer beyond the float range
         raise ValueError("number outside float range") from None
+
+
+def _finite(value) -> float:
+    if not np.isfinite(number := _number(value)):
+        raise ValueError(f"expected a finite number, got {value!r:.40}")
+    return number
 
 
 def _str(value) -> str:
@@ -185,15 +192,15 @@ def _side_to_json(side: MarginSide) -> dict[str, Any]:
 def _side_from_json(doc) -> MarginSide:
     doc = _object(doc)
     entries = tuple(
-        IndexMargin(j=_int(e["j"]), lhs=_number(e["lhs"]), rhs=_number(e["rhs"]), margin=_number(e["margin"]))
+        IndexMargin(j=_int(e["j"]), lhs=_finite(e["lhs"]), rhs=_finite(e["rhs"]), margin=_finite(e["margin"]))
         for e in map(_object, _list(doc["per_index"]))
     )
     return MarginSide(
         label=_str(doc["label"]),
         kind=_str(doc["kind"]),
         entries=entries,
-        scale=_number(doc["scale"]),
-        min_margin=_number(doc["min_margin"]),
+        scale=_finite(doc["scale"]),
+        min_margin=_finite(doc["min_margin"]),
     )
 
 
@@ -216,12 +223,12 @@ def report_from_json(doc) -> InequalityReport:
         ineq_id=_str(doc["id"]),
         dims=tuple(map(_int, _list(doc["dims"]))),
         verdict=Verdict(_str(doc["verdict"])),
-        min_margin=None if doc["min_margin"] is None else _number(doc["min_margin"]),
-        tol_used=_number(doc["tol_used"]),
+        min_margin=None if doc["min_margin"] is None else _finite(doc["min_margin"]),
+        tol_used=_finite(doc["tol_used"]),
         sides=tuple(map(_side_from_json, _list(doc["sides"]))),
         skipped=tuple(map(_str, _list(doc["skipped"]))),
         hypothesis_residuals={
-            k: _number(v) for k, v in _object(doc["hypothesis_residuals"]).items()
+            k: _finite(v) for k, v in _object(doc["hypothesis_residuals"]).items()
         },
     )
 
@@ -251,7 +258,7 @@ def witness_from_json(doc) -> Witness:
         raise MalformedWitness(f"witness document missing fields: {missing}")
     try:
         inputs = tuple(map(matrix_from_json, _list(doc["inputs"])))
-        return Witness(
+        witness = Witness(
             ineq_id=_str(doc["ineq_id"]),
             class_tag=_str(doc["class"]),
             dim=_int(doc["dim"]),
@@ -263,6 +270,12 @@ def witness_from_json(doc) -> Witness:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedWitness(f"cannot parse witness: {exc}") from exc
+    report, n = witness.report, witness.dim
+    if (report.ineq_id != witness.ineq_id or report.dims != (n,) * len(inputs)
+            or any(m.shape[0] != n for m in inputs)
+            or any([e.j for e in s.entries] != [*range(1, len(s.entries) + 1)] for s in report.sides)):
+        raise MalformedWitness("the report's id, dims or per-index j disagree with the witness")
+    return witness
 
 
 def witness_document(witness: Witness) -> dict[str, Any]:

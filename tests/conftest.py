@@ -11,6 +11,7 @@ for _var in BLAS_THREAD_VARS:
     os.environ[_var] = "1"
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 
 from svineq.decomp import cartesian
@@ -22,6 +23,17 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("svineq")
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_children():
+    """Fail a test that leaves a child process un-reaped, running or not."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process ({pid or 'still running'})")
 
 
 def mat(rows) -> np.ndarray:

@@ -684,11 +684,13 @@ def test_console_script_help():
 
 
 def test_import_loads_no_thread_pool_or_logging():
-    # fuzzer imports concurrent.futures (and with it logging) only when a
-    # campaign grades on two threads, which keeps it off every start-up.
+    # Campaigns fork their grading process with os.fork, so neither
+    # concurrent.futures (which loads logging) nor multiprocessing adds
+    # to the start-up of every command.
     probe = (
         "import sys, svineq.cli; "
-        "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+        "print(sorted(m for m in ('concurrent.futures', 'logging', 'multiprocessing')"
+        " if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=_subprocess_env()

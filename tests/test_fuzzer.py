@@ -2,7 +2,8 @@
 
 import dataclasses
 import math
-import sys
+import os
+import signal
 import threading
 import time
 
@@ -209,30 +210,62 @@ def test_non_hermitian_trial_in_a_chunk_is_rejected_alone():
     assert t.min_margin == min(check("thm-2.5-plus", [m]).min_margin for m in good)
 
 
-# --- grading on two threads ---------------------------------------------------------
+# --- grading in a forked child ------------------------------------------------------
 
 
 @pytest.fixture
-def graders(monkeypatch):
-    """Names of the threads that graded chunks (the worker's without the
-    number its pool appends), and a switch for the CPU count the campaign
-    sees (2 starts the worker where chunks are large enough, 1 keeps
-    every chunk on the calling thread)."""
-    names = set()
+def graders(monkeypatch, tmp_path):
+    """A switch for the CPU count the campaign sees (2 forks a child where
+    chunks are large enough, 1 keeps every chunk on the caller).  It
+    returns a function giving the processes that graded chunks since,
+    "caller" or "child": each chunk appends its grader's pid to a file
+    the fork inherits."""
+    log = tmp_path / "graders"
+    caller = os.getpid()
     grade = fuzzer._grade_chunk
 
     def recording(config, chunk):
-        names.add(threading.current_thread().name.partition("_")[0])
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, b"%d\n" % os.getpid())
+        finally:
+            os.close(fd)
         return grade(config, chunk)
 
     monkeypatch.setattr(fuzzer, "_grade_chunk", recording)
 
+    def graded_by():
+        pids = log.read_text().split() if log.exists() else []
+        return {"caller" if int(pid) == caller else "child" for pid in pids}
+
     def cpus(count):
-        names.clear()
+        log.unlink(missing_ok=True)
         monkeypatch.setattr(fuzzer, "_usable_cpus", lambda: count)
-        return names
+        return graded_by
 
     return cpus
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that campaigns fork."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def campaign_bytes(config):
@@ -250,48 +283,42 @@ ALL_TARGETS = tuple((i, catalog_entry(i).canonical_class) for i in catalog_ids()
     ],
     ids=["all", "not-hermitian"],
 )
-def test_worker_leaves_documents_byte_identical(graders, targets, trials):
+def test_worker_leaves_documents_byte_identical(graders, forks, targets, trials):
     # At n = 8 a chunk of 5 trials holds 320 entries and stays on the
     # caller; at n = 32 and 64 chunks reach THREAD_ELEMENTS, and n = 64
     # splits each block into chunks of 4 and 1.  thm-2.5-plus on ginibre
     # retries every trial of its chunks alone (NotHermitian), also in the
-    # worker, and 40 trials at n = 32 make three chunks per block.
+    # child, and 40 trials at n = 32 make three chunks per block.
     assert 5 * 8**2 < THREAD_ELEMENTS <= 5 * 32**2
     assert CHUNK_ELEMENTS // 64**2 < 5 and CHUNK_ELEMENTS // 32**2 < 40
     config = small_config(targets=targets, dims=(8, 32, 64), trials_per_dim=trials)
-    before = threading.active_count()
-    names = graders(1)
+    graded_by = graders(1)
     alone = campaign_bytes(config)
-    assert names == {"MainThread"}
-    names = graders(2)
+    assert graded_by() == {"caller"}
+    assert forks == []
+    graded_by = graders(2)
     shared = campaign_bytes(config)
-    assert names == {"MainThread", "svineq-grader"}
+    assert graded_by() == {"caller", "child"}
     assert shared == alone
-    assert threading.active_count() == before
+    assert len(forks) == 1
+    assert_reaped(forks)
 
 
-def test_worker_hand_off_under_frequent_thread_switches(graders, monkeypatch):
+def test_worker_hand_off_under_frequent_thread_switches(graders, forks, monkeypatch):
     # Every chunk is shared and all but scalar-1.6's hold one or two
-    # trials, so the threads
-    # hand over hundreds of chunks while the interpreter switches between
-    # them as often as it can; a chunk lost or folded out of turn would
-    # change the document.
+    # trials, so the caller and the child hand hundreds of chunks back and
+    # forth, claiming each from their shared counter; a chunk lost, claimed
+    # twice or folded out of turn would change the document.
     config = small_config(targets=ALL_TARGETS, dims=(2, 3), trials_per_dim=7)
     monkeypatch.setattr(fuzzer, "CHUNK_ELEMENTS", 8)
     graders(1)
     alone = campaign_bytes(config)
     monkeypatch.setattr(fuzzer, "THREAD_ELEMENTS", 1)
-    names = graders(2)
-    before = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        shared = campaign_bytes(config)
-    finally:
-        sys.setswitchinterval(interval)
-    assert names == {"MainThread", "svineq-grader"}
+    graded_by = graders(2)
+    shared = campaign_bytes(config)
+    assert graded_by() == {"caller", "child"}
     assert shared == alone
-    assert threading.active_count() == before
+    assert_reaped(forks)
 
 
 @pytest.mark.parametrize(
@@ -322,12 +349,12 @@ def test_threaded_blas_keeps_large_matrices_on_the_caller(graders, monkeypatch):
     targets = (("thm-2.7", "ginibre"), ("thm-2.5-plus", "hermitian"))
     graders(1)
     alone = campaign_bytes(small_config(targets=targets, dims=(8, 32), trials_per_dim=40))
-    names = graders(2)
+    graded_by = graders(2)
     campaign_bytes(small_config(targets=targets, dims=(32,), trials_per_dim=40))
-    assert names == {"MainThread"}
-    names = graders(2)
+    assert graded_by() == {"caller"}
+    graded_by = graders(2)
     shared = campaign_bytes(small_config(targets=targets, dims=(8, 32), trials_per_dim=40))
-    assert names == {"MainThread", "svineq-grader"}
+    assert graded_by() == {"caller", "child"}
     assert shared == alone
 
 
@@ -339,28 +366,29 @@ OVERFLOW_TARGETS = (
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_worker_reports_the_first_target_that_cannot_be_graded(graders):
+def test_worker_reports_the_first_target_that_cannot_be_graded(graders, forks):
     # At scale 1e160 thm-2.8 and cor-2.9 overflow and thm-2.7 does not;
-    # whichever thread grades a chunk first, the error names thm-2.8.
+    # whichever process grades a chunk first, the error names thm-2.8.
     config = small_config(targets=OVERFLOW_TARGETS, dims=(32,), trials_per_dim=3, scale=1e160)
-    before = threading.active_count()
     messages = []
     for cpus in (1, 2):
         graders(cpus)
         with pytest.raises(ConfigInvalid) as info:
             run_campaign(config)
         messages.append(str(info.value))
-        assert threading.active_count() == before
     assert messages[0] == messages[1]
     assert messages[0].startswith("thm-2.8 on ginibre at dimension 32 and scale 1e+160")
+    assert len(forks) == 1
+    assert_reaped(forks)
 
 
-def test_worker_raises_a_chunk_error_at_that_chunk_turn(graders, monkeypatch):
+def test_worker_raises_a_chunk_error_at_that_chunk_turn(graders, forks, monkeypatch):
     # NotPSD is no configuration error: it reaches the caller as raised, at
     # the turn of the chunk (trials 4, 5) that raised it, so the chunks
-    # before it are folded and the ones after it are not.  The worker
+    # before it are folded and the ones after it are not.  The child
     # sleeps in each chunk it grades, so it is still grading a later chunk
-    # when the error reaches the caller, which must wait for it to end.
+    # when the error reaches the caller, which must kill it.
+    caller = os.getpid()
     check_chunk = fuzzer._check_chunk
     add = _TargetAggregator.add
     folded = []
@@ -368,7 +396,7 @@ def test_worker_raises_a_chunk_error_at_that_chunk_turn(graders, monkeypatch):
     def failing(entry, first_trial, mats, tol):
         if first_trial == 4:
             raise NotPSD("planted")
-        if threading.current_thread() is not threading.main_thread():
+        if os.getpid() != caller:
             time.sleep(0.1)
         return check_chunk(entry, first_trial, mats, tol)
 
@@ -379,25 +407,26 @@ def test_worker_raises_a_chunk_error_at_that_chunk_turn(graders, monkeypatch):
     monkeypatch.setattr(fuzzer, "_check_chunk", failing)
     monkeypatch.setattr(_TargetAggregator, "add", recording)
     config = small_config(targets=(("thm-2.7", "ginibre"),) * 6, dims=(32,), trials_per_dim=2)
-    before = threading.active_count()
     for cpus in (1, 2):
         graders(cpus)
         folded.clear()
         with pytest.raises(NotPSD, match="planted"):
             run_campaign(config)
         assert folded == [0, 2]
-        assert threading.active_count() == before
+    assert len(forks) == 1
+    assert_reaped(forks)
 
 
-def test_interrupt_while_grading_ahead_stops_the_campaign_at_once(graders, monkeypatch):
-    # The caller grades chunks ahead of their turn while the worker is busy.
+def test_interrupt_while_grading_ahead_stops_the_campaign_at_once(graders, forks, monkeypatch):
+    # The caller grades chunks ahead of their turn while the child is busy.
     # A KeyboardInterrupt there ends the campaign at once: it is not held
-    # for that chunk's turn, where the worker's error on an earlier chunk
+    # for that chunk's turn, where the child's error on an earlier chunk
     # would be raised in its place.
+    caller = os.getpid()
     check_chunk = fuzzer._check_chunk
 
     def failing(entry, first_trial, mats, tol):
-        if threading.current_thread() is not threading.main_thread():
+        if os.getpid() != caller:
             time.sleep(0.2)
             raise FloatingPointError("planted")
         if first_trial:
@@ -406,11 +435,145 @@ def test_interrupt_while_grading_ahead_stops_the_campaign_at_once(graders, monke
 
     monkeypatch.setattr(fuzzer, "_check_chunk", failing)
     config = small_config(targets=(("thm-2.7", "ginibre"),) * 4, dims=(32,), trials_per_dim=2)
-    before = threading.active_count()
     graders(2)
     with pytest.raises(KeyboardInterrupt):
         run_campaign(config)
-    assert threading.active_count() == before
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_results_larger_than_the_pipe_arrive_whole(graders, forks, monkeypatch):
+    # Where the pipe cannot be enlarged it holds 64 KiB, and a chunk of
+    # 1000 trials at n = 2 sends about 120-140 KB, so each result arrives
+    # in several reads.
+    import fcntl
+
+    def refused(fd, cmd, *args):
+        if cmd == fcntl.F_SETPIPE_SZ:
+            raise PermissionError("planted")
+        return fcntl_fcntl(fd, cmd, *args)
+
+    fcntl_fcntl = fcntl.fcntl
+    config = small_config(targets=ALL_TARGETS[:6], dims=(2,), trials_per_dim=1000)
+    graders(1)
+    alone = campaign_bytes(config)
+    monkeypatch.setattr(fcntl, "fcntl", refused)
+    graded_by = graders(2)
+    assert campaign_bytes(config) == alone
+    assert graded_by() == {"caller", "child"}
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_killed_child_leaves_the_document_unchanged(graders, forks, monkeypatch):
+    # The child dies with SIGKILL on its second chunk, after it has sent
+    # its first: the caller grades the chunk the child claimed but never
+    # sent, and every chunk after it.
+    caller = os.getpid()
+    check_chunk = fuzzer._check_chunk
+    config = small_config(targets=ALL_TARGETS, dims=(32, 64), trials_per_dim=2)
+    graders(1)
+    alone = campaign_bytes(config)
+    calls = []
+
+    def dying(entry, first_trial, mats, tol):
+        if os.getpid() != caller:
+            calls.append(first_trial)
+            if len(calls) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return check_chunk(entry, first_trial, mats, tol)
+
+    monkeypatch.setattr(fuzzer, "_check_chunk", dying)
+    graded_by = graders(2)
+    assert campaign_bytes(config) == alone
+    assert graded_by() == {"caller", "child"}
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_refused_fork_grades_every_chunk_on_the_caller(graders, monkeypatch):
+    # With no process to spare (EAGAIN), the caller claims every shared
+    # chunk itself and the document is unchanged.
+    def refused():
+        raise BlockingIOError("planted")
+
+    config = small_config(targets=ALL_TARGETS[:4], dims=(32,), trials_per_dim=4)
+    graders(1)
+    alone = campaign_bytes(config)
+    monkeypatch.setattr(os, "fork", refused)
+    graded_by = graders(2)
+    assert campaign_bytes(config) == alone
+    assert graded_by() == {"caller"}
+
+
+def test_campaign_beside_a_second_thread_does_not_fork(graders, forks):
+    # A fork copies only the thread that calls it, so while another
+    # thread runs, every chunk is graded on the caller.
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10,))
+    thread.start()
+    try:
+        config = small_config(targets=ALL_TARGETS[:3], dims=(32,), trials_per_dim=4)
+        graded_by = graders(2)
+        campaign_bytes(config)
+        assert graded_by() == {"caller"}
+        assert forks == []
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_child_error_that_does_not_pickle_arrives_as_runtime_error(graders, forks, monkeypatch):
+    # A class defined in a function pickles by reference to a name that
+    # does not resolve, so the child sends its repr as a RuntimeError.
+    caller = os.getpid()
+    check_chunk = fuzzer._check_chunk
+
+    class Unpicklable(ValueError):
+        pass
+
+    def failing(entry, first_trial, mats, tol):
+        if os.getpid() != caller:
+            raise Unpicklable("planted")
+        return check_chunk(entry, first_trial, mats, tol)
+
+    monkeypatch.setattr(fuzzer, "_check_chunk", failing)
+    graders(2)
+    with pytest.raises(RuntimeError, match=r"^Unpicklable\('planted'\)$"):
+        run_campaign(small_config(targets=ALL_TARGETS, dims=(32,), trials_per_dim=4))
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def _planted_error(*args):
+    raise NotPSD("planted")
+
+
+def _planted_interrupt(*args):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize(
+    "where, planted",
+    [
+        ("_check_chunk", _planted_error),
+        ("_check_chunk", _planted_interrupt),
+        ("_TargetAggregator", type("Closing", (_TargetAggregator,), {"fold": _planted_error})),
+    ],
+    ids=["error", "interrupt", "close"],
+)
+def test_no_child_outlives_a_stopped_campaign(graders, forks, monkeypatch, where, planted):
+    # A chunk error and an interrupt raised while grading end the campaign
+    # inside the chunk generator; an error while folding closes it early,
+    # at its first chunk.  Each time the child is killed and reaped before
+    # the campaign returns.
+    monkeypatch.setattr(fuzzer, where, planted)
+    graders(2)
+    with pytest.raises((NotPSD, KeyboardInterrupt)):
+        run_campaign(small_config(targets=ALL_TARGETS, dims=(32,), trials_per_dim=4))
+    assert len(forks) == 1
+    assert_reaped(forks)
 
 
 def test_violating_target_stores_replayable_worst_witness():

@@ -300,8 +300,11 @@ def _set(doc, path: str, value) -> None:
 
 
 # (field path, JSON text of its replacement): integer fields take JSON
-# integers only, number fields JSON integers or floats, neither a bool;
-# list fields take lists, string fields strings, and the schema is 1.
+# integers only, number fields finite JSON integers or floats, neither a
+# bool; list fields take lists, string fields strings, and the schema is 1.
+# The fields also agree: "dim" is every input's "n" and every entry of
+# the report's "dims", one per input; the report's "id" is the witness's
+# "ineq_id"; and the "j" of each side run 1..m.
 MALFORMED_WITNESS_FIELDS = [
     ("dim", "1e400"),
     ("dim", "true"),
@@ -341,6 +344,22 @@ MALFORMED_WITNESS_FIELDS = [
     ("report.sides.0.per_index", "{}"),
     ("report.sides.0.per_index.0.j", "1.0"),
     ("report.sides.0.per_index.0.margin", "false"),
+    ("report.min_margin", "1e400"),
+    ("report.tol_used", "-1e400"),
+    ("report.hypothesis_residuals.normality_defect", "1e400"),
+    ("report.sides.0.scale", "1e400"),
+    ("report.sides.0.per_index.0.lhs", "-1e400"),
+    ("tol.tol_rel", "1e400"),
+    ("dim", "5"),
+    ("report.dims", "[7]"),
+    ("report.dims", "[]"),
+    ("report.dims.0", "5"),
+    ("inputs", "[]"),
+    ("report.id", '"thm-2.1"'),
+    ("report.id", '"bk-1.1"'),
+    ("report.sides.0.per_index.0.j", "99"),
+    ("report.sides.0.per_index.0.j", "0"),
+    ("report.sides.0.per_index.1.j", "1"),
 ]
 
 
@@ -351,6 +370,19 @@ def test_witness_reader_rejects_wrongly_typed_fields(witness_text, path, text):
     doc = loads_strict(witness_text)
     _set(doc, path, loads_strict(text))
     with pytest.raises(MalformedWitness):
+        witness_from_document(doc)
+
+
+def test_witness_reader_rejects_a_consistent_but_wrong_dimension(witness_text):
+    # "dim" and the report's "dims" edited alike still disagree with the
+    # inputs' "n", which replay() would grade.
+    from svineq.fuzzer import MalformedWitness
+
+    doc = loads_strict(witness_text)
+    assert doc["dim"] == doc["inputs"][0]["n"] != 5
+    _set(doc, "dim", 5)
+    _set(doc, "report.dims", [5])
+    with pytest.raises(MalformedWitness, match="disagree"):
         witness_from_document(doc)
 
 
