@@ -38,12 +38,14 @@ import signal
 import sys
 import threading
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import randgen
 from .decomp import cartesian
 from .inequalities import (
+    CATALOG,
     SPLITTABLE_CLASSES,
     ArityMismatch,
     CatalogEntry,
@@ -71,16 +73,19 @@ from .numkernel import (
 # memory of one chunk (blocks of 2n x 2n entries and their temporaries).
 CHUNK_ELEMENTS = 1 << 14
 
-# Matrix entries (k * n**2) from which a chunk is worth sharing with the
-# forked child: below it the hand-off costs more than the overlap saves.
-# Timed for a worker thread on a 2-core x86-64 box (see CHANGES.md).
+# Matrix entries (k * n**2) from which a chunk is shared with the forked
+# child, as timed for the worker thread the child replaced.  With the
+# child, sharing costs mostly the fork, once per campaign: on a 2-core
+# x86-64 box with one BLAS thread, sharing every chunk made `--dims 2,3,5,8
+# --trials 8` campaigns 20% faster, and campaigns of 14 single-trial n = 2
+# chunks a third slower (see CHANGES.md).
 THREAD_ELEMENTS = 2048
 
 # Largest dimension whose chunks the child takes when BLAS may run more
-# than one thread.  On the same box with two BLAS threads, a worker thread
-# made campaigns 1.5-1.9x faster up to n = 16 and 1.2x at n = 24; from n = 32
-# on, BLAS spreads a chunk's kernels over the CPUs itself, and the worker
-# made them slower.
+# than one thread: from n = 32 on, BLAS spreads a chunk's kernels over the
+# CPUs itself.  On the same box with two BLAS threads, letting the child
+# take the n = 32 and 64 chunks made three `--ineq all --dims 32,64
+# --trials 2` campaigns about 7x slower (0.53 -> 3.8 s).
 THREADED_BLAS_DIM = 16
 
 
@@ -199,44 +204,30 @@ def _validate_dims(dims, where: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _input_plan(entry: CatalogEntry, class_tag: str) -> str:
-    """How to turn one generator draw into checker inputs.
-
-    Returns "split" (draw one normal matrix, use its Hermitian/skew
-    parts), "native" (the class emits the checker's arity directly), or
-    "repeat" (draw a 1-matrix class ``arity`` times).
+def _drawer(entry: CatalogEntry, class_tag: str) -> Callable:
+    """The function ``draw(dim, stream, scale)`` that turns draws of
+    ``class_tag`` from a stacked stream into one (k, n, n) stack per
+    checker operand: the Hermitian/skew parts of one normal draw for a
+    ``split_cartesian`` checker, one draw of a class that emits the
+    checker's arity directly, or ``arity`` draws of a 1-matrix class.
     """
     if class_tag not in randgen.CLASS_ARITY:
         raise ConfigInvalid(f"unknown generator class {class_tag!r}")
-    if entry.split_cartesian and class_tag in SPLITTABLE_CLASSES:
-        return "split"
     class_arity = randgen.CLASS_ARITY[class_tag]
+    sample = functools.partial(randgen.sample, class_tag)
+    if entry.split_cartesian and class_tag in SPLITTABLE_CLASSES:
+        return lambda *args: cartesian(*sample(*args))
     if class_arity == entry.arity:
-        return "native"
+        return sample
     if class_arity == 1:
-        return "repeat"
+        return lambda *args: tuple(m for _ in range(entry.arity) for m in sample(*args))
     raise ConfigInvalid(
         f"class {class_tag!r} produces {class_arity} matrices but "
         f"{entry.ineq_id} takes {entry.arity}"
     )
 
 
-def _build_inputs(
-    entry: CatalogEntry, class_tag: str, plan: str, dim: int, stream, scale: float
-) -> tuple[np.ndarray, ...]:
-    """One (k, n, n) stack per checker operand, drawn from a stacked stream."""
-    if plan == "split":
-        (m,) = randgen.sample(class_tag, dim, stream, scale)
-        return cartesian(m)
-    if plan == "native":
-        return randgen.sample(class_tag, dim, stream, scale)
-    mats = []
-    for _ in range(entry.arity):
-        mats.extend(randgen.sample(class_tag, dim, stream, scale))
-    return tuple(mats)
-
-
-def _plan(config: CampaignConfig) -> list[tuple[CatalogEntry, str, str, tuple[int, ...]]]:
+def _plan(config: CampaignConfig) -> list[tuple[CatalogEntry, str, Callable, tuple[int, ...]]]:
     if not config.targets:
         raise ConfigInvalid("campaign has no targets")
     if not randgen.is_integer(config.trials_per_dim) or config.trials_per_dim < 1:
@@ -260,9 +251,9 @@ def _plan(config: CampaignConfig) -> list[tuple[CatalogEntry, str, str, tuple[in
             entry = catalog_entry(ineq_id)
         except UnknownInequality as exc:
             raise ConfigInvalid(str(exc)) from None
-        plan = _input_plan(entry, class_tag)
+        draw = _drawer(entry, class_tag)
         effective_dims = (entry.fixed_dim,) if entry.fixed_dim is not None else dims
-        jobs.append((entry, class_tag, plan, effective_dims))
+        jobs.append((entry, class_tag, draw, effective_dims))
     return jobs
 
 
@@ -393,12 +384,11 @@ def _check_chunk(entry: CatalogEntry, first_trial: int, mats, tol: Tolerance) ->
 
 
 def _grade_chunk(config: CampaignConfig, chunk) -> list:
-    """Draw the inputs of ``chunk`` (entry, class, plan, dim, first trial,
-    trials) and check them."""
-    entry, class_tag, plan, dim, first, k = chunk
+    """Draw the inputs of ``chunk`` (entry, class, draw function, dim, first
+    trial, trials) and check them."""
+    entry, _, draw, dim, first, k = chunk
     stream = randgen.prng_stream(config.seed, np.arange(first, first + k, dtype=np.uint64))
-    mats = _build_inputs(entry, class_tag, plan, dim, stream, config.scale)
-    return _check_chunk(entry, first, mats, config.tol)
+    return _check_chunk(entry, first, draw(dim, stream, config.scale), config.tol)
 
 
 def _usable_cpus() -> int:
@@ -557,13 +547,13 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     """
     targets = []
     trial = 0
-    for entry, class_tag, plan, dims in _plan(config):
+    for entry, class_tag, draw, dims in _plan(config):
         chunks = []
         for dim in dims:
             size = max(1, CHUNK_ELEMENTS // (dim * dim))
             for start in range(0, config.trials_per_dim, size):
                 k = min(size, config.trials_per_dim - start)
-                chunks.append((entry, class_tag, plan, dim, trial + start, k))
+                chunks.append((entry, class_tag, draw, dim, trial + start, k))
             trial += config.trials_per_dim
         targets.append((_TargetAggregator(entry, class_tag, dims), chunks))
     order = [chunk for _, chunks in targets for chunk in chunks]
@@ -586,13 +576,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 
 # --- counterexample search ---------------------------------------------------
 
-_DEFAULT_SEARCH_DIMS = {
-    "bk-1.1-hermitian-B": (2, 3),
-    "thm-2.1-nonnormal": (2, 3),
-    "loewner-cartesian-general": (2,),
-}
-
-SEARCH_TARGET_IDS = tuple(_DEFAULT_SEARCH_DIMS)
+SEARCH_TARGET_IDS = tuple(e.ineq_id for e in CATALOG.values() if e.search_dims)
 
 
 # Greedy perturbation steps each restart of a search runs at most.
@@ -773,8 +757,8 @@ def search_counterexample(target: SearchTarget, seed: int) -> Witness | None:
     """
     if not randgen.is_integer(seed) or not 0 <= seed < 2**64:
         raise ConfigInvalid(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    dims = target.dims or _DEFAULT_SEARCH_DIMS[target.target_id]
     entry = catalog_entry(target.target_id)
+    dims = target.dims or entry.search_dims
     cap = max(1, CHUNK_ELEMENTS // max((2 ** _search_depth(n) - 1) * n * n for n in dims))
     start = 0
     while start < target.budget:

@@ -148,7 +148,7 @@ class SideBatch:
     """One side for k trials: (k, m) lhs/rhs/margin rows and (k,) scale and
     minimum margin.  ``requires`` names the hypothesis without which the
     side is not evaluated; ``present`` marks the trials that evaluated it
-    (None: all of them), and absent rows hold NaN."""
+    (None: all of them), and nothing reads the rows of the others."""
 
     label: str
     kind: str
@@ -174,26 +174,6 @@ class SideBatch:
             entries=entries,
             scale=float(self.scale[i]),
             min_margin=float(self.min_margin[i]),
-        )
-
-    def masked(self, present: np.ndarray) -> "SideBatch":
-        """This side on the trials ``present`` selects only."""
-        if present.all():
-            return self
-
-        def mask(a):
-            out = a.copy()
-            out[~present] = np.nan
-            return out
-
-        return dataclasses.replace(
-            self,
-            lhs=mask(self.lhs),
-            rhs=mask(self.rhs),
-            margin=mask(self.margin),
-            scale=mask(self.scale),
-            min_margin=mask(self.min_margin),
-            present=present,
         )
 
 
@@ -299,25 +279,36 @@ class Checked:
 
 def _grade(ineq_id: str, dims: tuple[int, ...], graded: Graded, tol: Tolerance, drops) -> Checked:
     # Every hypothesis but the dropped ones is kept.  A kept hypothesis
-    # that a side requires masks that side on the trials where it fails;
-    # the others gate the verdict.  Residuals are reported for all of them.
+    # that a side requires marks that side absent on the trials where it
+    # fails; the others gate the verdict.  Residuals are reported for all
+    # of them.
     kept = {name: flag for name, (flag, _) in graded.hypotheses.items() if name not in drops}
-    sides = tuple(s.masked(kept[s.requires]) if s.requires in kept else s for s in graded.sides)
+    sides = tuple(
+        dataclasses.replace(s, present=kept[s.requires])
+        if s.requires in kept and not kept[s.requires].all()
+        else s
+        for s in graded.sides
+    )
     required = {s.requires for s in sides}
     gate = None
     for name, flag in kept.items():
         if name not in required:
             gate = flag if gate is None else gate & flag
     residuals = {k: v for _, backing in graded.hypotheses.values() for k, v in backing.items()}
-    # Sides are combined in order.  The minimum margin keeps the first of
-    # equal values, as min over a sequence does (0.0 before -0.0 stays
-    # 0.0).  A side absent from a trial holds NaN there, which fmax and the
-    # strict comparison pass over.  The first side is never absent.
+    # Sides are combined in order, each over the trials that evaluated it
+    # (the first side is never absent).  The minimum margin keeps the
+    # first of equal values, as min over a sequence does (0.0 before -0.0
+    # stays 0.0).
     first, *rest = sides
     scale, min_margin = first.scale, first.min_margin
     for side in rest:
-        scale = np.fmax(scale, side.scale)
-        min_margin = np.where(side.min_margin < min_margin, side.min_margin, min_margin)
+        wider = np.fmax(scale, side.scale)
+        lower = side.min_margin < min_margin
+        if side.present is not None:
+            wider = np.where(side.present, wider, scale)
+            lower &= side.present
+        scale = wider
+        min_margin = np.where(lower, side.min_margin, min_margin)
     tol_used = tol.effective(scale)
     violated = min_margin < -tol_used
     if gate is not None:
@@ -547,6 +538,8 @@ class CatalogEntry:
     ``drops`` is None for a catalog statement; a search-only variant,
     left out of "all", is its base statement without the hypotheses
     ``drops`` names (none for a variant that only changes the class).
+    ``search_dims`` are the default dimensions of a variant that
+    counterexample searches target (None: not a search target).
     """
 
     ineq_id: str
@@ -557,6 +550,7 @@ class CatalogEntry:
     split_cartesian: bool = False
     holds_for: frozenset[str] | None = None
     drops: frozenset[str] | None = None
+    search_dims: tuple[int, ...] | None = None
 
     def expected_to_hold(self, class_tag: str) -> bool:
         if self.holds_for is None:
@@ -586,9 +580,10 @@ def _register(*args, **kwargs) -> None:
     CATALOG[entry.ineq_id] = entry
 
 
-def _variant(ineq_id, base_id, drops, canonical_class, holds_for) -> None:
+def _variant(ineq_id, base_id, drops, canonical_class, holds_for, search_dims=None) -> None:
     """Register ``base_id`` without its hypothesis ``drops`` (None: with
-    every hypothesis) as the search-only variant ``ineq_id``."""
+    every hypothesis) as the search-only variant ``ineq_id``, searched at
+    ``search_dims`` by default."""
     base = CATALOG[base_id]
     dropped = frozenset(() if drops is None else (drops,))
     if not dropped <= set(base.hypotheses):
@@ -599,6 +594,7 @@ def _variant(ineq_id, base_id, drops, canonical_class, holds_for) -> None:
         canonical_class=canonical_class,
         holds_for=holds_for,
         drops=dropped,
+        search_dims=search_dims,
     )
 
 
@@ -620,9 +616,11 @@ _register(
 _register("proof-facts-2.1", 2, "normal", _core_proof_facts, split_cartesian=True)
 # Search-only variants: statements known or suspected to be false in
 # general.
-_variant("bk-1.1-hermitian-B", "bk-1.1", "b_positive", "psd", frozenset({"psd"}))
-_variant("thm-2.1-nonnormal", "thm-2.1", "normal", "ginibre", NORMAL_OUTPUT_CLASSES)
-_variant("loewner-cartesian-general", "loewner-cartesian", None, "ginibre", NORMAL_OUTPUT_CLASSES)
+_variant("bk-1.1-hermitian-B", "bk-1.1", "b_positive", "psd", frozenset({"psd"}), (2, 3))
+_variant("thm-2.1-nonnormal", "thm-2.1", "normal", "ginibre", NORMAL_OUTPUT_CLASSES, (2, 3))
+_variant(
+    "loewner-cartesian-general", "loewner-cartesian", None, "ginibre", NORMAL_OUTPUT_CLASSES, (2,)
+)
 _variant("proof-facts-2.1-general", "proof-facts-2.1", "commute", "hermitian", SPLITTABLE_CLASSES)
 
 

@@ -79,7 +79,9 @@ class Tolerance:
     tol_rel: float = 1e-9
 
     def __post_init__(self):
-        if not 0 <= self.tol_rel < np.inf:
+        # Only numbers JSON writes and reads back: no bool, float32 or huge int.
+        real = type(self.tol_rel) is not bool and isinstance(self.tol_rel, (int, float))
+        if not (real and 0 <= self.tol_rel <= float(np.finfo(float).max)):
             raise ValueError(f"tol_rel must be a nonnegative finite number, got {self.tol_rel!r}")
 
     def effective(self, scale):

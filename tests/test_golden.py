@@ -37,11 +37,12 @@ from svineq.serialize import campaign_document, dumps, matrix_to_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# One campaign that reaches every input plan and every outcome: a violated
-# target with a witness, a search-only variant, a structural NotHermitian
-# rejection, graded hypothesis violations (repeat plan), the split plan, a
-# side skipped on some trials only (non-commuting Hermitian pairs), and a
-# two-matrix native class.  Seven trials per dimension leave a ragged last
+# One campaign that reaches every way of drawing inputs and every outcome:
+# a violated target with a witness, a search-only variant, a structural
+# NotHermitian rejection, graded hypothesis violations (repeated draws of a
+# one-matrix class), the split parts of a normal draw, a side skipped on
+# some trials only (non-commuting Hermitian pairs), and a two-matrix
+# native class.  Seven trials per dimension leave a ragged last
 # chunk for any chunk size from 2 to 6.
 EDGE_CONFIG = CampaignConfig(
     targets=(
@@ -165,10 +166,10 @@ def test_frobenius_norms_see_only_contiguous_stacks(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "_fro", contiguous_fro)
     for ineq_id in inequalities.catalog_ids(include_variants=True):
         entry = inequalities.catalog_entry(ineq_id)
-        plan = fuzzer._input_plan(entry, entry.canonical_class)
+        draw = fuzzer._drawer(entry, entry.canonical_class)
         for n in (entry.fixed_dim,) if entry.fixed_dim else (1, 2, 3):
             stream = randgen.prng_stream(0, np.arange(1, dtype=np.uint64))
-            mats = fuzzer._build_inputs(entry, entry.canonical_class, plan, n, stream, 1.0)
+            mats = draw(n, stream, 1.0)
             inequalities.check(ineq_id, [m[0] for m in mats])
     fuzz = ["fuzz", "--ineq", "all", "--dims", "1,2,3", "--seed", "0"]
     assert main([*fuzz, "--out", str(tmp_path / "fuzz.json")]) == 0

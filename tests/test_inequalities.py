@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from svineq import inequalities
 from svineq.fixtures import EX_2_2, EX_2_3
-from svineq.fuzzer import _build_inputs, _input_plan
+from svineq.fuzzer import _drawer
 from svineq.inequalities import (
     ArityMismatch,
     UnknownInequality,
@@ -710,13 +710,35 @@ def test_stacked_checker_matches_single_checks(ineq_id):
     # for that input set alone.
     entry = catalog_entry(ineq_id)
     n = entry.fixed_dim or 3
-    plan = _input_plan(entry, entry.canonical_class)
     stream = prng_stream(21, np.arange(40, 45, dtype=np.uint64))
-    mats = _build_inputs(entry, entry.canonical_class, plan, n, stream, 1.0)
+    mats = _drawer(entry, entry.canonical_class)(n, stream, 1.0)
     checked = entry.run(mats, DEFAULT_TOL)
     assert len(checked) == 5
     for i in range(5):
         assert checked.report(i) == check(ineq_id, [m[i] for m in mats])
+
+
+def test_a_skipped_side_never_sets_the_report_scale():
+    # One proof-facts-2.1 stack that interleaves commuting pairs (the split
+    # parts of normal draws) with non-commuting Hermitian pairs, at a scale
+    # where the sqrt side (degree 1) outweighs the square side (degree 2).
+    entry = catalog_entry("proof-facts-2.1")
+    rows = np.arange(6, dtype=np.uint64)
+    commuting = _drawer(entry, "normal")(3, prng_stream(4, rows), 0.01)
+    general = _drawer(entry, "hermitian")(3, prng_stream(5, rows), 0.01)
+    mats = [np.stack(pair, axis=1).reshape(-1, 3, 3) for pair in zip(commuting, general)]
+    checked = entry.run(mats, DEFAULT_TOL)
+    for i in range(len(checked)):
+        inputs = [m[i] for m in mats]
+        rep = checked.report(i)
+        assert rep == check("proof-facts-2.1", inputs)
+        if i % 2 == 0:
+            assert rep.skipped == ()
+            continue
+        assert rep.skipped == ("sqrt",)
+        square_scale = rep.side("square").scale
+        assert check("proof-facts-2.1-general", inputs).side("sqrt").scale > square_scale
+        assert rep.tol_used == DEFAULT_TOL.effective(square_scale)
 
 
 # Each search-only variant: its base statement and the hypothesis it drops.
@@ -736,22 +758,22 @@ def test_variants_are_the_ids_left_out_of_all():
 def test_variant_is_its_base_minus_one_hypothesis(variant_id):
     base_id, dropped = VARIANTS[variant_id]
     variant, base = catalog_entry(variant_id), catalog_entry(base_id)
-    plan = _input_plan(variant, variant.canonical_class)
     stream = prng_stream(8, np.arange(12, dtype=np.uint64))
-    mats = _build_inputs(variant, variant.canonical_class, plan, 3, stream, 1.0)
+    mats = _drawer(variant, variant.canonical_class)(3, stream, 1.0)
     graded = base.core(mats, DEFAULT_TOL)
     want, got = base.run(mats, DEFAULT_TOL), variant.run(mats, DEFAULT_TOL)
     # Sides: the variant evaluates a side that requires the dropped
-    # hypothesis on every trial, and is otherwise bit-identical to the base.
+    # hypothesis on every trial, and is otherwise bit-identical to the base
+    # on the trials the base evaluates.
     assert [s.label for s in got.sides] == [s.label for s in want.sides]
     for g, w in zip(got.sides, want.sides):
         if dropped is not None and g.requires == dropped:
             assert g.present is None
-            if w.present is not None:
-                g = g.masked(w.present)
-        assert np.array_equal(g.present, w.present)
+        else:
+            assert np.array_equal(g.present, w.present)
+        rows = slice(None) if w.present is None else w.present
         for attr in ("lhs", "rhs", "margin"):
-            assert np.array_equal(getattr(g, attr), getattr(w, attr), equal_nan=True)
+            assert np.array_equal(getattr(g, attr)[rows], getattr(w, attr)[rows])
     # Gate: the base's flags, except the dropped one and those that only
     # decide whether a side is evaluated.
     side_only = {s.requires for s in graded.sides}
@@ -779,9 +801,8 @@ def test_entry_hypotheses_are_those_its_core_grades(ineq_id):
     # The names an entry reads from a 1x1 probe are the ones its core
     # grades on its canonical class, less the dropped ones.
     entry = catalog_entry(ineq_id)
-    plan = _input_plan(entry, entry.canonical_class)
     stream = prng_stream(9, np.arange(3, dtype=np.uint64))
-    mats = _build_inputs(entry, entry.canonical_class, plan, entry.fixed_dim or 3, stream, 1.0)
+    mats = _drawer(entry, entry.canonical_class)(entry.fixed_dim or 3, stream, 1.0)
     names = entry.core(mats, DEFAULT_TOL).hypotheses
     assert entry.hypotheses == tuple(n for n in names if n not in (entry.drops or ()))
 
@@ -895,9 +916,8 @@ def drawn_inputs(ineq_id, class_tag, n, seed):
     """One input set for ``ineq_id``, drawn as a campaign draws it."""
     entry = catalog_entry(ineq_id)
     class_tag = class_tag or entry.canonical_class
-    plan = _input_plan(entry, class_tag)
     stream = prng_stream(seed, np.zeros(1, dtype=np.uint64))
-    return [m[0] for m in _build_inputs(entry, class_tag, plan, entry.fixed_dim or n, stream, 1.0)]
+    return [m[0] for m in _drawer(entry, class_tag)(entry.fixed_dim or n, stream, 1.0)]
 
 
 scale_cases = st.one_of(

@@ -1,6 +1,7 @@
 """Kernel linear algebra: construction, eigendecomposition, spectra, order."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,7 +83,7 @@ def test_as_matrix_dimension_bounds():
 
 
 def test_tolerance_defaults_and_effective():
-    assert DEFAULT_TOL == Tolerance(tol_rel=1e-9)
+    assert DEFAULT_TOL == Tolerance(tol_rel=1e-9) == Tolerance(tol_rel=np.float64(1e-9))
     assert DEFAULT_TOL.effective(0.0) == 0.0
     assert DEFAULT_TOL.effective(100.0) == pytest.approx(1e-7)
     # homogeneous: no floor below unit scale
@@ -97,7 +98,20 @@ def test_tolerance_rejects_negative():
         Tolerance(tol_rel=-1.0)
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("nan"), float("1e999")])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        float("inf"),
+        float("nan"),
+        float("1e999"),
+        pytest.param(10**400, id="10**400"),
+        # Not a number that JSON writes and the witness reader reads back.
+        True,
+        Fraction(1, 10**9),
+        "1e-9",
+        np.float32(1e-9),
+    ],
+)
 def test_tolerance_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="tol_rel must be a nonnegative finite number"):
         Tolerance(tol_rel=bad)

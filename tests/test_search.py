@@ -58,8 +58,8 @@ def sequential_search(target: SearchTarget, seed: int) -> Witness | None:
     greedy steps.  Candidates are scored one at a time by the stacked
     checker on a stack of one; only the witness gets a full report.
     """
-    dims = target.dims or fuzzer._DEFAULT_SEARCH_DIMS[target.target_id]
     entry = catalog_entry(target.target_id)
+    dims = target.dims or entry.search_dims
     tol = DEFAULT_TOL
 
     def score(mats) -> tuple[float, bool, Checked]:
