@@ -7,11 +7,12 @@ then repetitions) draws its inputs from ``prng_stream(seed, t)``, so the
 result is a pure function of the config and independent of execution
 order.  The trials of one (target, dimension) block are drawn and checked
 as stacks of at most ``CHUNK_ELEMENTS // n**2`` trials; the chunk size
-never shows in the result.  When the process may use two CPUs, large
-chunks (see ``_shared_chunks``) are shared with a child process forked
-for the campaign, and the caller folds every chunk in trial order, so the
-result is the one a single process gives: byte-identical on one machine
-and BLAS configuration, while the BLAS thread count can change last bits.
+never shows in the result.  When the process may use two CPUs, the chunks
+are shared with a child process forked for the campaign, and the caller
+folds them in trial order, so the result is the one a single process
+gives.  Campaigns and searches grade on one BLAS thread (see
+``numkernel.one_blas_thread``), so that the BLAS thread count cannot
+change last bits.
 
 Searches target statements that are false (or of unknown truth) in
 general: random restarts from an ambient parameterisation that preserves
@@ -28,7 +29,6 @@ the restarts give when run one after the other, one candidate at a time.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
 import math
 import os
@@ -66,28 +66,14 @@ from .numkernel import (
     ToleranceOverflow,
     _adj,
     _herm,
+    _openblas_thread_query,
+    one_blas_thread,
 )
 
 
 # Matrix entries per operand stack a campaign checks at once: bounds the
 # memory of one chunk (blocks of 2n x 2n entries and their temporaries).
 CHUNK_ELEMENTS = 1 << 14
-
-# Matrix entries (k * n**2) from which a chunk is shared with the forked
-# child, as timed for the worker thread the child replaced.  With the
-# child, sharing costs mostly the fork, once per campaign: on a 2-core
-# x86-64 box with one BLAS thread, sharing every chunk made `--dims 2,3,5,8
-# --trials 8` campaigns 20% faster, and campaigns of 14 single-trial n = 2
-# chunks a third slower (see CHANGES.md).
-THREAD_ELEMENTS = 2048
-
-# Largest dimension whose chunks the child takes when BLAS may run more
-# than one thread: from n = 32 on, BLAS spreads a chunk's kernels over the
-# CPUs itself.  On the same box with two BLAS threads, letting the child
-# take the n = 32 and 64 chunks made three `--ineq all --dims 32,64
-# --trials 2` campaigns about 7x slower (0.53 -> 3.8 s).
-THREADED_BLAS_DIM = 16
-
 
 class ConfigInvalid(ValueError):
     """Campaign or search configuration is unusable."""
@@ -123,20 +109,32 @@ class MarginHistogram:
     _LO = -12.0
     _HI = 4.0
 
-    def add(self, margin: float) -> None:
-        if margin < 1e-12:
-            self.underflow += 1
-        elif margin >= 1e4:
-            self.overflow += 1
-        else:
-            width = (self._HI - self._LO) / len(self.counts)
-            idx = int((math.log10(margin) - self._LO) / width)
-            idx = min(max(idx, 0), len(self.counts) - 1)
-            self.counts[idx] += 1
+    def add(self, margins) -> None:
+        """Count an array of margins."""
+        margins = np.asarray(margins, dtype=np.float64)
+        low, high = margins < 1e-12, margins >= 1e4
+        self.underflow += int(np.count_nonzero(low))
+        self.overflow += int(np.count_nonzero(high))
+        bins = np.searchsorted(_bin_edges(), margins[~(low | high)], side="right")
+        self.counts = [a + b for a, b in zip(self.counts, np.bincount(bins, minlength=32).tolist())]
 
     @property
     def total(self) -> int:
         return sum(self.counts) + self.underflow + self.overflow
+
+
+@functools.cache
+def _bin_edges() -> np.ndarray:
+    """The first double of bins 1..31: for each j the smallest x with
+    int(2 * (math.log10(x) + 12)) >= j, bisected over the bit patterns of
+    the doubles in [1e-12, 1e4], which order as the doubles do."""
+    lo, hi = np.array([1e-12, 1e4]).view(np.int64)
+    a, b, j = np.full(31, lo), np.full(31, hi), np.arange(1, 32)
+    while (a < b).any():
+        mid = a + (b - a) // 2
+        above = np.array([int(2 * (math.log10(x) + 12)) for x in mid.view(np.float64).tolist()]) >= j
+        a, b = np.where(above, a, mid + 1), np.where(above, mid, b)
+    return a.view(np.float64)
 
 
 @dataclass
@@ -298,8 +296,7 @@ class _TargetAggregator:
         self.hypothesis_violated += hypothesis_violated
         margins = checked.min_margin
         self.margin_floor = min(self.margin_floor, float(margins[margins.argmin()]))
-        for margin in margins.tolist():
-            self.histogram.add(margin)
+        self.histogram.add(margins)
         for side in checked.sides:
             present = slice(None) if side.present is None else side.present
             side_min = side.min_margin[present]
@@ -391,52 +388,6 @@ def _grade_chunk(config: CampaignConfig, chunk) -> list:
     return _check_chunk(entry, first, draw(dim, stream, config.scale), config.tol)
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@functools.cache
-def _openblas_thread_query():
-    """The loaded OpenBLAS's own thread-count function; None where no
-    OpenBLAS shows in the process's memory map."""
-    try:
-        with open("/proc/self/maps") as maps:
-            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                    "openblas_get_num_threads"):
-            fn = getattr(handle, sym, None)
-            if fn is not None:
-                fn.restype = ctypes.c_int
-                return fn
-    return None
-
-
-def _blas_threads() -> int | None:
-    """Threads numpy's BLAS runs; None where it cannot be asked."""
-    query = _openblas_thread_query()
-    return None if query is None else int(query())
-
-
-def _shared_chunks(order: list) -> list[bool]:
-    """Which chunks the child may grade.  None on one CPU.  With more,
-    the chunks of at least THREAD_ELEMENTS entries, and unless BLAS runs
-    one thread, only those whose matrices are at most THREADED_BLAS_DIM
-    square."""
-    if _usable_cpus() < 2:
-        return [False] * len(order)
-    max_dim = MAX_DIM if _blas_threads() == 1 else THREADED_BLAS_DIM
-    return [k * dim * dim >= THREAD_ELEMENTS and dim <= max_dim for *_, dim, _, k in order]
-
-
 def _attempt(grade, chunk):
     """What ``grade(chunk)`` returns, or the Exception it raises."""
     try:
@@ -472,27 +423,27 @@ def _receive(inbox: int, done: dict, block: bool) -> bool:
     return True
 
 
-def _graded(chunks: list, grade, shared: list[bool]):
+def _graded(chunks: list, grade):
     """Yield ``grade(chunk)`` for each chunk in order; what grading a chunk
     raised is raised at that chunk's turn.
 
-    The caller and a child forked here claim the ``shared`` chunks in trial
-    order.  The child pipes back what it grades and stops after its first
-    error.  The caller grades the other chunks, and any the child claimed
-    but died before sending, at their turn, and buffers results until
-    theirs.  The child ignores SIGINT and ends with ``os._exit``; the caller
-    kills and reaps it when the generator ends, also when it is closed early.
+    With two usable CPUs and two chunks or more, the caller and a child
+    forked here claim the chunks in trial order.  The child pipes back what
+    it grades and stops after its first error.  The caller grades the
+    chunks it claims, and any the child claimed but died before sending, at
+    their turn, and buffers results until theirs.  The child ignores SIGINT
+    and ends with ``os._exit``; the caller kills and reaps it when the
+    generator ends, also when it is closed early.
     """
     # Fork only on Linux with numpy's OpenBLAS, whose fork handlers stop its
     # threads, and only while one thread runs: a fork copies no other.
     if not (sys.platform == "linux" and hasattr(os, "memfd_create") and len(chunks) > 1
-            and any(shared) and threading.active_count() == 1 and _blas_threads() is not None):
-        for chunk in chunks:
-            yield grade(chunk)
+            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1
+            and _openblas_thread_query() is not None):
+        yield from map(grade, chunks)
         return
     import fcntl  # Unix only
 
-    order = [i for i, share in enumerate(shared) if share]
     pid, fds = -1, [os.memfd_create("svineq-claims"), *os.pipe()]
     claims, inbox, outbox = fds
     try:
@@ -504,12 +455,12 @@ def _graded(chunks: list, grade, shared: list[bool]):
         if not pid:  # the child; the finally ends it, also on an exception
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             out = open(outbox, "wb", closefd=False)
-            while (k := _claim(claims, len(order))) < len(order):
-                result = _attempt(grade, chunks[order[k]])
+            while (k := _claim(claims, len(chunks))) < len(chunks):
+                result = _attempt(grade, chunks[k])
                 try:
-                    data = pickle.dumps((order[k], result))
+                    data = pickle.dumps((k, result))
                 except Exception:  # an exception that does not pickle
-                    data = pickle.dumps((order[k], result := RuntimeError(repr(result))))
+                    data = pickle.dumps((k, result := RuntimeError(repr(result))))
                 out.write(len(data).to_bytes(8, "little") + data)
                 out.flush()
                 if isinstance(result, Exception):
@@ -520,10 +471,10 @@ def _graded(chunks: list, grade, shared: list[bool]):
         for turn, chunk in enumerate(chunks):
             # Grade turn, or chunks after it while the child grades turn;
             # once all are claimed, wait for it unless the child has died.
-            while shared[turn] and turn not in done and (k := _claim(claims, len(order))) < len(order):
-                done[order[k]] = _attempt(grade, chunks[order[k]])
+            while turn not in done and (k := _claim(claims, len(chunks))) < len(chunks):
+                done[k] = _attempt(grade, chunks[k])
                 _receive(inbox, done, block=False)
-            while shared[turn] and turn not in done and _receive(inbox, done, block=True):
+            while turn not in done and _receive(inbox, done, block=True):
                 pass
             if isinstance(result := done.pop(turn) if turn in done else grade(chunk), Exception):
                 raise result
@@ -538,6 +489,7 @@ def _graded(chunks: list, grade, shared: list[bool]):
             os.close(fd)
 
 
+@one_blas_thread()
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Run every target of ``config`` and aggregate margins and verdicts.
 
@@ -559,7 +511,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     order = [chunk for _, chunks in targets for chunk in chunks]
     grade = functools.partial(_grade_chunk, config)
     results = []
-    with contextlib.closing(_graded(order, grade, _shared_chunks(order))) as graded:
+    with contextlib.closing(_graded(order, grade)) as graded:
         for agg, chunks in targets:
             for entry, class_tag, _, dim, _, _ in chunks:
                 try:
@@ -741,6 +693,7 @@ def _search_restarts(
     return found
 
 
+@one_blas_thread()
 def search_counterexample(target: SearchTarget, seed: int) -> Witness | None:
     """Search for a robust violation of ``target``; None means exhausted.
 

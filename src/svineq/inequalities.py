@@ -60,6 +60,7 @@ from .numkernel import (
     direct_sum_spectrum,
     hermitian_singular_values,
     loewner_leq,
+    one_blas_thread,
     psd_sqrt,
     singular_values,
 )
@@ -248,11 +249,8 @@ class Checked:
         minimum margins and tolerances, the minima of the sides each trial
         evaluated, and the hypothesis residuals."""
         values = [self.min_margin, self.tol_used, *self.residuals.values()]
-        for side in self.sides:
-            values.append(
-                side.min_margin if side.present is None else side.min_margin[side.present]
-            )
-        return all(np.isfinite(v).all() for v in values)
+        values += [s.min_margin if s.present is None else s.min_margin[s.present] for s in self.sides]
+        return bool(np.isfinite(np.concatenate(values)).all())
 
     def verdict(self, i: int) -> Verdict:
         hyp = self.hypothesis_ok
@@ -638,6 +636,7 @@ def catalog_entry(ineq_id: str) -> CatalogEntry:
         raise UnknownInequality(f"unknown inequality id {ineq_id!r}") from None
 
 
+@one_blas_thread()
 def check(ineq_id: str, inputs: Sequence, tol: Tolerance = DEFAULT_TOL) -> InequalityReport:
     """Uniform dispatch: run the checker for ``ineq_id`` on ``inputs``.
 

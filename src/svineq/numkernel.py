@@ -20,12 +20,16 @@ values.
 
 Matrices entering the system from outside (files, generator specs) are
 capped at ``MAX_DIM``; internally assembled block matrices may be up to
-twice that size.
+twice that size.  The entry points grade inside ``one_blas_thread``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +126,50 @@ def as_matrix(entries) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise InvalidMatrix("matrix has non-finite entries")
     return m
+
+
+@functools.cache
+def _openblas_thread_query():
+    """The (get, set) thread-count functions of numpy's OpenBLAS, looked up
+    through the library numpy's linear algebra links; None without one."""
+    try:
+        handle = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):  # no such extension, or not a shared library
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+        set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            get.restype, set_.argtypes, set_.restype = ctypes.c_int, [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+# Blocks in one_blas_thread now, and the thread count to restore after the last.
+_pin = {"depth": 0, "threads": 1}
+_pin_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS, if any, on one thread, and
+    restore the caller's count after it, also on an exception: the count
+    can change the last bits of a result.  It is the process's, so nested
+    blocks, and blocks in other threads meanwhile, share the outermost pin."""
+    get, set_ = _openblas_thread_query() or (lambda: 1, None)
+    with _pin_lock:
+        if not _pin["depth"]:
+            _pin["threads"] = get()
+            if _pin["threads"] != 1:
+                set_(1)
+        _pin["depth"] += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin["depth"] -= 1
+            if not _pin["depth"] and _pin["threads"] != 1:
+                set_(_pin["threads"])
 
 
 # --- stacked kernels ---------------------------------------------------------

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import os
 
-# One BLAS thread, set before numpy loads BLAS: the goldens pin last bits of
-# LAPACK results, and the BLAS thread count can change them.
+# One BLAS thread, set before numpy loads BLAS.  svineq's entry points pin
+# numpy's OpenBLAS to one thread themselves; this also covers the tests
+# that call the kernels directly, and BLAS builds svineq cannot pin, since
+# the goldens pin last bits of LAPACK results that the thread count can
+# change.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 for _var in BLAS_THREAD_VARS:
     os.environ[_var] = "1"

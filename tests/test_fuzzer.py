@@ -6,14 +6,14 @@ import os
 import signal
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from svineq import fuzzer
+from svineq import cli, fuzzer, numkernel
 from svineq.fuzzer import (
     CHUNK_ELEMENTS,
-    THREAD_ELEMENTS,
     CampaignConfig,
     ConfigInvalid,
     MalformedWitness,
@@ -27,7 +27,7 @@ from svineq.fuzzer import (
     run_campaign,
     search_counterexample,
 )
-from svineq.inequalities import Verdict, catalog_entry, catalog_ids, check
+from svineq.inequalities import CatalogEntry, Verdict, catalog_entry, catalog_ids, check
 from svineq.numkernel import DEFAULT_TOL, NotPSD, Tolerance
 from svineq.serialize import campaign_document, dumps
 
@@ -215,32 +215,46 @@ def test_non_hermitian_trial_in_a_chunk_is_rejected_alone():
 
 @pytest.fixture
 def graders(monkeypatch, tmp_path):
-    """A switch for the CPU count the campaign sees (2 forks a child where
-    chunks are large enough, 1 keeps every chunk on the caller).  It
-    returns a function giving the processes that graded chunks since,
-    "caller" or "child": each chunk appends its grader's pid to a file
-    the fork inherits."""
+    """A switch for the CPU count the campaign sees (2 forks a child for a
+    campaign of two chunks or more, 1 keeps every chunk on the caller).
+    It returns a function giving the processes that graded chunks since,
+    of dimension ``dim`` if given, "caller" or "child": each chunk appends
+    its grader's pid and dimension to a file the fork inherits.  With
+    ``hold`` set, the caller waits at its chunks of that dimension (10 s
+    at most) until the child has graded one."""
     log = tmp_path / "graders"
     caller = os.getpid()
     grade = fuzzer._grade_chunk
+    hold = None
 
     def recording(config, chunk):
+        dim = chunk[3]
         fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
         try:
-            os.write(fd, b"%d\n" % os.getpid())
+            os.write(fd, b"%d %d\n" % (os.getpid(), dim))
         finally:
             os.close(fd)
+        deadline = time.monotonic() + 10
+        while (os.getpid() == caller and dim == hold and "child" not in graded_by(dim)
+               and time.monotonic() < deadline):
+            time.sleep(0.005)
         return grade(config, chunk)
 
     monkeypatch.setattr(fuzzer, "_grade_chunk", recording)
 
-    def graded_by():
-        pids = log.read_text().split() if log.exists() else []
-        return {"caller" if int(pid) == caller else "child" for pid in pids}
+    def graded_by(dim=None):
+        lines = [line.split() for line in log.read_text().splitlines()] if log.exists() else []
+        return {
+            "caller" if int(pid) == caller else "child"
+            for pid, d in lines
+            if dim is None or int(d) == dim
+        }
 
-    def cpus(count):
+    def cpus(count, hold_dim=None):
+        nonlocal hold
+        hold = hold_dim
         log.unlink(missing_ok=True)
-        monkeypatch.setattr(fuzzer, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
         return graded_by
 
     return cpus
@@ -284,36 +298,34 @@ ALL_TARGETS = tuple((i, catalog_entry(i).canonical_class) for i in catalog_ids()
     ids=["all", "not-hermitian"],
 )
 def test_worker_leaves_documents_byte_identical(graders, forks, targets, trials):
-    # At n = 8 a chunk of 5 trials holds 320 entries and stays on the
-    # caller; at n = 32 and 64 chunks reach THREAD_ELEMENTS, and n = 64
-    # splits each block into chunks of 4 and 1.  thm-2.5-plus on ginibre
-    # retries every trial of its chunks alone (NotHermitian), also in the
-    # child, and 40 trials at n = 32 make three chunks per block.
-    assert 5 * 8**2 < THREAD_ELEMENTS <= 5 * 32**2
+    # The child grades chunks of every size: the caller waits at its n = 8
+    # chunks until the child has graded one, and n = 64 splits each block
+    # into chunks of 4 and 1.  thm-2.5-plus on ginibre retries every trial
+    # of its chunks alone (NotHermitian), also in the child, and 40 trials
+    # at n = 32 make three chunks per block.
     assert CHUNK_ELEMENTS // 64**2 < 5 and CHUNK_ELEMENTS // 32**2 < 40
     config = small_config(targets=targets, dims=(8, 32, 64), trials_per_dim=trials)
     graded_by = graders(1)
     alone = campaign_bytes(config)
     assert graded_by() == {"caller"}
     assert forks == []
-    graded_by = graders(2)
+    graded_by = graders(2, hold_dim=8)
     shared = campaign_bytes(config)
-    assert graded_by() == {"caller", "child"}
+    assert graded_by(8) == graded_by() == {"caller", "child"}
     assert shared == alone
     assert len(forks) == 1
     assert_reaped(forks)
 
 
 def test_worker_hand_off_under_frequent_thread_switches(graders, forks, monkeypatch):
-    # Every chunk is shared and all but scalar-1.6's hold one or two
-    # trials, so the caller and the child hand hundreds of chunks back and
-    # forth, claiming each from their shared counter; a chunk lost, claimed
-    # twice or folded out of turn would change the document.
+    # All but scalar-1.6's chunks hold one or two trials, so the caller
+    # and the child hand hundreds of chunks back and forth, claiming each
+    # from their shared counter; a chunk lost, claimed twice or folded out
+    # of turn would change the document.
     config = small_config(targets=ALL_TARGETS, dims=(2, 3), trials_per_dim=7)
     monkeypatch.setattr(fuzzer, "CHUNK_ELEMENTS", 8)
     graders(1)
     alone = campaign_bytes(config)
-    monkeypatch.setattr(fuzzer, "THREAD_ELEMENTS", 1)
     graded_by = graders(2)
     shared = campaign_bytes(config)
     assert graded_by() == {"caller", "child"}
@@ -321,41 +333,30 @@ def test_worker_hand_off_under_frequent_thread_switches(graders, forks, monkeypa
     assert_reaped(forks)
 
 
-@pytest.mark.parametrize(
-    "cpus, blas, expected",
-    [
-        (1, 1, [False, False, False, False]),
-        (2, 1, [False, True, True, True]),
-        (2, 2, [False, True, False, False]),
-        (2, None, [False, True, False, False]),
-    ],
-)
-def test_shared_chunks_follow_cpus_size_and_blas_threads(monkeypatch, cpus, blas, expected):
-    # (dim, trials): one chunk below THREAD_ELEMENTS, one at the size and
-    # dimension limits, and two above THREADED_BLAS_DIM.  A BLAS that
-    # cannot be asked (None) counts as one that runs several threads.
-    sizes = [(8, 31), (16, 8), (32, 2), (64, 1)]
-    assert 31 * 8**2 < THREAD_ELEMENTS == 8 * 16**2 and fuzzer.THREADED_BLAS_DIM == 16
-    monkeypatch.setattr(fuzzer, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(fuzzer, "_blas_threads", lambda: blas)
-    order = [(None, None, None, dim, 0, k) for dim, k in sizes]
-    assert fuzzer._shared_chunks(order) == expected
-
-
-def test_threaded_blas_keeps_large_matrices_on_the_caller(graders, monkeypatch):
-    # With BLAS on two threads, n = 32 chunks stay on the caller, while the
-    # n = 8 chunk of 40 trials (2560 entries) is still shared.
-    monkeypatch.setattr(fuzzer, "_blas_threads", lambda: 2)
-    targets = (("thm-2.7", "ginibre"), ("thm-2.5-plus", "hermitian"))
-    graders(1)
-    alone = campaign_bytes(small_config(targets=targets, dims=(8, 32), trials_per_dim=40))
-    graded_by = graders(2)
-    campaign_bytes(small_config(targets=targets, dims=(32,), trials_per_dim=40))
+def test_small_campaign_forks_once_and_keeps_its_bytes(graders, forks, tmp_path):
+    # Every chunk of `fuzz --dims 2,3,5,8 --trials 8` holds at most 512
+    # matrix entries, and the campaign forks all the same.
+    golden = (Path(__file__).parent / "golden" / "fuzz-small.json").read_bytes()
+    argv = ["fuzz", "--ineq", "all", "--dims", "2,3,5,8", "--trials", "8", "--seed", "0",
+            "--out", str(tmp_path / "fuzz.json")]
+    graded_by = graders(1)
+    assert cli.main(argv) == 0
+    assert (tmp_path / "fuzz.json").read_bytes() == golden
     assert graded_by() == {"caller"}
+    assert forks == []
     graded_by = graders(2)
-    shared = campaign_bytes(small_config(targets=targets, dims=(8, 32), trials_per_dim=40))
-    assert graded_by() == {"caller", "child"}
-    assert shared == alone
+    assert cli.main(argv) == 0
+    assert (tmp_path / "fuzz.json").read_bytes() == golden
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_one_chunk_campaign_does_not_fork(graders, forks):
+    config = small_config(targets=(("thm-2.7", "ginibre"),), dims=(64,), trials_per_dim=4)
+    graded_by = graders(2)
+    campaign_bytes(config)
+    assert graded_by() == {"caller"}
+    assert forks == []
 
 
 OVERFLOW_TARGETS = (
@@ -363,6 +364,38 @@ OVERFLOW_TARGETS = (
     ("thm-2.7", "ginibre"),
     ("cor-2.9", "normal_pair_shared_basis"),
 )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_grading_pins_blas_to_one_thread_and_restores_the_count(monkeypatch):
+    blas = numkernel._openblas_thread_query()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS this test can ask")
+    get, set_ = blas
+    seen = []
+    run = CatalogEntry.run
+
+    def recording(entry, mats, tol):
+        seen.append(get())
+        return run(entry, mats, tol)
+
+    monkeypatch.setattr(CatalogEntry, "run", recording)
+    target = SearchTarget(target_id="thm-2.1-nonnormal", budget=4)
+    overflow = small_config(targets=OVERFLOW_TARGETS, dims=(2,), scale=1e160)
+    set_(2)
+    try:
+        for grade in (
+            lambda: check("thm-2.7", [np.eye(3)]),
+            lambda: run_campaign(small_config()),
+            lambda: search_counterexample(target, seed=0),
+            lambda: pytest.raises(ConfigInvalid, run_campaign, overflow),
+        ):
+            seen.clear()
+            grade()
+            assert seen and set(seen) == {1}
+            assert get() == 2
+    finally:
+        set_(1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -636,6 +669,49 @@ def test_histogram_binning():
     assert h.total == 6
     assert sum(h.counts) == 1
     assert h.counts[24] == 1  # log10(1.0) = 0 lands 24 half-decades above 1e-12
+
+
+def scalar_bin(margin: float) -> int:
+    """The bin of a margin in [1e-12, 1e4), by the scalar rule."""
+    width = (MarginHistogram._HI - MarginHistogram._LO) / 32
+    return min(max(int((math.log10(margin) - MarginHistogram._LO) / width), 0), 31)
+
+
+def scalar_histogram(margins) -> MarginHistogram:
+    """The histogram one margin at a time, by the scalar rule."""
+    h = MarginHistogram()
+    for m in margins:
+        if m < 1e-12:
+            h.underflow += 1
+        elif m >= 1e4:
+            h.overflow += 1
+        else:
+            h.counts[scalar_bin(m)] += 1
+    return h
+
+
+def test_histogram_edges_follow_the_scalar_rule():
+    edges = fuzzer._bin_edges()
+    assert len(edges) == 31
+    below = np.nextafter(edges, -np.inf)
+    for j, (edge, before) in enumerate(zip(edges.tolist(), below.tolist()), start=1):
+        assert (scalar_bin(before), scalar_bin(edge)) == (j - 1, j)
+    h = MarginHistogram()
+    h.add(np.concatenate([below, edges]))
+    assert h.counts == [1] + [2] * 30 + [1]
+
+
+def test_histogram_of_a_stack_matches_the_scalar_rule():
+    rng = np.random.default_rng(0)
+    margins = np.concatenate([
+        10.0 ** rng.uniform(-13, 5, 20000),
+        -(10.0 ** rng.uniform(-13, 5, 100)),
+        [0.0, -0.0, 1e-12, np.nextafter(1e-12, 0), 1e4, np.nextafter(1e4, 0)],
+    ])
+    h = MarginHistogram()
+    for part in np.array_split(margins, 7):
+        h.add(part)
+    assert h == scalar_histogram(margins.tolist())
 
 
 # --- search ----------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -133,13 +134,39 @@ GOLDEN_NAMES = [name for name, _ in documents(Path("."))]
 
 
 def test_blas_is_pinned_to_one_thread():
-    # The goldens were written with one BLAS thread; conftest.py pins it
-    # before numpy loads BLAS, which reads the setting only then.
+    # conftest.py sets one BLAS thread before numpy loads BLAS, which reads
+    # the setting only then, so that the tests that call the kernels
+    # outside svineq's entry points run as the goldens were written.
     assert all(os.environ[var] == "1" for var in BLAS_THREAD_VARS)
-    threads = fuzzer._blas_threads()
-    if threads is None:
+    blas = numkernel._openblas_thread_query()
+    if blas is None:
         pytest.skip("numpy's BLAS is not an OpenBLAS this test can ask")
-    assert threads == 1
+    assert blas[0]() == 1
+
+
+@pytest.mark.parametrize("name", ["fuzz-large.json", "verify-thm-2.7-n64.txt"])
+def test_two_blas_threads_leave_documents_byte_identical(name, tmp_path):
+    # svineq pins OpenBLAS to one thread while it grades, so a process
+    # that starts with two writes the golden bytes too.
+    if numkernel._openblas_thread_query() is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS svineq can pin")
+    if name == "fuzz-large.json":
+        argv = ["fuzz", "--ineq", "all", "--dims", "32,64", "--trials", "2", "--seed", "0",
+                "--out", str(tmp_path / name)]
+    else:
+        path = tmp_path / "in0.json"
+        path.write_text(dumps(matrix_to_json(draw("ginibre", 64, seed=3)[0])))
+        argv = ["verify", "thm-2.7", str(path)]
+    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "2")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(fuzzer.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "svineq", *argv], capture_output=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout if name.endswith(".txt") else (tmp_path / name).read_bytes()
+    assert out == (GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)

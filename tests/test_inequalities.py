@@ -5,6 +5,7 @@ small diagonal or otherwise hand-solvable inputs (each noted inline), not
 from running the checker and copying its output.
 """
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -984,3 +985,50 @@ def test_verdict_monotone_in_tolerance(seed, n, t1, t2):
     loose = check("loewner-cartesian-general", (g,), hi)
     if tight.verdict is Verdict.HOLDS:
         assert loose.verdict is Verdict.HOLDS
+
+
+def _planted(checked, path: tuple, row: int, value: float):
+    """A copy of ``checked`` with ``value`` at ``row`` of the array ``path``
+    names: ("min_margin",), ("tol_used",), ("residual", name) or ("side", i)."""
+    copies = {"min_margin": checked.min_margin.copy(), "tol_used": checked.tol_used.copy()}
+    residuals = dict(checked.residuals)
+    sides = list(checked.sides)
+    if path[0] == "residual":
+        residuals[path[1]] = target = residuals[path[1]].copy()
+    elif path[0] == "side":
+        target = sides[path[1]].min_margin.copy()
+        sides[path[1]] = dataclasses.replace(sides[path[1]], min_margin=target)
+    else:
+        target = copies[path[0]]
+    target[row] = value
+    return dataclasses.replace(checked, residuals=residuals, sides=tuple(sides), **copies)
+
+
+@pytest.mark.parametrize("ineq_id", catalog_ids(include_variants=True))
+def test_one_non_finite_value_makes_checked_not_finite(ineq_id):
+    entry = catalog_entry(ineq_id)
+    n = entry.fixed_dim or 3
+    stream = prng_stream(0, np.arange(3, dtype=np.uint64))
+    mats = _drawer(entry, entry.canonical_class)(n, stream, 1.0)
+    checked = entry.run(mats, DEFAULT_TOL)
+    assert checked.finite()
+    paths = [("min_margin",), ("tol_used",), *(("residual", k) for k in checked.residuals)]
+    paths += [("side", i) for i in range(len(checked.sides))]
+    for path in paths:
+        present = checked.sides[path[1]].present if path[0] == "side" else None
+        row = 2 if present is None else int(np.flatnonzero(present)[-1])
+        for value in (np.nan, np.inf, -np.inf):
+            assert not _planted(checked, path, row, value).finite(), (path, value)
+
+
+def test_checked_finite_reads_only_the_rows_a_side_evaluated():
+    # Trials 0-3 are non-commuting Hermitian pairs, which skip the sqrt
+    # side; trials 4 and 5 commute and evaluate it.
+    entry = catalog_entry("proof-facts-2.1")
+    draws = _drawer(entry, "hermitian")(3, prng_stream(0, np.arange(4, dtype=np.uint64)), 1.0)
+    diag = np.diag([1.0, 2.0, 3.0]).astype(np.complex128)
+    checked = entry.run([np.concatenate([m, [diag, diag]]) for m in draws], DEFAULT_TOL)
+    sqrt = [s.label for s in checked.sides].index("sqrt")
+    assert checked.sides[sqrt].present.tolist() == [False] * 4 + [True] * 2
+    assert _planted(checked, ("side", sqrt), 0, np.nan).finite()
+    assert not _planted(checked, ("side", sqrt), 5, np.nan).finite()

@@ -1,12 +1,15 @@
 """Kernel linear algebra: construction, eigendecomposition, spectra, order."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from svineq import numkernel
 from svineq.decomp import _hermitian_grade
 from svineq.inequalities import check
 from svineq.numkernel import (
@@ -29,6 +32,7 @@ from svineq.numkernel import (
     hermitian_eig,
     hermitian_singular_values,
     loewner_leq,
+    one_blas_thread,
     psd_sqrt,
     singular_values,
 )
@@ -452,3 +456,63 @@ def test_loewner_leq_accepts_psd_shift(seed, n):
     (p,) = draw("psd", n, seed, index=1)
     holds, _, _ = order(h, h + p, DEFAULT_TOL)
     assert holds
+
+
+# --- BLAS threads ------------------------------------------------------------
+
+
+@pytest.fixture
+def blas_on_two_threads():
+    """numpy's OpenBLAS (get, set), on two threads until the test ends."""
+    blas = numkernel._openblas_thread_query()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS this test can ask")
+    blas[1](2)
+    try:
+        yield blas
+    finally:
+        blas[1](1)
+
+
+def test_one_blas_thread_nests_and_restores_on_an_exception(blas_on_two_threads):
+    get, _ = blas_on_two_threads
+    with pytest.raises(KeyError):
+        with one_blas_thread():
+            with one_blas_thread():
+                assert get() == 1
+            assert get() == 1
+            raise KeyError("planted")
+    assert get() == 2
+
+
+def test_one_blas_thread_holds_while_any_thread_is_inside(blas_on_two_threads):
+    # Four threads enter and leave the block over and over, switching every
+    # few microseconds: each must find one BLAS thread inside, however the
+    # others' entries and exits interleave with its own.
+    get, _ = blas_on_two_threads
+    seen = []
+
+    def worker():
+        for _ in range(1000):
+            with one_blas_thread():
+                seen.append(get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 4000 and set(seen) == {1}
+    assert get() == 2
+
+
+def test_one_blas_thread_without_openblas_does_nothing(monkeypatch):
+    monkeypatch.setattr(numkernel, "_openblas_thread_query", lambda: None)
+    with one_blas_thread():
+        pass
