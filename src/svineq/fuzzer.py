@@ -109,32 +109,20 @@ class MarginHistogram:
     _LO = -12.0
     _HI = 4.0
 
-    def add(self, margins) -> None:
-        """Count an array of margins."""
-        margins = np.asarray(margins, dtype=np.float64)
-        low, high = margins < 1e-12, margins >= 1e4
-        self.underflow += int(np.count_nonzero(low))
-        self.overflow += int(np.count_nonzero(high))
-        bins = np.searchsorted(_bin_edges(), margins[~(low | high)], side="right")
-        self.counts = [a + b for a, b in zip(self.counts, np.bincount(bins, minlength=32).tolist())]
+    def add(self, margin: float) -> None:
+        if margin < 1e-12:
+            self.underflow += 1
+        elif margin >= 1e4:
+            self.overflow += 1
+        else:
+            width = (self._HI - self._LO) / len(self.counts)
+            idx = int((math.log10(margin) - self._LO) / width)
+            idx = min(max(idx, 0), len(self.counts) - 1)
+            self.counts[idx] += 1
 
     @property
     def total(self) -> int:
         return sum(self.counts) + self.underflow + self.overflow
-
-
-@functools.cache
-def _bin_edges() -> np.ndarray:
-    """The first double of bins 1..31: for each j the smallest x with
-    int(2 * (math.log10(x) + 12)) >= j, bisected over the bit patterns of
-    the doubles in [1e-12, 1e4], which order as the doubles do."""
-    lo, hi = np.array([1e-12, 1e4]).view(np.int64)
-    a, b, j = np.full(31, lo), np.full(31, hi), np.arange(1, 32)
-    while (a < b).any():
-        mid = a + (b - a) // 2
-        above = np.array([int(2 * (math.log10(x) + 12)) for x in mid.view(np.float64).tolist()]) >= j
-        a, b = np.where(above, a, mid + 1), np.where(above, mid, b)
-    return a.view(np.float64)
 
 
 @dataclass
@@ -296,7 +284,8 @@ class _TargetAggregator:
         self.hypothesis_violated += hypothesis_violated
         margins = checked.min_margin
         self.margin_floor = min(self.margin_floor, float(margins[margins.argmin()]))
-        self.histogram.add(margins)
+        for margin in margins.tolist():
+            self.histogram.add(margin)
         for side in checked.sides:
             present = slice(None) if side.present is None else side.present
             side_min = side.min_margin[present]
@@ -396,16 +385,6 @@ def _attempt(grade, chunk):
         return exc
 
 
-def _claim(claims: int, total: int) -> int:
-    """Claim the next of ``total`` chunks counted in the memfd ``claims``
-    (``total`` once all are), under a lock that dies with its holder."""
-    os.lockf(claims, os.F_LOCK, 0)
-    k = int.from_bytes(os.pread(claims, 8, 0), "little")
-    os.pwrite(claims, min(k + 1, total).to_bytes(8, "little"), 0)
-    os.lockf(claims, os.F_ULOCK, 0)
-    return k
-
-
 def _receive(inbox: int, done: dict, block: bool) -> bool:
     """Move the (index, result) messages waiting in ``inbox``, or if
     ``block`` at least one, into ``done``; False once the child has ended."""
@@ -427,25 +406,30 @@ def _graded(chunks: list, grade):
     """Yield ``grade(chunk)`` for each chunk in order; what grading a chunk
     raised is raised at that chunk's turn.
 
-    With two usable CPUs and two chunks or more, the caller and a child
-    forked here claim the chunks in trial order.  The child pipes back what
-    it grades and stops after its first error.  The caller grades the
-    chunks it claims, and any the child claimed but died before sending, at
-    their turn, and buffers results until theirs.  The child ignores SIGINT
-    and ends with ``os._exit``; the caller kills and reaps it when the
-    generator ends, also when it is closed early.
+    With two usable CPUs and two chunks or more, a child forked here grades
+    half the chunks.  Chunks of one shape (dimension, trials) cost about
+    the same, so the chunks sorted by shape are dealt alternately, the
+    first to the child: which process grades a chunk depends on the plan
+    alone.  The child grades its chunks in trial order, pipes back what it
+    grades and stops after its first error.  The caller grades its own
+    chunks, ahead of their turn while it waits for the child's, and any the
+    child died before sending, at their turn; it buffers results until
+    theirs.  The child ignores SIGINT and ends with ``os._exit``; the
+    caller kills and reaps it when the generator ends, also when it is
+    closed early.
     """
     # Fork only on Linux with numpy's OpenBLAS, whose fork handlers stop its
     # threads, and only while one thread runs: a fork copies no other.
-    if not (sys.platform == "linux" and hasattr(os, "memfd_create") and len(chunks) > 1
+    if not (sys.platform == "linux" and len(chunks) > 1
             and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1
             and _openblas_thread_query() is not None):
         yield from map(grade, chunks)
         return
     import fcntl  # Unix only
 
-    pid, fds = -1, [os.memfd_create("svineq-claims"), *os.pipe()]
-    claims, inbox, outbox = fds
+    dealt = sorted(range(len(chunks)), key=lambda i: (chunks[i][3], chunks[i][5]))
+    pid, fds = -1, list(os.pipe())
+    inbox, outbox = fds
     try:
         # Room for several results of 100-200 KB: the child seldom waits.
         with contextlib.suppress(OSError):
@@ -455,7 +439,7 @@ def _graded(chunks: list, grade):
         if not pid:  # the child; the finally ends it, also on an exception
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             out = open(outbox, "wb", closefd=False)
-            while (k := _claim(claims, len(chunks))) < len(chunks):
+            for k in sorted(dealt[::2]):
                 result = _attempt(grade, chunks[k])
                 try:
                     data = pickle.dumps((k, result))
@@ -467,11 +451,12 @@ def _graded(chunks: list, grade):
                     break
             return
         os.close(fds.pop())  # outbox: the pipe ends with the child
+        own = iter(sorted(dealt[1::2]) if pid > 0 else ())
         done = {}
         for turn, chunk in enumerate(chunks):
-            # Grade turn, or chunks after it while the child grades turn;
-            # once all are claimed, wait for it unless the child has died.
-            while turn not in done and (k := _claim(claims, len(chunks))) < len(chunks):
+            # Grade own chunks up to turn, and after it while the child
+            # grades turn; then wait for it unless the child has died.
+            while turn not in done and (k := next(own, None)) is not None:
                 done[k] = _attempt(grade, chunks[k])
                 _receive(inbox, done, block=False)
             while turn not in done and _receive(inbox, done, block=True):

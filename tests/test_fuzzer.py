@@ -219,40 +219,36 @@ def graders(monkeypatch, tmp_path):
     campaign of two chunks or more, 1 keeps every chunk on the caller).
     It returns a function giving the processes that graded chunks since,
     of dimension ``dim`` if given, "caller" or "child": each chunk appends
-    its grader's pid and dimension to a file the fork inherits.  With
-    ``hold`` set, the caller waits at its chunks of that dimension (10 s
-    at most) until the child has graded one."""
+    its grader's pid, dimension and first trial to a file the fork
+    inherits.  ``graded_by.log()`` lists (grader, dimension, first trial,
+    trials) in the order the chunks were graded."""
     log = tmp_path / "graders"
     caller = os.getpid()
     grade = fuzzer._grade_chunk
-    hold = None
 
     def recording(config, chunk):
-        dim = chunk[3]
         fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
         try:
-            os.write(fd, b"%d %d\n" % (os.getpid(), dim))
+            os.write(fd, b"%d %d %d %d\n" % (os.getpid(), chunk[3], chunk[4], chunk[5]))
         finally:
             os.close(fd)
-        deadline = time.monotonic() + 10
-        while (os.getpid() == caller and dim == hold and "child" not in graded_by(dim)
-               and time.monotonic() < deadline):
-            time.sleep(0.005)
         return grade(config, chunk)
 
     monkeypatch.setattr(fuzzer, "_grade_chunk", recording)
 
-    def graded_by(dim=None):
-        lines = [line.split() for line in log.read_text().splitlines()] if log.exists() else []
-        return {
-            "caller" if int(pid) == caller else "child"
-            for pid, d in lines
-            if dim is None or int(d) == dim
-        }
+    def entries():
+        lines = log.read_text().splitlines() if log.exists() else []
+        return [
+            ("caller" if pid == caller else "child", dim, first, k)
+            for pid, dim, first, k in (map(int, line.split()) for line in lines)
+        ]
 
-    def cpus(count, hold_dim=None):
-        nonlocal hold
-        hold = hold_dim
+    def graded_by(dim=None):
+        return {who for who, d, _, _ in entries() if dim is None or d == dim}
+
+    graded_by.log = entries
+
+    def cpus(count):
         log.unlink(missing_ok=True)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
         return graded_by
@@ -298,9 +294,8 @@ ALL_TARGETS = tuple((i, catalog_entry(i).canonical_class) for i in catalog_ids()
     ids=["all", "not-hermitian"],
 )
 def test_worker_leaves_documents_byte_identical(graders, forks, targets, trials):
-    # The child grades chunks of every size: the caller waits at its n = 8
-    # chunks until the child has graded one, and n = 64 splits each block
-    # into chunks of 4 and 1.  thm-2.5-plus on ginibre retries every trial
+    # Each process grades chunks of every size, and n = 64 splits each
+    # block into chunks of 4 and 1.  thm-2.5-plus on ginibre retries every trial
     # of its chunks alone (NotHermitian), also in the child, and 40 trials
     # at n = 32 make three chunks per block.
     assert CHUNK_ELEMENTS // 64**2 < 5 and CHUNK_ELEMENTS // 32**2 < 40
@@ -309,9 +304,9 @@ def test_worker_leaves_documents_byte_identical(graders, forks, targets, trials)
     alone = campaign_bytes(config)
     assert graded_by() == {"caller"}
     assert forks == []
-    graded_by = graders(2, hold_dim=8)
+    graded_by = graders(2)
     shared = campaign_bytes(config)
-    assert graded_by(8) == graded_by() == {"caller", "child"}
+    assert graded_by(8) == graded_by(32) == graded_by(64) == {"caller", "child"}
     assert shared == alone
     assert len(forks) == 1
     assert_reaped(forks)
@@ -319,9 +314,8 @@ def test_worker_leaves_documents_byte_identical(graders, forks, targets, trials)
 
 def test_worker_hand_off_under_frequent_thread_switches(graders, forks, monkeypatch):
     # All but scalar-1.6's chunks hold one or two trials, so the caller
-    # and the child hand hundreds of chunks back and forth, claiming each
-    # from their shared counter; a chunk lost, claimed twice or folded out
-    # of turn would change the document.
+    # and the child hand hundreds of chunks back and forth; a chunk lost,
+    # graded twice or folded out of turn would change the document.
     config = small_config(targets=ALL_TARGETS, dims=(2, 3), trials_per_dim=7)
     monkeypatch.setattr(fuzzer, "CHUNK_ELEMENTS", 8)
     graders(1)
@@ -348,6 +342,25 @@ def test_small_campaign_forks_once_and_keeps_its_bytes(graders, forks, tmp_path)
     assert cli.main(argv) == 0
     assert (tmp_path / "fuzz.json").read_bytes() == golden
     assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_chunks_are_dealt_by_shape_alternately_the_first_to_the_child(graders, forks):
+    # Each process grades half the chunks of every shape (dimension,
+    # trials), and the same ones on every run: a tracer in the caller
+    # counts the same calls each time.
+    config = small_config(targets=ALL_TARGETS, dims=(2, 3, 5, 8), trials_per_dim=8)
+    runs = []
+    for _ in range(2):
+        graded_by = graders(2)
+        campaign_bytes(config)
+        runs.append(sorted(graded_by.log(), key=lambda e: (e[1], e[3], e[2])))
+    assert runs[0] == runs[1]
+    assert len({first for _, _, first, _ in runs[0]}) == len(runs[0]) > 50
+    assert [who for who, *_ in runs[0]] == ["child", "caller"] * (len(runs[0]) // 2) + [
+        "child"
+    ] * (len(runs[0]) % 2)
+    assert len(forks) == 2
     assert_reaped(forks)
 
 
@@ -500,8 +513,8 @@ def test_results_larger_than_the_pipe_arrive_whole(graders, forks, monkeypatch):
 
 def test_killed_child_leaves_the_document_unchanged(graders, forks, monkeypatch):
     # The child dies with SIGKILL on its second chunk, after it has sent
-    # its first: the caller grades the chunk the child claimed but never
-    # sent, and every chunk after it.
+    # its first: the caller grades that chunk and every later one dealt
+    # to the child.
     caller = os.getpid()
     check_chunk = fuzzer._check_chunk
     config = small_config(targets=ALL_TARGETS, dims=(32, 64), trials_per_dim=2)
@@ -525,8 +538,8 @@ def test_killed_child_leaves_the_document_unchanged(graders, forks, monkeypatch)
 
 
 def test_refused_fork_grades_every_chunk_on_the_caller(graders, monkeypatch):
-    # With no process to spare (EAGAIN), the caller claims every shared
-    # chunk itself and the document is unchanged.
+    # With no process to spare (EAGAIN), the caller grades every chunk
+    # itself and the document is unchanged.
     def refused():
         raise BlockingIOError("planted")
 
@@ -669,49 +682,6 @@ def test_histogram_binning():
     assert h.total == 6
     assert sum(h.counts) == 1
     assert h.counts[24] == 1  # log10(1.0) = 0 lands 24 half-decades above 1e-12
-
-
-def scalar_bin(margin: float) -> int:
-    """The bin of a margin in [1e-12, 1e4), by the scalar rule."""
-    width = (MarginHistogram._HI - MarginHistogram._LO) / 32
-    return min(max(int((math.log10(margin) - MarginHistogram._LO) / width), 0), 31)
-
-
-def scalar_histogram(margins) -> MarginHistogram:
-    """The histogram one margin at a time, by the scalar rule."""
-    h = MarginHistogram()
-    for m in margins:
-        if m < 1e-12:
-            h.underflow += 1
-        elif m >= 1e4:
-            h.overflow += 1
-        else:
-            h.counts[scalar_bin(m)] += 1
-    return h
-
-
-def test_histogram_edges_follow_the_scalar_rule():
-    edges = fuzzer._bin_edges()
-    assert len(edges) == 31
-    below = np.nextafter(edges, -np.inf)
-    for j, (edge, before) in enumerate(zip(edges.tolist(), below.tolist()), start=1):
-        assert (scalar_bin(before), scalar_bin(edge)) == (j - 1, j)
-    h = MarginHistogram()
-    h.add(np.concatenate([below, edges]))
-    assert h.counts == [1] + [2] * 30 + [1]
-
-
-def test_histogram_of_a_stack_matches_the_scalar_rule():
-    rng = np.random.default_rng(0)
-    margins = np.concatenate([
-        10.0 ** rng.uniform(-13, 5, 20000),
-        -(10.0 ** rng.uniform(-13, 5, 100)),
-        [0.0, -0.0, 1e-12, np.nextafter(1e-12, 0), 1e4, np.nextafter(1e4, 0)],
-    ])
-    h = MarginHistogram()
-    for part in np.array_split(margins, 7):
-        h.add(part)
-    assert h == scalar_histogram(margins.tolist())
 
 
 # --- search ----------------------------------------------------------------------------
