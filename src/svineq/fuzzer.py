@@ -8,9 +8,10 @@ result is a pure function of the config and independent of execution
 order.  The trials of one (target, dimension) block are drawn and checked
 as stacks of at most ``CHUNK_ELEMENTS // n**2`` trials; the chunk size
 never shows in the result.  When the process may use two CPUs, the chunks
-are shared with a child process forked for the campaign, and the caller
-folds them in trial order, so the result is the one a single process
-gives.  Campaigns and searches grade on one BLAS thread (see
+are shared with a child process forked for the campaign.  Each process
+folds its own chunks, and the child sends its fold to the caller in one
+message.  The fold does not depend on order, so the result is the one a
+single process gives.  Campaigns and searches grade on one BLAS thread (see
 ``numkernel.one_blas_thread``), so that the BLAS thread count cannot
 change last bits.
 
@@ -33,7 +34,6 @@ import functools
 import math
 import os
 import pickle
-import select
 import signal
 import sys
 import threading
@@ -244,25 +244,38 @@ def _plan(config: CampaignConfig) -> list[tuple[CatalogEntry, str, Callable, tup
 
 
 class _TargetAggregator:
-    """Folds the chunks of one target, in trial order, into a TargetResult.
+    """A fold of some of one target's trials, into a TargetResult.
 
-    Every fold keeps the first of equal values, as the sequential ``min``
-    and strict ``<`` over single trials do, so the result does not depend
-    on how the trials were chunked.
+    Counts and histograms add.  Each extreme is kept with the trial it
+    comes from, as a ``(value, trial)`` tuple, so that ``min`` keeps the
+    earliest trial of equal values (0.0 and -0.0, or equal violation
+    margins), as a fold in trial order does: parts merge, in any grouping
+    and order, into the result of that fold.
     """
 
-    def __init__(self, entry: CatalogEntry, class_tag: str, dims: tuple[int, ...]):
-        self.entry = entry
-        self.class_tag = class_tag
-        self.dims = dims
-        self.trials = 0
-        self.violated = 0
-        self.hypothesis_violated = 0
+    def __init__(self):
+        self.trials = self.violated = self.hypothesis_violated = 0
         self.histogram = MarginHistogram()
-        self.side_stats: dict[str, SideStats] = {}
-        self.margin_floor = math.inf
-        self.worst_violation = math.inf
-        self.worst: tuple[int, int, tuple[np.ndarray, ...]] | None = None
+        self.floor = (math.inf, math.inf)  # (min margin, trial)
+        # label -> (first seen as (first trial, position), (min margin, trial), max |margin|)
+        self.sides: dict[str, tuple] = {}
+        # (margin, trial, dim, inputs) of the worst violated trial
+        self.worst: tuple | None = None
+
+    def merge(self, other: _TargetAggregator) -> None:
+        self.trials += other.trials
+        self.violated += other.violated
+        self.hypothesis_violated += other.hypothesis_violated
+        mine, theirs = self.histogram, other.histogram
+        mine.counts = [a + b for a, b in zip(mine.counts, theirs.counts)]
+        mine.underflow += theirs.underflow
+        mine.overflow += theirs.overflow
+        self.floor = min(self.floor, other.floor)
+        for label, side in other.sides.items():
+            was = self.sides.get(label, side)
+            self.sides[label] = (min(was[0], side[0]), min(was[1], side[1]), max(was[2], side[2]))
+        if other.worst is not None and (self.worst is None or other.worst[:2] < self.worst[:2]):
+            self.worst = other.worst
 
     def fold(self, dim: int, parts) -> None:
         """Add the parts of one checked chunk (see ``_check_chunk``)."""
@@ -275,56 +288,60 @@ class _TargetAggregator:
                 self.add(first_trial, dim, mats, checked)
 
     def add(self, first_trial: int, dim: int, mats, checked: Checked) -> None:
-        k = len(checked)
+        part = _TargetAggregator()
+        k = part.trials = len(checked)
         hyp = checked.hypothesis_ok
-        violated = int(np.count_nonzero(checked.violated))
-        hypothesis_violated = 0 if hyp is None else k - int(np.count_nonzero(hyp))
-        self.trials += k
-        self.violated += violated
-        self.hypothesis_violated += hypothesis_violated
+        part.violated = int(np.count_nonzero(checked.violated))
+        part.hypothesis_violated = 0 if hyp is None else k - int(np.count_nonzero(hyp))
         margins = checked.min_margin
-        self.margin_floor = min(self.margin_floor, float(margins[margins.argmin()]))
+        i = int(margins.argmin())
+        part.floor = (float(margins[i]), first_trial + i)
         for margin in margins.tolist():
-            self.histogram.add(margin)
-        for side in checked.sides:
-            present = slice(None) if side.present is None else side.present
-            side_min = side.min_margin[present]
-            if side_min.size == 0:
+            part.histogram.add(margin)
+        for position, side in enumerate(checked.sides):
+            rows = np.arange(k) if side.present is None else np.flatnonzero(side.present)
+            if rows.size == 0:
                 continue
-            stats = self.side_stats.setdefault(side.label, SideStats())
-            stats.min_margin = min(stats.min_margin, float(side_min[side_min.argmin()]))
-            extreme = float(np.abs(side.margin[present]).max())
-            stats.max_abs_margin = max(stats.max_abs_margin, extreme)
-        if violated:
+            side_min = side.min_margin[rows]
+            i = int(side_min.argmin())
+            part.sides[side.label] = (
+                (first_trial, position),
+                (float(side_min[i]), first_trial + int(rows[i])),
+                float(np.abs(side.margin[rows]).max()),
+            )
+        if part.violated:
             i = int(np.where(checked.violated, margins, np.inf).argmin())
-            if margins[i] < self.worst_violation:
-                self.worst_violation = float(margins[i])
-                self.worst = (first_trial + i, dim, tuple(m[i].copy() for m in mats))
+            inputs = tuple(m[i].copy() for m in mats)
+            part.worst = (float(margins[i]), first_trial + i, dim, inputs)
+        self.merge(part)
 
-    def finish(self, seed: int, tol: Tolerance) -> TargetResult:
+    def finish(self, entry: CatalogEntry, class_tag: str, dims: tuple[int, ...], seed: int,
+               tol: Tolerance) -> TargetResult:
         worst_witness = None
         if self.worst is not None:
-            trial, dim, inputs = self.worst
-            worst_witness = _witness(self.entry, self.class_tag, dim, seed, trial, tol, inputs)
+            _, trial, dim, inputs = self.worst
+            worst_witness = _witness(entry, class_tag, dim, seed, trial, tol, inputs)
         if self.violated:
-            min_margin = self.worst_violation
-        elif math.isfinite(self.margin_floor):
+            min_margin = self.worst[0]
+        elif math.isfinite(self.floor[0]):
             # Some trial was graded: every graded margin is finite.
-            min_margin = self.margin_floor
+            min_margin = self.floor[0]
         else:
             min_margin = None
+        # In the order a fold in trial order first meets the sides.
+        sides = sorted(self.sides.items(), key=lambda item: item[1][0])
         return TargetResult(
-            ineq_id=self.entry.ineq_id,
-            class_tag=self.class_tag,
-            dims=self.dims,
+            ineq_id=entry.ineq_id,
+            class_tag=class_tag,
+            dims=dims,
             trials=self.trials,
             holds=self.trials - self.violated - self.hypothesis_violated,
             violated=self.violated,
             hypothesis_violated=self.hypothesis_violated,
-            expected_to_hold=self.entry.expected_to_hold(self.class_tag),
+            expected_to_hold=entry.expected_to_hold(class_tag),
             min_margin=min_margin,
             histogram=self.histogram,
-            side_stats=self.side_stats,
+            side_stats={label: SideStats(low[0], high) for label, (_, low, high) in sides},
             worst_witness=worst_witness,
         )
 
@@ -344,8 +361,8 @@ def _witness(
 
 
 def _check_chunk(entry: CatalogEntry, first_trial: int, mats, tol: Tolerance) -> list:
-    """Check one chunk of trials: its parts (first trial, operand stacks or,
-    with no trial violated, None, Checked) in trial order.
+    """Check one chunk of trials: its parts (first trial, operand stacks,
+    Checked) in trial order.
 
     A checker rejects a whole stack when one operand is not Hermitian; the
     chunk is then checked trial by trial, and each rejected trial is a part
@@ -366,104 +383,86 @@ def _check_chunk(entry: CatalogEntry, first_trial: int, mats, tol: Tolerance) ->
         ]
     if not checked.finite():
         raise FloatingPointError("non-finite margins or residuals")
-    return [(first_trial, mats if checked.violated.any() else None, checked)]
+    return [(first_trial, mats, checked)]
 
 
 def _grade_chunk(config: CampaignConfig, chunk) -> list:
     """Draw the inputs of ``chunk`` (entry, class, draw function, dim, first
-    trial, trials) and check them."""
-    entry, _, draw, dim, first, k = chunk
+    trial, trials, target) and check them."""
+    entry, _, draw, dim, first, k, _ = chunk
     stream = randgen.prng_stream(config.seed, np.arange(first, first + k, dtype=np.uint64))
     return _check_chunk(entry, first, draw(dim, stream, config.scale), config.tol)
 
 
-def _attempt(grade, chunk):
-    """What ``grade(chunk)`` returns, or the Exception it raises."""
-    try:
-        return grade(chunk)
-    except Exception as exc:
-        return exc
+def _fold(config: CampaignConfig, chunks: list, indices, aggs: list):
+    """Fold the chunks at ``indices``, ascending, into ``aggs`` (one per
+    target).  At the first chunk whose grading raises, stop and return
+    (its index, the exception); else None."""
+    for i in indices:
+        try:
+            parts = _grade_chunk(config, chunks[i])
+        except Exception as exc:
+            return i, exc
+        aggs[chunks[i][6]].fold(chunks[i][3], parts)
+    return None
 
 
-def _receive(inbox: int, done: dict, block: bool) -> bool:
-    """Move the (index, result) messages waiting in ``inbox``, or if
-    ``block`` at least one, into ``done``; False once the child has ended."""
-    poller, pending = select.poll(), bytearray()  # select() stops at fd 1023
-    poller.register(inbox, select.POLLIN)
-    while poller.poll(None if block else 0):
-        if not (data := os.read(inbox, 1 << 20)):
-            return False
-        pending += data
-        while len(pending) >= 8 + (size := int.from_bytes(pending[:8], "little")):
-            index, result = pickle.loads(pending[8 : 8 + size])
-            done[index] = result
-            del pending[: 8 + size]
-        block = bool(pending)  # wait for the rest of a message begun
-    return True
-
-
-def _graded(chunks: list, grade):
-    """Yield ``grade(chunk)`` for each chunk in order; what grading a chunk
-    raised is raised at that chunk's turn.
+def _graded(config: CampaignConfig, chunks: list, aggs: list):
+    """Fold every chunk into ``aggs``; return (index, exception) of the
+    first chunk in trial order whose grading raised, or None.
 
     With two usable CPUs and two chunks or more, a child forked here grades
     half the chunks.  Chunks of one shape (dimension, trials) cost about
     the same, so the chunks sorted by shape are dealt alternately, the
     first to the child: which process grades a chunk depends on the plan
-    alone.  The child grades its chunks in trial order, pipes back what it
-    grades and stops after its first error.  The caller grades its own
-    chunks, ahead of their turn while it waits for the child's, and any the
-    child died before sending, at their turn; it buffers results until
-    theirs.  The child ignores SIGINT and ends with ``os._exit``; the
-    caller kills and reaps it when the generator ends, also when it is
-    closed early.
+    alone.  Each process folds its own chunks in trial order and stops at
+    its first error.  The child then sends its aggregators and its error,
+    if any, as one pickle, which the caller reads to the end of the pipe
+    and merges.  The caller folds whatever of the child's chunks it still
+    needs itself: all of them when no complete message arrives (the child
+    died, or no child could be forked), and after an error of its own only
+    those before it, without waiting for the child.  The child ignores
+    SIGINT and ends with ``os._exit``; the caller kills and reaps it
+    before it returns, also on an exception.
     """
+    everything = range(len(chunks))
     # Fork only on Linux with numpy's OpenBLAS, whose fork handlers stop its
     # threads, and only while one thread runs: a fork copies no other.
     if not (sys.platform == "linux" and len(chunks) > 1
             and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1
             and _openblas_thread_query() is not None):
-        yield from map(grade, chunks)
-        return
-    import fcntl  # Unix only
-
-    dealt = sorted(range(len(chunks)), key=lambda i: (chunks[i][3], chunks[i][5]))
+        return _fold(config, chunks, everything, aggs)
+    dealt = sorted(everything, key=lambda i: (chunks[i][3], chunks[i][5]))
+    theirs, mine = sorted(dealt[::2]), sorted(dealt[1::2])
     pid, fds = -1, list(os.pipe())
-    inbox, outbox = fds
     try:
-        # Room for several results of 100-200 KB: the child seldom waits.
-        with contextlib.suppress(OSError):
-            fcntl.fcntl(inbox, fcntl.F_SETPIPE_SZ, 1 << 20)
-        with contextlib.suppress(OSError):  # no process to spare: grade alone
+        with contextlib.suppress(OSError):  # no process to spare: fold alone
             pid = os.fork()
         if not pid:  # the child; the finally ends it, also on an exception
             signal.signal(signal.SIGINT, signal.SIG_IGN)
-            out = open(outbox, "wb", closefd=False)
-            for k in sorted(dealt[::2]):
-                result = _attempt(grade, chunks[k])
-                try:
-                    data = pickle.dumps((k, result))
-                except Exception:  # an exception that does not pickle
-                    data = pickle.dumps((k, result := RuntimeError(repr(result))))
-                out.write(len(data).to_bytes(8, "little") + data)
-                out.flush()
-                if isinstance(result, Exception):
-                    break
+            error = _fold(config, chunks, theirs, aggs)
+            try:
+                message = pickle.dumps((aggs, error))
+            except Exception:  # an exception that does not pickle
+                message = pickle.dumps((aggs, (error[0], RuntimeError(repr(error[1])))))
+            with open(fds[1], "wb", closefd=False) as pipe:
+                pipe.write(message)
             return
-        os.close(fds.pop())  # outbox: the pipe ends with the child
-        own = iter(sorted(dealt[1::2]) if pid > 0 else ())
-        done = {}
-        for turn, chunk in enumerate(chunks):
-            # Grade own chunks up to turn, and after it while the child
-            # grades turn; then wait for it unless the child has died.
-            while turn not in done and (k := next(own, None)) is not None:
-                done[k] = _attempt(grade, chunks[k])
-                _receive(inbox, done, block=False)
-            while turn not in done and _receive(inbox, done, block=True):
-                pass
-            if isinstance(result := done.pop(turn) if turn in done else grade(chunk), Exception):
-                raise result
-            yield result
+        os.close(fds.pop())  # the write end: the pipe ends with the child
+        error = _fold(config, chunks, mine, aggs)
+        if error is not None:
+            # Of the child's chunks, only those before it can raise first.
+            before = [i for i in theirs if i < error[0]]
+            return _fold(config, chunks, before, [_TargetAggregator() for _ in aggs]) or error
+        with open(fds[0], "rb", closefd=False) as pipe:
+            message = pipe.read()
+        try:
+            parts, error = pickle.loads(message)
+        except (EOFError, pickle.UnpicklingError):  # no message, or part of one
+            return _fold(config, chunks, theirs, aggs)
+        for agg, part in zip(aggs, parts):
+            agg.merge(part)
+        return error
     finally:
         if pid == 0:
             os._exit(0)
@@ -482,33 +481,32 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     scale and tolerance: the eigensolver does not converge or a number
     overflows.
     """
-    targets = []
+    plan = _plan(config)
+    chunks = []
     trial = 0
-    for entry, class_tag, draw, dims in _plan(config):
-        chunks = []
+    for target, (entry, class_tag, draw, dims) in enumerate(plan):
         for dim in dims:
             size = max(1, CHUNK_ELEMENTS // (dim * dim))
             for start in range(0, config.trials_per_dim, size):
                 k = min(size, config.trials_per_dim - start)
-                chunks.append((entry, class_tag, draw, dim, trial + start, k))
+                chunks.append((entry, class_tag, draw, dim, trial + start, k, target))
             trial += config.trials_per_dim
-        targets.append((_TargetAggregator(entry, class_tag, dims), chunks))
-    order = [chunk for _, chunks in targets for chunk in chunks]
-    grade = functools.partial(_grade_chunk, config)
-    results = []
-    with contextlib.closing(_graded(order, grade)) as graded:
-        for agg, chunks in targets:
-            for entry, class_tag, _, dim, _, _ in chunks:
-                try:
-                    parts = next(graded)
-                except (NoConvergence, FloatingPointError, ToleranceOverflow) as exc:
-                    raise ConfigInvalid(
-                        f"{entry.ineq_id} on {class_tag} at dimension {dim} and scale"
-                        f" {config.scale!r} cannot be graded: {exc}"
-                    ) from None
-                agg.fold(dim, parts)
-            results.append(agg.finish(config.seed, config.tol))
-    return CampaignResult(config=config, targets=tuple(results))
+    aggs = [_TargetAggregator() for _ in plan]
+    error = _graded(config, chunks, aggs)
+    if error is not None:
+        index, exc = error
+        if isinstance(exc, (NoConvergence, FloatingPointError, ToleranceOverflow)):
+            entry, class_tag, _, dim, *_ = chunks[index]
+            raise ConfigInvalid(
+                f"{entry.ineq_id} on {class_tag} at dimension {dim} and scale"
+                f" {config.scale!r} cannot be graded: {exc}"
+            ) from None
+        raise exc
+    results = tuple(
+        agg.finish(entry, class_tag, dims, config.seed, config.tol)
+        for agg, (entry, class_tag, _, dims) in zip(aggs, plan)
+    )
+    return CampaignResult(config=config, targets=results)
 
 
 # --- counterexample search ---------------------------------------------------

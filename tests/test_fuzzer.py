@@ -27,9 +27,17 @@ from svineq.fuzzer import (
     run_campaign,
     search_counterexample,
 )
-from svineq.inequalities import CatalogEntry, Verdict, catalog_entry, catalog_ids, check
+from svineq.inequalities import (
+    CatalogEntry,
+    Checked,
+    SideBatch,
+    Verdict,
+    catalog_entry,
+    catalog_ids,
+    check,
+)
 from svineq.numkernel import DEFAULT_TOL, NotPSD, Tolerance
-from svineq.serialize import campaign_document, dumps
+from svineq.serialize import _target_to_json, campaign_document, dumps
 
 from conftest import draw, mat
 
@@ -202,12 +210,77 @@ def test_non_hermitian_trial_in_a_chunk_is_rejected_alone():
     parts = _check_chunk(entry, 5, [stack], DEFAULT_TOL)
     assert [first for first, _, _ in parts] == [5, 6, 7]
     assert parts[1] == (6, None, None)
-    agg = _TargetAggregator(entry, "hermitian", (2,))
+    agg = _TargetAggregator()
     agg.fold(2, parts)
-    t = agg.finish(0, DEFAULT_TOL)
+    t = agg.finish(entry, "hermitian", (2,), 0, DEFAULT_TOL)
     assert (t.trials, t.holds, t.hypothesis_violated) == (3, 2, 1)
     assert t.histogram.total == 2
     assert t.min_margin == min(check("thm-2.5-plus", [m]).min_margin for m in good)
+
+
+def _planted_chunk(first, margins, violated, x_min, y_min):
+    """Two trials of thm-2.7 at n = 2 from ``first`` on, with planted
+    minimum margins, violations and side minima; side x is absent where
+    its minimum is None.  Trial t's input is (t + 1) I."""
+    k = len(margins)
+
+    def side(label, mins):
+        present = None if None not in mins else np.array([m is not None for m in mins])
+        mins = np.array([0.0 if m is None else m for m in mins])
+        return SideBatch(label, "spectrum", np.zeros((k, 1)), mins[:, None], mins[:, None],
+                         np.ones(k), mins, present)
+
+    checked = Checked("thm-2.7", (2,), (side("x", x_min), side("y", y_min)), None, {},
+                      np.array(margins), np.full(k, 1e-12), np.array(violated))
+    mats = [np.stack([np.eye(2, dtype=complex) * (first + i + 1) for i in range(k)])]
+    return first, mats, checked
+
+
+@pytest.mark.parametrize("case", ["0.0 first", "-0.0 first", "equal violations"])
+def test_merged_parts_give_the_sequential_fold(case):
+    # Ties keep the earliest trial, as a fold in trial order does: the sign
+    # of equal zero minima (the floor, and side y's), and the witness of
+    # equal violation margins.  Side x is absent in the first chunk, so it
+    # comes after side y.  Every split of the chunks between two parts,
+    # merged either way, gives the document of the sequential fold.
+    a, b = (0.0, -0.0) if case == "0.0 first" else (-0.0, 0.0)
+    bad = case == "equal violations"
+    worst = -1.0 if bad else 1.0
+    chunks = [
+        _planted_chunk(0, [1.0, a], [False, False], [None, None], [2.0, 1.0]),
+        _planted_chunk(2, [worst, 3.0], [bad, False], [4.0, 5.0], [3.0, a]),
+        _planted_chunk(4, [2.0, b], [False, False], [a, 1.0], [2.0, 2.0]),
+        _planted_chunk(6, [worst, 1.0], [bad, False], [b, 5.0], [b, 1.0]),
+    ]
+    entry = catalog_entry("thm-2.7")
+
+    def folded(indices):
+        agg = _TargetAggregator()
+        for i in indices:
+            agg.fold(2, [chunks[i]])
+        return agg
+
+    def document(agg):
+        return dumps(_target_to_json(agg.finish(entry, "ginibre", (2,), 0, DEFAULT_TOL)))
+
+    sequential = folded(range(4)).finish(entry, "ginibre", (2,), 0, DEFAULT_TOL)
+    assert list(sequential.side_stats) == ["y", "x"]
+    if bad:
+        assert sequential.min_margin == -1.0 and sequential.worst_witness.trial == 2
+        assert np.array_equal(sequential.worst_witness.inputs[0], 3 * np.eye(2))
+    else:
+        assert sequential.worst_witness is None
+        sides = sequential.side_stats.values()
+        for value in (sequential.min_margin, *(side.min_margin for side in sides)):
+            assert value == 0.0 and math.copysign(1.0, value) == math.copysign(1.0, a)
+    expected = dumps(_target_to_json(sequential))
+    for mask in range(16):
+        mine = [i for i in range(4) if mask >> i & 1]
+        theirs = [i for i in range(4) if not mask >> i & 1]
+        for first, second in ((mine, theirs), (theirs, mine)):
+            agg = folded(first)
+            agg.merge(folded(second))
+            assert document(agg) == expected, (first, second)
 
 
 # --- grading in a forked child ------------------------------------------------------
@@ -313,9 +386,9 @@ def test_worker_leaves_documents_byte_identical(graders, forks, targets, trials)
 
 
 def test_worker_hand_off_under_frequent_thread_switches(graders, forks, monkeypatch):
-    # All but scalar-1.6's chunks hold one or two trials, so the caller
-    # and the child hand hundreds of chunks back and forth; a chunk lost,
-    # graded twice or folded out of turn would change the document.
+    # All but scalar-1.6's chunks hold one or two trials, so each process
+    # folds hundreds of chunks; a chunk lost, graded twice or merged out of
+    # trial order would change the document.
     config = small_config(targets=ALL_TARGETS, dims=(2, 3), trials_per_dim=7)
     monkeypatch.setattr(fuzzer, "CHUNK_ELEMENTS", 8)
     graders(1)
@@ -428,16 +501,12 @@ def test_worker_reports_the_first_target_that_cannot_be_graded(graders, forks):
     assert_reaped(forks)
 
 
-def test_worker_raises_a_chunk_error_at_that_chunk_turn(graders, forks, monkeypatch):
-    # NotPSD is no configuration error: it reaches the caller as raised, at
-    # the turn of the chunk (trials 4, 5) that raised it, so the chunks
-    # before it are folded and the ones after it are not.  The child
-    # sleeps in each chunk it grades, so it is still grading a later chunk
-    # when the error reaches the caller, which must kill it.
+def test_worker_raises_a_chunk_error_as_one_process_does(graders, forks, monkeypatch):
+    # NotPSD is no configuration error: it reaches the caller as raised by
+    # the chunk (trials 4, 5) that raised it, the child's third.  The child
+    # sleeps in each chunk it grades, so the caller waits for its message.
     caller = os.getpid()
     check_chunk = fuzzer._check_chunk
-    add = _TargetAggregator.add
-    folded = []
 
     def failing(entry, first_trial, mats, tol):
         if first_trial == 4:
@@ -446,28 +515,46 @@ def test_worker_raises_a_chunk_error_at_that_chunk_turn(graders, forks, monkeypa
             time.sleep(0.1)
         return check_chunk(entry, first_trial, mats, tol)
 
-    def recording(agg, first_trial, *args):
-        folded.append(first_trial)
-        return add(agg, first_trial, *args)
-
     monkeypatch.setattr(fuzzer, "_check_chunk", failing)
-    monkeypatch.setattr(_TargetAggregator, "add", recording)
     config = small_config(targets=(("thm-2.7", "ginibre"),) * 6, dims=(32,), trials_per_dim=2)
     for cpus in (1, 2):
         graders(cpus)
-        folded.clear()
         with pytest.raises(NotPSD, match="planted"):
             run_campaign(config)
-        assert folded == [0, 2]
     assert len(forks) == 1
     assert_reaped(forks)
 
 
-def test_interrupt_while_grading_ahead_stops_the_campaign_at_once(graders, forks, monkeypatch):
-    # The caller grades chunks ahead of their turn while the child is busy.
-    # A KeyboardInterrupt there ends the campaign at once: it is not held
-    # for that chunk's turn, where the child's error on an earlier chunk
-    # would be raised in its place.
+def test_caller_error_does_not_wait_for_the_child(graders, forks, monkeypatch):
+    # The child sleeps 0.5 s in each of its four chunks; the caller's
+    # first chunk (trials 2, 3) raises.  The caller grades the child's one
+    # chunk before it, raises at once and kills the child.
+    caller = os.getpid()
+    check_chunk = fuzzer._check_chunk
+
+    def failing(entry, first_trial, mats, tol):
+        if os.getpid() != caller:
+            time.sleep(0.5)
+        elif first_trial == 2:
+            raise NotPSD("planted")
+        return check_chunk(entry, first_trial, mats, tol)
+
+    monkeypatch.setattr(fuzzer, "_check_chunk", failing)
+    config = small_config(targets=(("thm-2.7", "ginibre"),) * 8, dims=(32,), trials_per_dim=2)
+    graded_by = graders(2)
+    start = time.monotonic()
+    with pytest.raises(NotPSD, match="planted"):
+        run_campaign(config)
+    assert time.monotonic() - start < 1.0
+    assert ("caller", 32, 0, 2) in graded_by.log()
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_interrupt_on_the_caller_stops_the_campaign_at_once(graders, forks, monkeypatch):
+    # A KeyboardInterrupt while the caller grades its own chunks ends the
+    # campaign at once: it does not wait for the child, whose error on an
+    # earlier chunk would be raised in its place.
     caller = os.getpid()
     check_chunk = fuzzer._check_chunk
 
@@ -488,33 +575,35 @@ def test_interrupt_while_grading_ahead_stops_the_campaign_at_once(graders, forks
     assert_reaped(forks)
 
 
-def test_results_larger_than_the_pipe_arrive_whole(graders, forks, monkeypatch):
-    # Where the pipe cannot be enlarged it holds 64 KiB, and a chunk of
-    # 1000 trials at n = 2 sends about 120-140 KB, so each result arrives
-    # in several reads.
-    import fcntl
+def test_child_message_larger_than_the_pipe_arrives_whole(graders, forks, monkeypatch):
+    # A pipe holds 64 KiB.  loewner-cartesian fails on ginibre, so each
+    # target keeps a 64 x 64 complex worst witness (64 KiB), and the child
+    # sends two of them in its one message.
+    import pickle
 
-    def refused(fd, cmd, *args):
-        if cmd == fcntl.F_SETPIPE_SZ:
-            raise PermissionError("planted")
-        return fcntl_fcntl(fd, cmd, *args)
+    loads = pickle.loads
+    sizes = []
 
-    fcntl_fcntl = fcntl.fcntl
-    config = small_config(targets=ALL_TARGETS[:6], dims=(2,), trials_per_dim=1000)
+    def recording(data):
+        sizes.append(len(data))
+        return loads(data)
+
+    config = small_config(targets=(("loewner-cartesian", "ginibre"),) * 4, dims=(64,),
+                          trials_per_dim=4)
     graders(1)
     alone = campaign_bytes(config)
-    monkeypatch.setattr(fcntl, "fcntl", refused)
+    monkeypatch.setattr(pickle, "loads", recording)
     graded_by = graders(2)
     assert campaign_bytes(config) == alone
     assert graded_by() == {"caller", "child"}
+    assert len(sizes) == 1 and sizes[0] > 2 * 64 * 64 * 16
     assert len(forks) == 1
     assert_reaped(forks)
 
 
 def test_killed_child_leaves_the_document_unchanged(graders, forks, monkeypatch):
-    # The child dies with SIGKILL on its second chunk, after it has sent
-    # its first: the caller grades that chunk and every later one dealt
-    # to the child.
+    # The child dies with SIGKILL on its second chunk, before it sends
+    # anything: the caller grades every chunk dealt to the child.
     caller = os.getpid()
     check_chunk = fuzzer._check_chunk
     config = small_config(targets=ALL_TARGETS, dims=(32, 64), trials_per_dim=2)
@@ -605,15 +694,14 @@ def _planted_interrupt(*args):
     [
         ("_check_chunk", _planted_error),
         ("_check_chunk", _planted_interrupt),
-        ("_TargetAggregator", type("Closing", (_TargetAggregator,), {"fold": _planted_error})),
+        ("_TargetAggregator", type("Failing", (_TargetAggregator,), {"fold": _planted_error})),
     ],
-    ids=["error", "interrupt", "close"],
+    ids=["error", "interrupt", "fold"],
 )
 def test_no_child_outlives_a_stopped_campaign(graders, forks, monkeypatch, where, planted):
-    # A chunk error and an interrupt raised while grading end the campaign
-    # inside the chunk generator; an error while folding closes it early,
-    # at its first chunk.  Each time the child is killed and reaped before
-    # the campaign returns.
+    # A chunk error and an interrupt raised while grading, and an error
+    # while folding, end the campaign at the caller's first chunk.  Each
+    # time the child is killed and reaped before the campaign returns.
     monkeypatch.setattr(fuzzer, where, planted)
     graders(2)
     with pytest.raises((NotPSD, KeyboardInterrupt)):
