@@ -9,9 +9,11 @@ order.  The trials of one (target, dimension) block are drawn and checked
 as stacks of at most ``CHUNK_ELEMENTS // n**2`` trials; the chunk size
 never shows in the result.  When the process may use two CPUs, the chunks
 are shared with a child process forked for the campaign.  Each process
-folds its own chunks, and the child sends its fold to the caller in one
-message.  The fold does not depend on order, so the result is the one a
-single process gives.  Campaigns and searches grade on one BLAS thread (see
+folds its own chunks, and the child sends its whole fold to the caller in
+one message or sends nothing.  The fold does not depend on order, so the
+result is the one a single process gives; on any outcome but two whole
+folds the caller folds every chunk itself, so errors are those of one
+process too.  Campaigns and searches grade on one BLAS thread (see
 ``numkernel.one_blas_thread``), so that the BLAS thread count cannot
 change last bits.
 
@@ -394,36 +396,43 @@ def _grade_chunk(config: CampaignConfig, chunk) -> list:
     return _check_chunk(entry, first, draw(dim, stream, config.scale), config.tol)
 
 
-def _fold(config: CampaignConfig, chunks: list, indices, aggs: list):
-    """Fold the chunks at ``indices``, ascending, into ``aggs`` (one per
-    target).  At the first chunk whose grading raises, stop and return
-    (its index, the exception); else None."""
+def _fold(config: CampaignConfig, chunks: list, indices, targets: int) -> list:
+    """Fold the chunks at ``indices``, ascending, into fresh aggregators,
+    one per target.  A chunk that cannot be graded at the configured scale
+    and tolerance (the eigensolver does not converge or a number
+    overflows) raises ConfigInvalid; any other error propagates as is."""
+    aggs = [_TargetAggregator() for _ in range(targets)]
     for i in indices:
+        entry, class_tag, _, dim, _, _, target = chunks[i]
         try:
             parts = _grade_chunk(config, chunks[i])
-        except Exception as exc:
-            return i, exc
-        aggs[chunks[i][6]].fold(chunks[i][3], parts)
-    return None
+        except (NoConvergence, FloatingPointError, ToleranceOverflow) as exc:
+            raise ConfigInvalid(
+                f"{entry.ineq_id} on {class_tag} at dimension {dim} and scale"
+                f" {config.scale!r} cannot be graded: {exc}"
+            ) from None
+        aggs[target].fold(dim, parts)
+    return aggs
 
 
-def _graded(config: CampaignConfig, chunks: list, aggs: list):
-    """Fold every chunk into ``aggs``; return (index, exception) of the
-    first chunk in trial order whose grading raised, or None.
+def _graded(config: CampaignConfig, chunks: list, targets: int) -> list:
+    """Fold every chunk into one aggregator per target, as one process
+    folding them in trial order does, and return the aggregators.
 
     With two usable CPUs and two chunks or more, a child forked here grades
     half the chunks.  Chunks of one shape (dimension, trials) cost about
     the same, so the chunks sorted by shape are dealt alternately, the
     first to the child: which process grades a chunk depends on the plan
-    alone.  Each process folds its own chunks in trial order and stops at
-    its first error.  The child then sends its aggregators and its error,
-    if any, as one pickle, which the caller reads to the end of the pipe
-    and merges.  The caller folds whatever of the child's chunks it still
-    needs itself: all of them when no complete message arrives (the child
-    died, or no child could be forked), and after an error of its own only
-    those before it, without waiting for the child.  The child ignores
-    SIGINT and ends with ``os._exit``; the caller kills and reaps it
-    before it returns, also on an exception.
+    alone.  The child is an accelerator that gives a whole fold or nothing:
+    only after it has folded every chunk dealt to it does it send its
+    aggregators, as one pickle, and a chunk that raises ends it with
+    nothing sent.  The caller merges that message once its own fold has
+    finished too.  On any other outcome (an error in its own chunks, no
+    message or part of one, no process to fork) it kills and reaps the
+    child and folds every chunk itself, as on one CPU, which raises the
+    first error in trial order as it was raised.  The child ignores SIGINT
+    and ends with ``os._exit``; the caller kills and reaps it before it
+    returns, also on an interrupt.
     """
     everything = range(len(chunks))
     # Fork only on Linux with numpy's OpenBLAS, whose fork handlers stop its
@@ -431,38 +440,27 @@ def _graded(config: CampaignConfig, chunks: list, aggs: list):
     if not (sys.platform == "linux" and len(chunks) > 1
             and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1
             and _openblas_thread_query() is not None):
-        return _fold(config, chunks, everything, aggs)
+        return _fold(config, chunks, everything, targets)
     dealt = sorted(everything, key=lambda i: (chunks[i][3], chunks[i][5]))
     theirs, mine = sorted(dealt[::2]), sorted(dealt[1::2])
     pid, fds = -1, list(os.pipe())
     try:
         with contextlib.suppress(OSError):  # no process to spare: fold alone
             pid = os.fork()
-        if not pid:  # the child; the finally ends it, also on an exception
+        if pid == 0:  # the child; the finally ends it, also on an exception
             signal.signal(signal.SIGINT, signal.SIG_IGN)
-            error = _fold(config, chunks, theirs, aggs)
-            try:
-                message = pickle.dumps((aggs, error))
-            except Exception:  # an exception that does not pickle
-                message = pickle.dumps((aggs, (error[0], RuntimeError(repr(error[1])))))
+            message = pickle.dumps(_fold(config, chunks, theirs, targets))
             with open(fds[1], "wb", closefd=False) as pipe:
                 pipe.write(message)
-            return
-        os.close(fds.pop())  # the write end: the pipe ends with the child
-        error = _fold(config, chunks, mine, aggs)
-        if error is not None:
-            # Of the child's chunks, only those before it can raise first.
-            before = [i for i in theirs if i < error[0]]
-            return _fold(config, chunks, before, [_TargetAggregator() for _ in aggs]) or error
-        with open(fds[0], "rb", closefd=False) as pipe:
-            message = pipe.read()
-        try:
-            parts, error = pickle.loads(message)
-        except (EOFError, pickle.UnpicklingError):  # no message, or part of one
-            return _fold(config, chunks, theirs, aggs)
-        for agg, part in zip(aggs, parts):
-            agg.merge(part)
-        return error
+        elif pid > 0:
+            os.close(fds.pop())  # the write end: the pipe ends with the child
+            with contextlib.suppress(Exception):  # else fold alone, below
+                aggs = _fold(config, chunks, mine, targets)
+                with open(fds[0], "rb", closefd=False) as pipe:
+                    parts = pickle.loads(pipe.read())
+                for agg, part in zip(aggs, parts):
+                    agg.merge(part)
+                return aggs
     finally:
         if pid == 0:
             os._exit(0)
@@ -471,6 +469,7 @@ def _graded(config: CampaignConfig, chunks: list, aggs: list):
             os.waitpid(pid, 0)
         for fd in fds:
             os.close(fd)
+    return _fold(config, chunks, everything, targets)
 
 
 @one_blas_thread()
@@ -491,17 +490,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                 k = min(size, config.trials_per_dim - start)
                 chunks.append((entry, class_tag, draw, dim, trial + start, k, target))
             trial += config.trials_per_dim
-    aggs = [_TargetAggregator() for _ in plan]
-    error = _graded(config, chunks, aggs)
-    if error is not None:
-        index, exc = error
-        if isinstance(exc, (NoConvergence, FloatingPointError, ToleranceOverflow)):
-            entry, class_tag, _, dim, *_ = chunks[index]
-            raise ConfigInvalid(
-                f"{entry.ineq_id} on {class_tag} at dimension {dim} and scale"
-                f" {config.scale!r} cannot be graded: {exc}"
-            ) from None
-        raise exc
+    aggs = _graded(config, chunks, len(plan))
     results = tuple(
         agg.finish(entry, class_tag, dims, config.seed, config.tol)
         for agg, (entry, class_tag, _, dims) in zip(aggs, plan)

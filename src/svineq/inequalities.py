@@ -640,23 +640,28 @@ def catalog_entry(ineq_id: str) -> CatalogEntry:
 def check(ineq_id: str, inputs: Sequence, tol: Tolerance = DEFAULT_TOL) -> InequalityReport:
     """Uniform dispatch: run the checker for ``ineq_id`` on ``inputs``.
 
-    Validates arity, dimensions and finiteness before running the stacked
-    checker on a stack of one; the report's id always equals the requested
-    id.  Raises InvalidMatrix when finite inputs overflow the kernel, so
-    that no verdict is graded from a NaN or an infinity (the overflow is
-    reported by that error alone, not by RuntimeWarnings),
-    ToleranceOverflow when only the tolerance does, and NoConvergence when
-    the eigensolver gives up; each error names ``ineq_id``.
+    Validates the tolerance's type, arity, dimensions (n x n, n >= 1) and
+    finiteness before running the stacked checker on a stack of one; the
+    report's id always equals the requested id.  Raises InvalidMatrix when
+    finite inputs overflow the kernel, so that no verdict is graded from a
+    NaN or an infinity (the overflow is reported by that error alone, not
+    by RuntimeWarnings), ToleranceOverflow when only the tolerance does,
+    and NoConvergence when the eigensolver gives up; each error names
+    ``ineq_id``.
     """
     entry = catalog_entry(ineq_id)
+    if not isinstance(tol, Tolerance):
+        raise TypeError(f"tol must be a Tolerance, got {tol!r}")
     mats = [np.asarray(m, dtype=np.complex128) for m in inputs]
     if len(mats) != entry.arity:
         raise ArityMismatch(
             f"{ineq_id} takes {entry.arity} input(s), got {len(mats)}"
         )
     for m in mats:
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"inputs must be square matrices, got shape {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise DimensionMismatch(
+                f"inputs must be non-empty square matrices, got shape {m.shape}"
+            )
     n = mats[0].shape[0]
     if any(m.shape[0] != n for m in mats):
         raise DimensionMismatch(

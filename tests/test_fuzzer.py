@@ -502,9 +502,10 @@ def test_worker_reports_the_first_target_that_cannot_be_graded(graders, forks):
 
 
 def test_worker_raises_a_chunk_error_as_one_process_does(graders, forks, monkeypatch):
-    # NotPSD is no configuration error: it reaches the caller as raised by
-    # the chunk (trials 4, 5) that raised it, the child's third.  The child
-    # sleeps in each chunk it grades, so the caller waits for its message.
+    # NotPSD is no configuration error: it is raised as the chunk (trials
+    # 4, 5) raised it, the child's second.  The child sleeps in each chunk
+    # it grades, so the caller ends its own fold first, finds no message
+    # and grades every chunk itself.
     caller = os.getpid()
     check_chunk = fuzzer._check_chunk
 
@@ -527,14 +528,18 @@ def test_worker_raises_a_chunk_error_as_one_process_does(graders, forks, monkeyp
 
 def test_caller_error_does_not_wait_for_the_child(graders, forks, monkeypatch):
     # The child sleeps 0.5 s in each of its four chunks; the caller's
-    # first chunk (trials 2, 3) raises.  The caller grades the child's one
-    # chunk before it, raises at once and kills the child.
+    # first chunk (trials 2, 3) raises.  The caller kills and reaps the
+    # child at once, then grades every chunk itself from trial 0 and
+    # raises at trials 2, 3 again.
     caller = os.getpid()
     check_chunk = fuzzer._check_chunk
 
     def failing(entry, first_trial, mats, tol):
         if os.getpid() != caller:
             time.sleep(0.5)
+        elif first_trial == 0:  # the child's chunk: the caller's error came first
+            with pytest.raises(ChildProcessError):
+                os.waitpid(forks[0], os.WNOHANG)
         elif first_trial == 2:
             raise NotPSD("planted")
         return check_chunk(entry, first_trial, mats, tol)
@@ -546,7 +551,9 @@ def test_caller_error_does_not_wait_for_the_child(graders, forks, monkeypatch):
     with pytest.raises(NotPSD, match="planted"):
         run_campaign(config)
     assert time.monotonic() - start < 1.0
-    assert ("caller", 32, 0, 2) in graded_by.log()
+    assert [e for e in graded_by.log() if e[0] == "caller"] == [
+        ("caller", 32, 2, 2), ("caller", 32, 0, 2), ("caller", 32, 2, 2)
+    ]
     assert len(forks) == 1
     assert_reaped(forks)
 
@@ -603,7 +610,7 @@ def test_child_message_larger_than_the_pipe_arrives_whole(graders, forks, monkey
 
 def test_killed_child_leaves_the_document_unchanged(graders, forks, monkeypatch):
     # The child dies with SIGKILL on its second chunk, before it sends
-    # anything: the caller grades every chunk dealt to the child.
+    # anything: the caller grades every chunk itself.
     caller = os.getpid()
     check_chunk = fuzzer._check_chunk
     config = small_config(targets=ALL_TARGETS, dims=(32, 64), trials_per_dim=2)
@@ -628,17 +635,19 @@ def test_killed_child_leaves_the_document_unchanged(graders, forks, monkeypatch)
 
 def test_refused_fork_grades_every_chunk_on_the_caller(graders, monkeypatch):
     # With no process to spare (EAGAIN), the caller grades every chunk
-    # itself and the document is unchanged.
+    # itself, each once, and the document is unchanged.
     def refused():
         raise BlockingIOError("planted")
 
     config = small_config(targets=ALL_TARGETS[:4], dims=(32,), trials_per_dim=4)
-    graders(1)
+    graded_by = graders(1)
     alone = campaign_bytes(config)
+    chunks = len(graded_by.log())
     monkeypatch.setattr(os, "fork", refused)
     graded_by = graders(2)
     assert campaign_bytes(config) == alone
     assert graded_by() == {"caller"}
+    assert len(graded_by.log()) == chunks == 4
 
 
 def test_campaign_beside_a_second_thread_does_not_fork(graders, forks):
@@ -659,24 +668,59 @@ def test_campaign_beside_a_second_thread_does_not_fork(graders, forks):
     assert not thread.is_alive()
 
 
-def test_child_error_that_does_not_pickle_arrives_as_runtime_error(graders, forks, monkeypatch):
-    # A class defined in a function pickles by reference to a name that
-    # does not resolve, so the child sends its repr as a RuntimeError.
-    caller = os.getpid()
-    check_chunk = fuzzer._check_chunk
+def test_error_that_does_not_pickle_is_raised_as_itself(graders, forks, monkeypatch):
+    # A class defined in a function does not pickle.  Trial 0 is the
+    # child's first chunk; whichever process meets it, the campaign raises
+    # the error as one process does: the child sends nothing, and the
+    # caller grades every chunk itself.
+    import pickle
 
     class Unpicklable(ValueError):
         pass
 
+    with pytest.raises((AttributeError, pickle.PicklingError)):
+        pickle.dumps(Unpicklable("planted"))
+    check_chunk = fuzzer._check_chunk
+
     def failing(entry, first_trial, mats, tol):
-        if os.getpid() != caller:
+        if first_trial == 0:
             raise Unpicklable("planted")
         return check_chunk(entry, first_trial, mats, tol)
 
     monkeypatch.setattr(fuzzer, "_check_chunk", failing)
-    graders(2)
-    with pytest.raises(RuntimeError, match=r"^Unpicklable\('planted'\)$"):
-        run_campaign(small_config(targets=ALL_TARGETS, dims=(32,), trials_per_dim=4))
+    config = small_config(targets=ALL_TARGETS, dims=(32,), trials_per_dim=4)
+    for cpus in (1, 2):
+        graded_by = graders(cpus)
+        with pytest.raises(Unpicklable, match="^planted$") as info:
+            run_campaign(config)
+        assert type(info.value) is Unpicklable
+    assert ("child", 0) in {(who, first) for who, _, first, _ in graded_by.log()}
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_child_error_leaves_the_document_unchanged(graders, forks, monkeypatch):
+    # An error only the child meets, on its first chunk, ends the child
+    # with nothing sent; the caller grades every chunk itself.
+    caller = os.getpid()
+    check_chunk = fuzzer._check_chunk
+    config = small_config(targets=ALL_TARGETS, dims=(32,), trials_per_dim=4)
+    graders(1)
+    alone = campaign_bytes(config)
+
+    def failing(entry, first_trial, mats, tol):
+        if os.getpid() != caller:
+            raise NotPSD("planted")
+        return check_chunk(entry, first_trial, mats, tol)
+
+    monkeypatch.setattr(fuzzer, "_check_chunk", failing)
+    graded_by = graders(2)
+    assert campaign_bytes(config) == alone
+    firsts = {"caller": [], "child": []}
+    for who, _, first, _ in graded_by.log():
+        firsts[who].append(first)
+    assert firsts["child"] == [0]
+    assert firsts["caller"][-len(ALL_TARGETS):] == list(range(0, 4 * len(ALL_TARGETS), 4))
     assert len(forks) == 1
     assert_reaped(forks)
 
@@ -700,12 +744,17 @@ def _planted_interrupt(*args):
 )
 def test_no_child_outlives_a_stopped_campaign(graders, forks, monkeypatch, where, planted):
     # A chunk error and an interrupt raised while grading, and an error
-    # while folding, end the campaign at the caller's first chunk.  Each
-    # time the child is killed and reaped before the campaign returns.
+    # while folding, end the campaign at the caller's first chunk, or at
+    # trial 0 when the caller grades every chunk itself, as on one CPU.
+    # Each time the child is killed and reaped before the campaign returns.
     monkeypatch.setattr(fuzzer, where, planted)
-    graders(2)
-    with pytest.raises((NotPSD, KeyboardInterrupt)):
-        run_campaign(small_config(targets=ALL_TARGETS, dims=(32,), trials_per_dim=4))
+    raised = []
+    for cpus in (1, 2):
+        graders(cpus)
+        with pytest.raises((NotPSD, KeyboardInterrupt)) as info:
+            run_campaign(small_config(targets=ALL_TARGETS, dims=(32,), trials_per_dim=4))
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
     assert len(forks) == 1
     assert_reaped(forks)
 

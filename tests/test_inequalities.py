@@ -649,6 +649,19 @@ def test_check_dispatch_fixed_dim():
         check("scalar-1.6", [np.eye(2), np.eye(2)])
 
 
+@pytest.mark.parametrize("ineq_id", catalog_ids(include_variants=True))
+def test_check_rejects_empty_inputs(ineq_id):
+    # A 0x0 operand used to raise IndexError from the spectrum sides.
+    arity = catalog_entry(ineq_id).arity
+    with pytest.raises(DimensionMismatch, match="non-empty square"):
+        check(ineq_id, [np.zeros((0, 0))] * arity)
+
+
+def test_check_rejects_a_tolerance_that_is_not_a_tolerance():
+    with pytest.raises(TypeError, match="tol must be a Tolerance, got 1e-09"):
+        check("thm-2.7", [np.eye(2)], tol=1e-9)
+
+
 def test_check_dispatch_rejects_imaginary_scalar():
     with pytest.raises(ValueError):
         check("scalar-1.6", [mat([[1j]]), mat([[1]])])
