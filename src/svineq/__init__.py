@@ -7,10 +7,9 @@ The package is organised bottom-up:
   eigendecomposition, operator absolute values by SVD, singular spectra
   by SVD or, for Hermitian operands, by eigendecomposition, direct-sum
   spectra, the positive-semidefinite order check, block assembly).
-- ``decomp``: Hermitian/skew splitting, positive/negative part splitting,
-  and graded Hermitian / PSD / normal class tests.
-- ``inequalities``: the checker catalog; every checker returns a structured
-  report with per-index margins and a three-way verdict.
+- ``decomp``: Hermitian/skew and positive/negative part splittings.
+- ``inequalities``: the checker catalog, which grades every hypothesis;
+  each checker returns a report with per-index margins and a verdict.
 - ``randgen``: counter-based deterministic random matrix generators.
 - ``fuzzer``: seeded fuzzing campaigns over the catalog and randomised
   counterexample search with replayable witnesses.

@@ -389,11 +389,12 @@ def _check_chunk(entry: CatalogEntry, first_trial: int, mats, tol: Tolerance) ->
 
 
 def _grade_chunk(config: CampaignConfig, chunk) -> list:
-    """Draw the inputs of ``chunk`` (entry, class, draw function, dim, first
-    trial, trials, target) and check them."""
+    """Draw and check the inputs of ``chunk`` (entry, class, draw function,
+    dim, first trial, trials, target); as in ``check``, overflow warns of nothing."""
     entry, _, draw, dim, first, k, _ = chunk
     stream = randgen.prng_stream(config.seed, np.arange(first, first + k, dtype=np.uint64))
-    return _check_chunk(entry, first, draw(dim, stream, config.scale), config.tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _check_chunk(entry, first, draw(dim, stream, config.scale), config.tol)
 
 
 def _fold(config: CampaignConfig, chunks: list, indices, targets: int) -> list:

@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .decomp import _hermitian_grade, _normality_grade, _psd_grade, cartesian, jordan
+from .decomp import cartesian, jordan
 from .numkernel import (
     DEFAULT_TOL,
     DimensionMismatch,
@@ -53,9 +53,11 @@ from .numkernel import (
     ToleranceOverflow,
     _adj,
     _block2,
+    _eigvalsh,
     _fro,
     _herm,
     _require_hermitian,
+    _zero_slices,
     abs_op,
     direct_sum_spectrum,
     hermitian_singular_values,
@@ -210,6 +212,44 @@ def _order_hypothesis(name: str, residual: str, x, y, tol: Tolerance) -> dict:
     return {name: (min_eig >= -tol.effective(scale), {residual: min_eig})}
 
 
+# Hermitian-ness and positivity are graded at the scale of ||A||_F,
+# normality at ||A||_F^2, since the self-commutator is quadratic in A.
+
+
+def _hermitian(name: str, x: np.ndarray, tol: Tolerance) -> tuple[dict, np.ndarray]:
+    """``{name}_hermitian`` of a stack, backed by ``{name}_hermitian_defect``
+    (||A - A*||_F), and the tolerance at ||A||_F that grades it."""
+    defect = _fro(x - _adj(x))
+    herm_tol = tol.effective(_fro(x))
+    hermitian = defect <= herm_tol
+    return {f"{name}_hermitian": (hermitian, {f"{name}_hermitian_defect": defect})}, herm_tol
+
+
+def _psd_hypotheses(name: str, x: np.ndarray, tol: Tolerance) -> dict:
+    """``{name}_hermitian`` and ``{name}_positive`` (PSD, which implies
+    Hermitian) of a stack; positivity is backed by ``{name}_min_eigenvalue``,
+    the smallest eigenvalue of (A + A*)/2 (0 for a zero slice)."""
+    hypotheses, herm_tol = _hermitian(name, x, tol)
+    h = _herm(x)
+    min_eig = _eigvalsh(h)[:, 0]
+    zero = _zero_slices(h)
+    if zero is not None:
+        min_eig[zero] = 0.0
+    psd = hypotheses[f"{name}_hermitian"][0] & (min_eig >= -herm_tol)
+    hypotheses[f"{name}_positive"] = (psd, {f"{name}_min_eigenvalue": min_eig})
+    return hypotheses
+
+
+def _normal(prefix: str, x: np.ndarray, tol: Tolerance) -> dict:
+    """``{prefix}normal`` of a stack, backed by ``{prefix}normality_defect``
+    (||A*A - AA*||_F)."""
+    norm = _fro(x)
+    adj = _adj(x)
+    defect = _fro(adj @ x - x @ adj)
+    normal = defect <= tol.effective(norm * norm)
+    return {f"{prefix}normal": (normal, {f"{prefix}normality_defect": defect})}
+
+
 @dataclass(slots=True)
 class Graded:
     """What a checker core computes for k trials, before grading: its sides
@@ -341,15 +381,6 @@ def _core_scalar(mats, tol) -> Graded:
     return Graded((left, right))
 
 
-def _psd_hypotheses(name: str, x: np.ndarray, tol: Tolerance) -> dict:
-    """``{name}_hermitian`` and ``{name}_positive`` (PSD) of a stack."""
-    defect, min_eig, hermitian, psd = _psd_grade(x, tol)
-    return {
-        f"{name}_hermitian": (hermitian, {f"{name}_hermitian_defect": defect}),
-        f"{name}_positive": (psd, {f"{name}_min_eigenvalue": min_eig}),
-    }
-
-
 def _core_bk_1_1(mats, tol) -> Graded:
     """bk-1.1: s_j(A+B) <= sqrt2 s_j(A+iB) for PSD A, B."""
     a, b = mats
@@ -383,10 +414,10 @@ def _core_ak_1_3(mats, tol) -> Graded:
 def _core_ak_1_4(mats, tol) -> Graded:
     """ak-1.4: 2 s_j(A) <= s_j((B+A) ⊕ (B-A)) for Hermitian A with ±A <= B."""
     a, b = mats
-    a_defect, a_hermitian, _ = _hermitian_grade(a, tol)
+    a_hermitian, _ = _hermitian("a", a, tol)
     ha, hb = _herm(a), _herm(b)
     hypotheses = {
-        "a_hermitian": (a_hermitian, {"a_hermitian_defect": a_defect}),
+        **a_hermitian,
         **_psd_hypotheses("b", b, tol),
         **_order_hypothesis("a_le_b", "min_eig_b_minus_a", ha, hb, tol),
         **_order_hypothesis("minus_a_le_b", "min_eig_b_plus_a", -ha, hb, tol),
@@ -395,12 +426,6 @@ def _core_ak_1_4(mats, tol) -> Graded:
     rhs = direct_sum_spectrum(singular_values(b + a), singular_values(b - a))
     side = _spectrum_side("main", lhs, rhs)
     return Graded((side,), hypotheses)
-
-
-def _normal(prefix: str, x: np.ndarray, tol: Tolerance) -> dict:
-    """``{prefix}normal`` of a stack, backed by ``{prefix}normality_defect``."""
-    defect, normal = _normality_grade(x, tol)
-    return {f"{prefix}normal": (normal, {f"{prefix}normality_defect": defect})}
 
 
 def _core_thm_2_1(mats, tol) -> Graded:

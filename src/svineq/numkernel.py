@@ -261,15 +261,6 @@ def _eigvalsh(h: np.ndarray) -> np.ndarray:
     return _lapack(np.linalg.eigvalsh, h)
 
 
-def _min_eig(h: np.ndarray) -> np.ndarray:
-    """Per-slice smallest eigenvalue; 0 for a zero slice."""
-    w = _eigvalsh(h)[:, 0]
-    zero = _zero_slices(h)
-    if zero is not None:
-        w[zero] = 0.0
-    return w
-
-
 def hermitian_eig(x: np.ndarray):
     """(eigenvalues, eigenvectors, norms) of a Hermitian stack.
 

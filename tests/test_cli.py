@@ -188,7 +188,6 @@ NO_CONVERGENCE_INPUTS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case", NO_CONVERGENCE_INPUTS)
 def test_verify_no_convergence_exit_3(case, tmp_path, capsys):
     # Finite entries this large overflow the Grams A*A + B*B; the
@@ -203,7 +202,6 @@ def test_verify_no_convergence_exit_3(case, tmp_path, capsys):
     assert captured.err == "error: thm-2.8: Eigenvalues did not converge\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_verify_kernel_overflow_exit_3(tmp_path, capsys):
     # Finite entries near 1e155 overflow the products AB + BA of thm-2.8,
     # so its margins are NaN; check() refuses them instead of printing a

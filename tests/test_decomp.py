@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from svineq.decomp import _normality_grade, _psd_grade, jordan
+from svineq.decomp import jordan
 from svineq.fixtures import EX_2_2, EX_2_2_A1, EX_2_2_A2
-from svineq.inequalities import check
+from svineq.inequalities import _normal, _psd_hypotheses, check
 from svineq.numkernel import DEFAULT_TOL, NotHermitian, abs_op, hermitian_eig
 
 from conftest import (
@@ -51,17 +51,18 @@ def commutator_defect(x, y) -> float:
 
 def classify(a, tol=DEFAULT_TOL):
     """The class flags of one matrix and the residuals behind them, from the
-    graders the checkers use."""
+    hypothesis builders the checkers use."""
     x = np.asarray(a, dtype=np.complex128)[None]
-    herm_defect, min_eig, hermitian, psd = _psd_grade(x, tol)
-    normality, normal = _normality_grade(x, tol)
+    hypotheses = {**_psd_hypotheses("a", x, tol), **_normal("a_", x, tol)}
+    flags = {name: bool(flag[0]) for name, (flag, _) in hypotheses.items()}
+    residuals = {k: float(v[0]) for _, backing in hypotheses.values() for k, v in backing.items()}
     return SimpleNamespace(
-        hermitian=bool(hermitian[0]),
-        psd=bool(psd[0]),
-        normal=bool(normal[0]),
-        hermitian_defect=float(herm_defect[0]),
-        min_eigenvalue=float(min_eig[0]),
-        normality_defect=float(normality[0]),
+        hermitian=flags["a_hermitian"],
+        psd=flags["a_positive"],
+        normal=flags["a_normal"],
+        hermitian_defect=residuals["a_hermitian_defect"],
+        min_eigenvalue=residuals["a_min_eigenvalue"],
+        normality_defect=residuals["a_normality_defect"],
     )
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)

@@ -166,21 +166,27 @@ def test_structurally_wrong_class_counts_hypothesis_violations():
     assert t.worst_witness is None
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize(
-    "target", [("cor-2.9", "normal_pair_shared_basis"), ("thm-2.8", "ginibre")]
+    "target",
+    [("cor-2.9", "normal_pair_shared_basis"), ("thm-2.8", "ginibre"), ("bk-1.1", "psd")],
 )
-def test_overflowing_campaign_is_config_invalid(target):
+def test_overflowing_campaign_is_config_invalid(target, cpus, graders, forks):
     # At scale 1e160 the products AB + BA overflow: the margins are NaN (NaN
     # margins used to reach the histogram as "cannot convert float NaN to
     # integer"), or the eigensolver raises NoConvergence on the Grams.
-    config = small_config(targets=(target,), dims=(2,), trials_per_dim=3, scale=1e160)
+    # bk-1.1's PSD operands overflow as they are drawn.  Either way the
+    # error alone reports it: every warning is an error here, in the forked
+    # child too, and none may escape as a bare RuntimeWarning.
+    graders(cpus)
+    config = small_config(targets=(target,), dims=(2, 3), trials_per_dim=3, scale=1e160)
     with pytest.raises(ConfigInvalid) as info:
         run_campaign(config)
     message = str(info.value)
     assert target[0] in message
     assert "dimension 2" in message
     assert "1e+160" in message
+    assert len(forks) == cpus - 1
 
 
 def test_large_scale_campaign_is_graded():
@@ -452,7 +458,6 @@ OVERFLOW_TARGETS = (
 )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_grading_pins_blas_to_one_thread_and_restores_the_count(monkeypatch):
     blas = numkernel._openblas_thread_query()
     if blas is None:
@@ -484,7 +489,6 @@ def test_grading_pins_blas_to_one_thread_and_restores_the_count(monkeypatch):
         set_(1)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_worker_reports_the_first_target_that_cannot_be_graded(graders, forks):
     # At scale 1e160 thm-2.8 and cor-2.9 overflow and thm-2.7 does not;
     # whichever process grades a chunk first, the error names thm-2.8.

@@ -30,7 +30,7 @@ import pytest
 # when this file runs as a script.
 from conftest import BLAS_THREAD_VARS, draw
 
-from svineq import decomp, fuzzer, inequalities, numkernel, randgen
+from svineq import fuzzer, inequalities, numkernel, randgen
 from svineq.cli import main
 from svineq.fixtures import EX_2_2
 from svineq.fuzzer import CampaignConfig, SEARCH_TARGET_IDS, replay, run_campaign
@@ -180,8 +180,8 @@ def test_document_matches_golden(name, tmp_path):
 def test_frobenius_norms_see_only_contiguous_stacks(tmp_path, monkeypatch):
     # numkernel._fro reads each slice through a (k, n*n) view of its stack,
     # which makes the dot calls of np.linalg.norm only for a C-contiguous
-    # stack.  Every route to it, through the three modules that call it,
-    # must hand it one.
+    # stack.  Every route to it, through every module that binds it, must
+    # hand it one.
     original = numkernel._fro
     calls, strided = [], []
 
@@ -191,7 +191,13 @@ def test_frobenius_norms_see_only_contiguous_stacks(tmp_path, monkeypatch):
             strided.append((x.shape, x.strides))
         return original(x)
 
-    for module in (numkernel, decomp, inequalities):
+    callers = [
+        module
+        for name, module in sorted(sys.modules.items())
+        if name.startswith("svineq.") and getattr(module, "_fro", None) is original
+    ]
+    assert numkernel in callers and inequalities in callers
+    for module in callers:
         monkeypatch.setattr(module, "_fro", contiguous_fro)
     for ineq_id in inequalities.catalog_ids(include_variants=True):
         entry = inequalities.catalog_entry(ineq_id)

@@ -680,7 +680,6 @@ def test_check_rejects_non_finite_entries(bad):
         check("thm-2.7", [np.full((2, 2), bad)])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "ineq_id, inputs",
     [

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from svineq import numkernel
-from svineq.decomp import _hermitian_grade
+from svineq import inequalities, numkernel
 from svineq.inequalities import check
 from svineq.numkernel import (
     DEFAULT_TOL,
@@ -125,8 +124,9 @@ def test_tolerance_rejects_non_finite(bad):
 
 
 def hermitian_defect(m) -> float:
-    """||m - m*||_F as the Hermitian grader computes it."""
-    return float(_hermitian_grade(m[None], DEFAULT_TOL)[0][0])
+    """||m - m*||_F as the Hermitian hypothesis grades it."""
+    hypotheses, _ = inequalities._hermitian("m", m[None], DEFAULT_TOL)
+    return float(hypotheses["m_hermitian"][1]["m_hermitian_defect"][0])
 
 
 def test_adjoint_conjugate_transposes():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from svineq.decomp import _psd_grade
+from svineq.inequalities import _psd_hypotheses
 from svineq.numkernel import DEFAULT_TOL
 from svineq.randgen import CLASS_ARITY, InvalidSpec, _unitary, prng_stream, sample
 
@@ -220,5 +220,5 @@ def test_bulk_class_residuals(class_tag):
 @given(seed=seeds, n=st.sampled_from([2, 3, 5, 8]))
 def test_psd_output_classifies_as_psd(seed, n):
     (p,) = sample("psd", n, prng_stream(seed, 0))
-    (_, _, _, psd) = _psd_grade(p[None], DEFAULT_TOL)
+    (psd, _) = _psd_hypotheses("p", p[None], DEFAULT_TOL)["p_positive"]
     assert psd[0]
