@@ -9,13 +9,15 @@ order.  The trials of one (target, dimension) block are drawn and checked
 as stacks of at most ``CHUNK_ELEMENTS // n**2`` trials; the chunk size
 never shows in the result.  When the process may use two CPUs, the chunks
 are shared with a child process forked for the campaign.  Each process
-folds its own chunks, and the child sends its whole fold to the caller in
-one message or sends nothing.  The fold does not depend on order, so the
-result is the one a single process gives; on any outcome but two whole
-folds the caller folds every chunk itself, so errors are those of one
-process too.  Campaigns and searches grade on one BLAS thread (see
-``numkernel.one_blas_thread``), so that the BLAS thread count cannot
-change last bits.
+grades its own chunks straight into a fold of numbers (counts, extremes
+and the trial numbers they come from), and the child sends its whole fold
+to the caller in one message or sends nothing.  The fold does not depend
+on order, so the result is the one a single process gives; on any outcome
+but two whole folds the caller folds every chunk itself, so errors are
+those of one process too.  A violated target's worst witness is drawn
+again from the stream of its trial.  Campaigns and searches grade on one
+BLAS thread (see ``numkernel.one_blas_thread``), so that the BLAS thread
+count cannot change last bits.
 
 Searches target statements that are false (or of unknown truth) in
 general: random restarts from an ambient parameterisation that preserves
@@ -246,7 +248,8 @@ def _plan(config: CampaignConfig) -> list[tuple[CatalogEntry, str, Callable, tup
 
 
 class _TargetAggregator:
-    """A fold of some of one target's trials, into a TargetResult.
+    """A fold of some of one target's trials, into a TargetResult: numbers
+    only, so that the child's message holds no matrix.
 
     Counts and histograms add.  Each extreme is kept with the trial it
     comes from, as a ``(value, trial)`` tuple, so that ``min`` keeps the
@@ -259,10 +262,10 @@ class _TargetAggregator:
         self.trials = self.violated = self.hypothesis_violated = 0
         self.histogram = MarginHistogram()
         self.floor = (math.inf, math.inf)  # (min margin, trial)
-        # label -> (first seen as (first trial, position), (min margin, trial), max |margin|)
-        self.sides: dict[str, tuple] = {}
-        # (margin, trial, dim, inputs) of the worst violated trial
-        self.worst: tuple | None = None
+        # position in the core -> (label, (min margin, trial), max |margin|)
+        self.sides: dict[int, tuple] = {}
+        # (margin, trial, dim) of the worst violated trial; (inf, inf, 0) while none is
+        self.worst = (math.inf, math.inf, 0)
 
     def merge(self, other: _TargetAggregator) -> None:
         self.trials += other.trials
@@ -273,23 +276,12 @@ class _TargetAggregator:
         mine.underflow += theirs.underflow
         mine.overflow += theirs.overflow
         self.floor = min(self.floor, other.floor)
-        for label, side in other.sides.items():
-            was = self.sides.get(label, side)
-            self.sides[label] = (min(was[0], side[0]), min(was[1], side[1]), max(was[2], side[2]))
-        if other.worst is not None and (self.worst is None or other.worst[:2] < self.worst[:2]):
-            self.worst = other.worst
+        for position, (label, low, high) in other.sides.items():
+            _, was_low, was_high = self.sides.get(position, (label, low, high))
+            self.sides[position] = (label, min(was_low, low), max(was_high, high))
+        self.worst = min(self.worst, other.worst)
 
-    def fold(self, dim: int, parts) -> None:
-        """Add the parts of one checked chunk (see ``_check_chunk``)."""
-        for first_trial, mats, checked in parts:
-            if checked is None:
-                # A trial whose checker rejected an operand as not Hermitian.
-                self.trials += 1
-                self.hypothesis_violated += 1
-            else:
-                self.add(first_trial, dim, mats, checked)
-
-    def add(self, first_trial: int, dim: int, mats, checked: Checked) -> None:
+    def add(self, first_trial: int, dim: int, checked: Checked) -> None:
         part = _TargetAggregator()
         k = part.trials = len(checked)
         hyp = checked.hypothesis_ok
@@ -306,32 +298,34 @@ class _TargetAggregator:
                 continue
             side_min = side.min_margin[rows]
             i = int(side_min.argmin())
-            part.sides[side.label] = (
-                (first_trial, position),
+            part.sides[position] = (
+                side.label,
                 (float(side_min[i]), first_trial + int(rows[i])),
                 float(np.abs(side.margin[rows]).max()),
             )
         if part.violated:
             i = int(np.where(checked.violated, margins, np.inf).argmin())
-            inputs = tuple(m[i].copy() for m in mats)
-            part.worst = (float(margins[i]), first_trial + i, dim, inputs)
+            part.worst = (float(margins[i]), first_trial + i, dim)
         self.merge(part)
 
-    def finish(self, entry: CatalogEntry, class_tag: str, dims: tuple[int, ...], seed: int,
-               tol: Tolerance) -> TargetResult:
+    def finish(self, config: CampaignConfig, entry: CatalogEntry, class_tag: str,
+               draw: Callable, dims: tuple[int, ...]) -> TargetResult:
+        """The result for the ``_plan`` row (entry, class_tag, draw, dims); the
+        worst witness is drawn again, as a stack of one, from its trial."""
         worst_witness = None
-        if self.worst is not None:
-            _, trial, dim, inputs = self.worst
-            worst_witness = _witness(entry, class_tag, dim, seed, trial, tol, inputs)
         if self.violated:
-            min_margin = self.worst[0]
+            min_margin, trial, dim = self.worst
+            stream = randgen.prng_stream(config.seed, [trial])
+            with np.errstate(over="ignore", invalid="ignore"):  # as its chunk was
+                inputs = tuple(m[0] for m in draw(dim, stream, config.scale))
+                worst_witness = _witness(entry, class_tag, dim, config.seed, trial, config.tol,
+                                         inputs)
         elif math.isfinite(self.floor[0]):
             # Some trial was graded: every graded margin is finite.
             min_margin = self.floor[0]
         else:
             min_margin = None
-        # In the order a fold in trial order first meets the sides.
-        sides = sorted(self.sides.items(), key=lambda item: item[1][0])
+        sides = [self.sides[position] for position in sorted(self.sides)]
         return TargetResult(
             ineq_id=entry.ineq_id,
             class_tag=class_tag,
@@ -343,7 +337,7 @@ class _TargetAggregator:
             expected_to_hold=entry.expected_to_hold(class_tag),
             min_margin=min_margin,
             histogram=self.histogram,
-            side_stats={label: SideStats(low[0], high) for label, (_, low, high) in sides},
+            side_stats={label: SideStats(low[0], high) for label, low, high in sides},
             worst_witness=worst_witness,
         )
 
@@ -362,61 +356,61 @@ def _witness(
     return Witness(entry.ineq_id, class_tag, dim, seed, trial, tol, inputs, checked.report(0))
 
 
-def _check_chunk(entry: CatalogEntry, first_trial: int, mats, tol: Tolerance) -> list:
-    """Check one chunk of trials: its parts (first trial, operand stacks,
-    Checked) in trial order.
+def _check_chunk(agg: _TargetAggregator, entry: CatalogEntry, dim: int, first_trial: int,
+                 mats, tol: Tolerance) -> None:
+    """Check one chunk of trials and fold it into ``agg``.
 
     A checker rejects a whole stack when one operand is not Hermitian; the
-    chunk is then checked trial by trial, and each rejected trial is a part
-    (trial, None, None), a hypothesis violation, while the others are
-    graded as usual.  A chunk that yields a non-finite number raises
-    FloatingPointError, so that no count comes from a NaN or an infinity.
+    chunk is then checked trial by trial, and each rejected trial counts
+    as a hypothesis violation, while the others are graded as usual.  A
+    chunk that yields a non-finite number raises FloatingPointError, so
+    that no count comes from a NaN or an infinity.
     """
     try:
         checked = entry.run(mats, tol)
     except NotHermitian:
-        k = mats[0].shape[0]
-        if k == 1:
-            return [(first_trial, None, None)]
-        return [
-            part
-            for i in range(k)
-            for part in _check_chunk(entry, first_trial + i, [m[i : i + 1] for m in mats], tol)
-        ]
+        if len(mats[0]) > 1:
+            for i in range(len(mats[0])):
+                _check_chunk(agg, entry, dim, first_trial + i, [m[i : i + 1] for m in mats], tol)
+        else:
+            agg.trials += 1
+            agg.hypothesis_violated += 1
+        return
     if not checked.finite():
         raise FloatingPointError("non-finite margins or residuals")
-    return [(first_trial, mats, checked)]
+    agg.add(first_trial, dim, checked)
 
 
-def _grade_chunk(config: CampaignConfig, chunk) -> list:
-    """Draw and check the inputs of ``chunk`` (entry, class, draw function,
-    dim, first trial, trials, target); as in ``check``, overflow warns of nothing."""
-    entry, _, draw, dim, first, k, _ = chunk
+def _grade_chunk(config: CampaignConfig, plan: list, chunk, agg: _TargetAggregator) -> None:
+    """Draw the inputs of ``chunk`` (target, dim, first trial, trials) and
+    fold them into ``agg``; as in ``check``, overflow warns of nothing."""
+    target, dim, first, k = chunk
+    entry, _, draw, _ = plan[target]
     stream = randgen.prng_stream(config.seed, np.arange(first, first + k, dtype=np.uint64))
     with np.errstate(over="ignore", invalid="ignore"):
-        return _check_chunk(entry, first, draw(dim, stream, config.scale), config.tol)
+        _check_chunk(agg, entry, dim, first, draw(dim, stream, config.scale), config.tol)
 
 
-def _fold(config: CampaignConfig, chunks: list, indices, targets: int) -> list:
+def _fold(config: CampaignConfig, plan: list, chunks: list, indices) -> list:
     """Fold the chunks at ``indices``, ascending, into fresh aggregators,
     one per target.  A chunk that cannot be graded at the configured scale
     and tolerance (the eigensolver does not converge or a number
     overflows) raises ConfigInvalid; any other error propagates as is."""
-    aggs = [_TargetAggregator() for _ in range(targets)]
+    aggs = [_TargetAggregator() for _ in plan]
     for i in indices:
-        entry, class_tag, _, dim, _, _, target = chunks[i]
+        target, dim, _, _ = chunks[i]
         try:
-            parts = _grade_chunk(config, chunks[i])
+            _grade_chunk(config, plan, chunks[i], aggs[target])
         except (NoConvergence, FloatingPointError, ToleranceOverflow) as exc:
+            entry, class_tag, _, _ = plan[target]
             raise ConfigInvalid(
                 f"{entry.ineq_id} on {class_tag} at dimension {dim} and scale"
                 f" {config.scale!r} cannot be graded: {exc}"
             ) from None
-        aggs[target].fold(dim, parts)
     return aggs
 
 
-def _graded(config: CampaignConfig, chunks: list, targets: int) -> list:
+def _graded(config: CampaignConfig, plan: list, chunks: list) -> list:
     """Fold every chunk into one aggregator per target, as one process
     folding them in trial order does, and return the aggregators.
 
@@ -441,8 +435,8 @@ def _graded(config: CampaignConfig, chunks: list, targets: int) -> list:
     if not (sys.platform == "linux" and len(chunks) > 1
             and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1
             and _openblas_thread_query() is not None):
-        return _fold(config, chunks, everything, targets)
-    dealt = sorted(everything, key=lambda i: (chunks[i][3], chunks[i][5]))
+        return _fold(config, plan, chunks, everything)
+    dealt = sorted(everything, key=lambda i: (chunks[i][1], chunks[i][3]))
     theirs, mine = sorted(dealt[::2]), sorted(dealt[1::2])
     pid, fds = -1, list(os.pipe())
     try:
@@ -450,13 +444,13 @@ def _graded(config: CampaignConfig, chunks: list, targets: int) -> list:
             pid = os.fork()
         if pid == 0:  # the child; the finally ends it, also on an exception
             signal.signal(signal.SIGINT, signal.SIG_IGN)
-            message = pickle.dumps(_fold(config, chunks, theirs, targets))
+            message = pickle.dumps(_fold(config, plan, chunks, theirs))
             with open(fds[1], "wb", closefd=False) as pipe:
                 pipe.write(message)
         elif pid > 0:
             os.close(fds.pop())  # the write end: the pipe ends with the child
             with contextlib.suppress(Exception):  # else fold alone, below
-                aggs = _fold(config, chunks, mine, targets)
+                aggs = _fold(config, plan, chunks, mine)
                 with open(fds[0], "rb", closefd=False) as pipe:
                     parts = pickle.loads(pipe.read())
                 for agg, part in zip(aggs, parts):
@@ -470,7 +464,7 @@ def _graded(config: CampaignConfig, chunks: list, targets: int) -> list:
             os.waitpid(pid, 0)
         for fd in fds:
             os.close(fd)
-    return _fold(config, chunks, everything, targets)
+    return _fold(config, plan, chunks, everything)
 
 
 @one_blas_thread()
@@ -484,18 +478,15 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     plan = _plan(config)
     chunks = []
     trial = 0
-    for target, (entry, class_tag, draw, dims) in enumerate(plan):
+    for target, (_, _, _, dims) in enumerate(plan):
         for dim in dims:
             size = max(1, CHUNK_ELEMENTS // (dim * dim))
             for start in range(0, config.trials_per_dim, size):
                 k = min(size, config.trials_per_dim - start)
-                chunks.append((entry, class_tag, draw, dim, trial + start, k, target))
+                chunks.append((target, dim, trial + start, k))
             trial += config.trials_per_dim
-    aggs = _graded(config, chunks, len(plan))
-    results = tuple(
-        agg.finish(entry, class_tag, dims, config.seed, config.tol)
-        for agg, (entry, class_tag, _, dims) in zip(aggs, plan)
-    )
+    aggs = _graded(config, plan, chunks)
+    results = tuple(agg.finish(config, *row) for agg, row in zip(aggs, plan))
     return CampaignResult(config=config, targets=results)
 
 

@@ -364,13 +364,11 @@ def _grade(ineq_id: str, dims: tuple[int, ...], graded: Graded, tol: Tolerance, 
 
 def _core_scalar(mats, tol) -> Graded:
     """scalar-1.6: (1/sqrt2)|a+b| <= |a+ib| <= |a|+|b| for real scalars a, b."""
-    reals = []
-    for m in mats:
-        z = m[:, 0, 0]
-        if np.any(np.abs(z.imag) > 1e-12 * np.abs(z)):
-            raise ValueError("scalar-1.6 takes real scalars; imaginary part is not negligible")
-        reals.append(z.real)
-    a, b = reals
+    # A 1x1 matrix is Hermitian exactly when it is real.  The reals come
+    # from the inputs: the symmetrised (z + z*)/2 overflows near 1e308.
+    for m, name in zip(mats, "ab"):
+        _require_hermitian(m, name)
+    a, b = (m[:, 0, 0].real for m in mats)
     # |a+ib| is the singular value of the 1x1 matrix [a+ib], from the same
     # kernel call as thm-2.1's s_1(A), so the two routes agree bit for bit.
     z = np.empty((a.shape[0], 1, 1), dtype=np.complex128)

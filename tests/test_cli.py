@@ -91,6 +91,24 @@ def test_verify_structural_hypothesis_exit_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_verify_complex_scalar_exit_2(tmp_path, capsys):
+    # A 1x1 matrix is Hermitian exactly when it is real: scalar-1.6 rejects
+    # a complex scalar as a structural hypothesis violation.
+    a = write_matrix(tmp_path, "a.json", mat([[1 + 1j]]))
+    b = write_matrix(tmp_path, "b.json", mat([[1]]))
+    rc = main(["verify", "scalar-1.6", a, b])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("hypothesis violated: a is not Hermitian")
+    assert captured.out == ""
+
+
+def test_fuzz_complex_scalars_exit_0(capsys):
+    rc = main(["fuzz", "--ineq", "scalar-1.6", "--class", "ginibre", "--trials", "3"])
+    assert rc == 0
+    assert "hypothesis_violated=3 " in capsys.readouterr().out
+
+
 def test_verify_unknown_id_exit_3(normal_file, capsys):
     rc = main(["verify", "thm-9.9", normal_file])
     assert rc == 3

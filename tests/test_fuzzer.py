@@ -166,6 +166,17 @@ def test_structurally_wrong_class_counts_hypothesis_violations():
     assert t.worst_witness is None
 
 
+@pytest.mark.parametrize("class_tag", ["ginibre", "unitary", "normal"])
+def test_complex_scalars_count_as_hypothesis_violations(class_tag):
+    # A 1x1 matrix is Hermitian only when it is real: scalar-1.6 rejects
+    # complex scalars as thm-2.5-plus rejects non-Hermitian matrices, one
+    # trial at a time, and the campaign goes on.
+    config = small_config(targets=(("scalar-1.6", class_tag),), trials_per_dim=3)
+    (t,) = run_campaign(config).targets
+    assert t.hypothesis_violated == t.trials == 3
+    assert t.min_margin is None
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize(
     "target",
@@ -208,26 +219,27 @@ def test_overflowing_tolerance_is_config_invalid():
 
 def test_non_hermitian_trial_in_a_chunk_is_rejected_alone():
     # The checker rejects the whole stack; the chunk is then checked trial
-    # by trial, so only the non-Hermitian middle trial is a structural part
-    # (a hypothesis violation) and the other two are graded as usual.
+    # by trial, so only the non-Hermitian middle trial counts as a
+    # hypothesis violation and the other two, trials 5 and 7, are graded
+    # as usual.
     entry = catalog_entry("thm-2.5-plus")
     good = [draw("hermitian", 2, seed=3, index=i)[0] for i in range(2)]
     stack = np.stack([good[0], mat([[0, 1], [0, 0]]), good[1]])
-    parts = _check_chunk(entry, 5, [stack], DEFAULT_TOL)
-    assert [first for first, _, _ in parts] == [5, 6, 7]
-    assert parts[1] == (6, None, None)
     agg = _TargetAggregator()
-    agg.fold(2, parts)
-    t = agg.finish(entry, "hermitian", (2,), 0, DEFAULT_TOL)
+    _check_chunk(agg, entry, 2, 5, [stack], DEFAULT_TOL)
+    assert (agg.trials, agg.hypothesis_violated) == (3, 1)
+    margins = [check("thm-2.5-plus", [m]).min_margin for m in good]
+    assert agg.floor == min((margins[0], 5), (margins[1], 7))
+    t = agg.finish(small_config(), entry, "hermitian", None, (2,))
     assert (t.trials, t.holds, t.hypothesis_violated) == (3, 2, 1)
     assert t.histogram.total == 2
-    assert t.min_margin == min(check("thm-2.5-plus", [m]).min_margin for m in good)
+    assert t.min_margin == min(margins)
 
 
 def _planted_chunk(first, margins, violated, x_min, y_min):
     """Two trials of thm-2.7 at n = 2 from ``first`` on, with planted
-    minimum margins, violations and side minima; side x is absent where
-    its minimum is None.  Trial t's input is (t + 1) I."""
+    minimum margins, violations and side minima; side x, the second, is
+    absent where its minimum is None."""
     k = len(margins)
 
     def side(label, mins):
@@ -236,19 +248,25 @@ def _planted_chunk(first, margins, violated, x_min, y_min):
         return SideBatch(label, "spectrum", np.zeros((k, 1)), mins[:, None], mins[:, None],
                          np.ones(k), mins, present)
 
-    checked = Checked("thm-2.7", (2,), (side("x", x_min), side("y", y_min)), None, {},
+    checked = Checked("thm-2.7", (2,), (side("y", y_min), side("x", x_min)), None, {},
                       np.array(margins), np.full(k, 1e-12), np.array(violated))
-    mats = [np.stack([np.eye(2, dtype=complex) * (first + i + 1) for i in range(k)])]
-    return first, mats, checked
+    return first, checked
 
 
 @pytest.mark.parametrize("case", ["0.0 first", "-0.0 first", "equal violations"])
-def test_merged_parts_give_the_sequential_fold(case):
+def test_merged_parts_give_the_sequential_fold(case, monkeypatch):
     # Ties keep the earliest trial, as a fold in trial order does: the sign
     # of equal zero minima (the floor, and side y's), and the witness of
-    # equal violation margins.  Side x is absent in the first chunk, so it
-    # comes after side y.  Every split of the chunks between two parts,
-    # merged either way, gives the document of the sequential fold.
+    # equal violation margins.  Side x is absent in the first chunk and
+    # still comes after side y, its place in the core.  Every split of the
+    # chunks between two parts, merged either way, gives the document of
+    # the sequential fold.  The witness is drawn again from its trial: a
+    # stub stream is the trial number, and trial t's input is (t + 1) I.
+    monkeypatch.setattr(fuzzer.randgen, "prng_stream", lambda seed, trials: trials[0])
+
+    def stub_draw(dim, trial, scale):
+        return (np.eye(dim, dtype=complex)[None] * (trial + 1),)
+
     a, b = (0.0, -0.0) if case == "0.0 first" else (-0.0, 0.0)
     bad = case == "equal violations"
     worst = -1.0 if bad else 1.0
@@ -263,13 +281,17 @@ def test_merged_parts_give_the_sequential_fold(case):
     def folded(indices):
         agg = _TargetAggregator()
         for i in indices:
-            agg.fold(2, [chunks[i]])
+            first, checked = chunks[i]
+            agg.add(first, 2, checked)
         return agg
 
-    def document(agg):
-        return dumps(_target_to_json(agg.finish(entry, "ginibre", (2,), 0, DEFAULT_TOL)))
+    def finish(agg):
+        return agg.finish(small_config(), entry, "ginibre", stub_draw, (2,))
 
-    sequential = folded(range(4)).finish(entry, "ginibre", (2,), 0, DEFAULT_TOL)
+    def document(agg):
+        return dumps(_target_to_json(finish(agg)))
+
+    sequential = finish(folded(range(4)))
     assert list(sequential.side_stats) == ["y", "x"]
     if bad:
         assert sequential.min_margin == -1.0 and sequential.worst_witness.trial == 2
@@ -305,13 +327,13 @@ def graders(monkeypatch, tmp_path):
     caller = os.getpid()
     grade = fuzzer._grade_chunk
 
-    def recording(config, chunk):
+    def recording(config, plan, chunk, agg):
         fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
         try:
-            os.write(fd, b"%d %d %d %d\n" % (os.getpid(), chunk[3], chunk[4], chunk[5]))
+            os.write(fd, b"%d %d %d %d\n" % (os.getpid(), *chunk[1:]))
         finally:
             os.close(fd)
-        return grade(config, chunk)
+        return grade(config, plan, chunk, agg)
 
     monkeypatch.setattr(fuzzer, "_grade_chunk", recording)
 
@@ -513,12 +535,12 @@ def test_worker_raises_a_chunk_error_as_one_process_does(graders, forks, monkeyp
     caller = os.getpid()
     check_chunk = fuzzer._check_chunk
 
-    def failing(entry, first_trial, mats, tol):
+    def failing(agg, entry, dim, first_trial, mats, tol):
         if first_trial == 4:
             raise NotPSD("planted")
         if os.getpid() != caller:
             time.sleep(0.1)
-        return check_chunk(entry, first_trial, mats, tol)
+        return check_chunk(agg, entry, dim, first_trial, mats, tol)
 
     monkeypatch.setattr(fuzzer, "_check_chunk", failing)
     config = small_config(targets=(("thm-2.7", "ginibre"),) * 6, dims=(32,), trials_per_dim=2)
@@ -538,7 +560,7 @@ def test_caller_error_does_not_wait_for_the_child(graders, forks, monkeypatch):
     caller = os.getpid()
     check_chunk = fuzzer._check_chunk
 
-    def failing(entry, first_trial, mats, tol):
+    def failing(agg, entry, dim, first_trial, mats, tol):
         if os.getpid() != caller:
             time.sleep(0.5)
         elif first_trial == 0:  # the child's chunk: the caller's error came first
@@ -546,7 +568,7 @@ def test_caller_error_does_not_wait_for_the_child(graders, forks, monkeypatch):
                 os.waitpid(forks[0], os.WNOHANG)
         elif first_trial == 2:
             raise NotPSD("planted")
-        return check_chunk(entry, first_trial, mats, tol)
+        return check_chunk(agg, entry, dim, first_trial, mats, tol)
 
     monkeypatch.setattr(fuzzer, "_check_chunk", failing)
     config = small_config(targets=(("thm-2.7", "ginibre"),) * 8, dims=(32,), trials_per_dim=2)
@@ -569,13 +591,13 @@ def test_interrupt_on_the_caller_stops_the_campaign_at_once(graders, forks, monk
     caller = os.getpid()
     check_chunk = fuzzer._check_chunk
 
-    def failing(entry, first_trial, mats, tol):
+    def failing(agg, entry, dim, first_trial, mats, tol):
         if os.getpid() != caller:
             time.sleep(0.2)
             raise FloatingPointError("planted")
         if first_trial:
             raise KeyboardInterrupt
-        return check_chunk(entry, first_trial, mats, tol)
+        return check_chunk(agg, entry, dim, first_trial, mats, tol)
 
     monkeypatch.setattr(fuzzer, "_check_chunk", failing)
     config = small_config(targets=(("thm-2.7", "ginibre"),) * 4, dims=(32,), trials_per_dim=2)
@@ -586,28 +608,87 @@ def test_interrupt_on_the_caller_stops_the_campaign_at_once(graders, forks, monk
     assert_reaped(forks)
 
 
-def test_child_message_larger_than_the_pipe_arrives_whole(graders, forks, monkeypatch):
-    # A pipe holds 64 KiB.  loewner-cartesian fails on ginibre, so each
-    # target keeps a 64 x 64 complex worst witness (64 KiB), and the child
-    # sends two of them in its one message.
+@pytest.fixture
+def messages(monkeypatch):
+    """The bytes and the unpickled aggregators of each message a child
+    sends the caller."""
     import pickle
 
     loads = pickle.loads
-    sizes = []
+    seen = []
 
     def recording(data):
-        sizes.append(len(data))
-        return loads(data)
+        seen.append((data, loads(data)))
+        return seen[-1][1]
 
-    config = small_config(targets=(("loewner-cartesian", "ginibre"),) * 4, dims=(64,),
-                          trials_per_dim=4)
+    monkeypatch.setattr(pickle, "loads", recording)
+    return seen
+
+
+def test_child_message_larger_than_the_pipe_arrives_whole(graders, forks, messages):
+    # A pipe holds 64 KiB and an aggregator takes a few hundred bytes, so
+    # the child's fold of 300 of 600 single-trial targets outgrows it.
+    config = small_config(targets=(("thm-2.7", "ginibre"),) * 600, dims=(2,), trials_per_dim=1)
     graders(1)
     alone = campaign_bytes(config)
-    monkeypatch.setattr(pickle, "loads", recording)
     graded_by = graders(2)
     assert campaign_bytes(config) == alone
     assert graded_by() == {"caller", "child"}
-    assert len(sizes) == 1 and sizes[0] > 2 * 64 * 64 * 16
+    assert len(messages) == 1 and len(messages[0][0]) > 1 << 16
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def _leaves(value):
+    """Every value that ``value`` holds, through containers and objects."""
+    if isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    elif hasattr(value, "__dict__"):
+        value = list(vars(value).values())
+    if isinstance(value, (list, tuple)):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+def test_child_message_holds_numbers_only(graders, forks, messages):
+    # loewner-cartesian fails on ginibre: each target the child folds has
+    # a worst witness, kept as (margin, trial, dimension), not as 64 x 64
+    # matrices.
+    config = small_config(targets=(("loewner-cartesian", "ginibre"),) * 4, dims=(64,),
+                          trials_per_dim=4)
+    graders(2)
+    result = run_campaign(config)
+    assert all(t.worst_witness is not None for t in result.targets)
+    ((_, aggs),) = messages
+    assert sum(agg.violated > 0 for agg in aggs) == 2
+    assert {type(leaf) for leaf in _leaves(aggs)} <= {int, float, str}
+    assert_reaped(forks)
+
+
+def test_worst_witness_of_a_stacked_chunk_is_drawn_again_alone(graders, forks, monkeypatch):
+    # At n = 32 a chunk holds 16 trials: the witness is a row of a stacked
+    # draw, drawn again as a stack of one.  Its inputs are that row bit for
+    # bit, its report is check()'s, and the document is the same on one
+    # and two CPUs and with one trial per chunk.
+    assert CHUNK_ELEMENTS // 32**2 == 16
+    entry = catalog_entry("loewner-cartesian")
+    config = small_config(targets=(("loewner-cartesian", "ginibre"),), dims=(32,),
+                          trials_per_dim=20)
+    graders(1)
+    result = run_campaign(config)
+    w = result.targets[0].worst_witness
+    first = w.trial - w.trial % 16
+    trials = np.arange(first, min(first + 16, 20), dtype=np.uint64)
+    stacked = fuzzer._drawer(entry, "ginibre")(32, fuzzer.randgen.prng_stream(0, trials), 1.0)
+    assert len(trials) > 1
+    assert [m.tobytes() for m in w.inputs] == [m[w.trial - first].tobytes() for m in stacked]
+    assert w.report == check("loewner-cartesian", w.inputs)
+    alone = dumps(campaign_document(result)).encode()
+    graders(2)
+    assert campaign_bytes(config) == alone
+    monkeypatch.setattr(fuzzer, "CHUNK_ELEMENTS", 1)
+    graders(1)
+    assert campaign_bytes(config) == alone
     assert len(forks) == 1
     assert_reaped(forks)
 
@@ -622,12 +703,12 @@ def test_killed_child_leaves_the_document_unchanged(graders, forks, monkeypatch)
     alone = campaign_bytes(config)
     calls = []
 
-    def dying(entry, first_trial, mats, tol):
+    def dying(agg, entry, dim, first_trial, mats, tol):
         if os.getpid() != caller:
             calls.append(first_trial)
             if len(calls) == 2:
                 os.kill(os.getpid(), signal.SIGKILL)
-        return check_chunk(entry, first_trial, mats, tol)
+        return check_chunk(agg, entry, dim, first_trial, mats, tol)
 
     monkeypatch.setattr(fuzzer, "_check_chunk", dying)
     graded_by = graders(2)
@@ -686,10 +767,10 @@ def test_error_that_does_not_pickle_is_raised_as_itself(graders, forks, monkeypa
         pickle.dumps(Unpicklable("planted"))
     check_chunk = fuzzer._check_chunk
 
-    def failing(entry, first_trial, mats, tol):
+    def failing(agg, entry, dim, first_trial, mats, tol):
         if first_trial == 0:
             raise Unpicklable("planted")
-        return check_chunk(entry, first_trial, mats, tol)
+        return check_chunk(agg, entry, dim, first_trial, mats, tol)
 
     monkeypatch.setattr(fuzzer, "_check_chunk", failing)
     config = small_config(targets=ALL_TARGETS, dims=(32,), trials_per_dim=4)
@@ -712,10 +793,10 @@ def test_child_error_leaves_the_document_unchanged(graders, forks, monkeypatch):
     graders(1)
     alone = campaign_bytes(config)
 
-    def failing(entry, first_trial, mats, tol):
+    def failing(agg, entry, dim, first_trial, mats, tol):
         if os.getpid() != caller:
             raise NotPSD("planted")
-        return check_chunk(entry, first_trial, mats, tol)
+        return check_chunk(agg, entry, dim, first_trial, mats, tol)
 
     monkeypatch.setattr(fuzzer, "_check_chunk", failing)
     graded_by = graders(2)
@@ -738,20 +819,20 @@ def _planted_interrupt(*args):
 
 
 @pytest.mark.parametrize(
-    "where, planted",
+    "owner, where, planted",
     [
-        ("_check_chunk", _planted_error),
-        ("_check_chunk", _planted_interrupt),
-        ("_TargetAggregator", type("Failing", (_TargetAggregator,), {"fold": _planted_error})),
+        (fuzzer, "_check_chunk", _planted_error),
+        (fuzzer, "_check_chunk", _planted_interrupt),
+        (_TargetAggregator, "add", _planted_error),
     ],
     ids=["error", "interrupt", "fold"],
 )
-def test_no_child_outlives_a_stopped_campaign(graders, forks, monkeypatch, where, planted):
+def test_no_child_outlives_a_stopped_campaign(graders, forks, monkeypatch, owner, where, planted):
     # A chunk error and an interrupt raised while grading, and an error
     # while folding, end the campaign at the caller's first chunk, or at
     # trial 0 when the caller grades every chunk itself, as on one CPU.
     # Each time the child is killed and reaped before the campaign returns.
-    monkeypatch.setattr(fuzzer, where, planted)
+    monkeypatch.setattr(owner, where, planted)
     raised = []
     for cpus in (1, 2):
         graders(cpus)
@@ -782,6 +863,18 @@ def test_violating_target_stores_replayable_worst_witness():
     rep = replay(w)
     assert rep.verdict is w.report.verdict
     assert rep.min_margin == w.report.min_margin  # bitwise deterministic
+
+
+def test_worst_witness_at_a_large_scale_warns_of_nothing():
+    # At scale 1e150 the normality residual's sum of squares overflows and
+    # is taken again by rescaling.  The witness is graded again alone as
+    # its chunk was, with overflow warning of nothing (warnings are errors
+    # in this suite).
+    config = small_config(targets=(("thm-2.1-nonnormal", "ginibre"),), dims=(2, 3),
+                          trials_per_dim=20, scale=1e150)
+    (t,) = run_campaign(config).targets
+    assert t.violated
+    assert t.worst_witness.report.min_margin == t.min_margin
 
 
 def test_expected_to_hold_respects_catalog():

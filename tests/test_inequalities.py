@@ -979,7 +979,7 @@ def test_scaled_down_non_hermitian_input_is_rejected():
 
 
 def test_scaled_down_imaginary_scalar_is_rejected():
-    with pytest.raises(ValueError, match="real scalars"):
+    with pytest.raises(NotHermitian, match="^a is not Hermitian"):
         check("scalar-1.6", [mat([[(1 + 0.5j) * 2.0**-50]]), mat([[2.0**-50]])])
 
 
