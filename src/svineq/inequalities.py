@@ -60,7 +60,6 @@ from .numkernel import (
     _zero_slices,
     abs_op,
     direct_sum_spectrum,
-    hermitian_singular_values,
     loewner_leq,
     one_blas_thread,
     psd_sqrt,
@@ -204,12 +203,12 @@ def _order_side(label: str, x: np.ndarray, y: np.ndarray) -> SideBatch:
     return SideBatch(label, "order", np.zeros_like(eigs), eigs, eigs, scale, eigs[:, 0].copy())
 
 
-def _order_hypothesis(name: str, residual: str, x, y, tol: Tolerance) -> dict:
+def _order_hypothesis(name: str, residual: str, x, y, tol: Tolerance) -> tuple[dict, np.ndarray]:
     """Hypothesis ``name``: X <= Y, backed by ``residual``, the smallest
-    eigenvalue of Y - X."""
+    eigenvalue of Y - X; and the ascending eigenvalues of Y - X."""
     eigs, scale = loewner_leq(x, y)
     min_eig = eigs[:, 0]
-    return {name: (min_eig >= -tol.effective(scale), {residual: min_eig})}
+    return {name: (min_eig >= -tol.effective(scale), {residual: min_eig})}, eigs
 
 
 # Hermitian-ness and positivity are graded at the scale of ||A||_F,
@@ -225,19 +224,21 @@ def _hermitian(name: str, x: np.ndarray, tol: Tolerance) -> tuple[dict, np.ndarr
     return {f"{name}_hermitian": (hermitian, {f"{name}_hermitian_defect": defect})}, herm_tol
 
 
-def _psd_hypotheses(name: str, x: np.ndarray, tol: Tolerance) -> dict:
+def _psd_hypotheses(name: str, x: np.ndarray, tol: Tolerance) -> tuple[dict, np.ndarray]:
     """``{name}_hermitian`` and ``{name}_positive`` (PSD, which implies
-    Hermitian) of a stack; positivity is backed by ``{name}_min_eigenvalue``,
-    the smallest eigenvalue of (A + A*)/2 (0 for a zero slice)."""
+    Hermitian) of a stack, and the ascending eigenvalues of (A + A*)/2 (0
+    for a zero slice); positivity is backed by ``{name}_min_eigenvalue``,
+    the smallest of them."""
     hypotheses, herm_tol = _hermitian(name, x, tol)
     h = _herm(x)
-    min_eig = _eigvalsh(h)[:, 0]
+    eigs = _eigvalsh(h)
     zero = _zero_slices(h)
     if zero is not None:
-        min_eig[zero] = 0.0
+        eigs[zero] = 0.0
+    min_eig = eigs[:, 0]
     psd = hypotheses[f"{name}_hermitian"][0] & (min_eig >= -herm_tol)
     hypotheses[f"{name}_positive"] = (psd, {f"{name}_min_eigenvalue": min_eig})
-    return hypotheses
+    return hypotheses, eigs
 
 
 def _normal(prefix: str, x: np.ndarray, tol: Tolerance) -> dict:
@@ -383,27 +384,29 @@ def _core_bk_1_1(mats, tol) -> Graded:
     """bk-1.1: s_j(A+B) <= sqrt2 s_j(A+iB) for PSD A, B."""
     a, b = mats
     side = _spectrum_side("main", singular_values(a + b), _SQRT2 * singular_values(a + 1j * b))
-    return Graded((side,), {**_psd_hypotheses("a", a, tol), **_psd_hypotheses("b", b, tol)})
+    hypotheses = {**_psd_hypotheses("a", a, tol)[0], **_psd_hypotheses("b", b, tol)[0]}
+    return Graded((side,), hypotheses)
 
 
 def _psd_block(mats, tol):
-    """[[A,B],[B*,C]] and its hypotheses ``block_hermitian``, ``block_positive``."""
+    """[[A,B],[B*,C]], its hypotheses ``block_hermitian``, ``block_positive``
+    and the ascending eigenvalues of its Hermitian part."""
     a, b, c = mats
     block = _block2(a, b, _adj(b), c)
-    return block, _psd_hypotheses("block", block, tol)
+    return block, *_psd_hypotheses("block", block, tol)
 
 
 def _core_tao_1_2(mats, tol) -> Graded:
     """tao-1.2: 2 s_j(B) <= s_j([[A,B],[B*,C]]) when the block matrix is PSD."""
-    block, hypotheses = _psd_block(mats, tol)
-    side = _spectrum_side("main", 2.0 * singular_values(mats[1]), singular_values(block))
+    block, hypotheses, eigs = _psd_block(mats, tol)
+    side = _spectrum_side("main", 2.0 * singular_values(mats[1]), singular_values(block, eigs))
     return Graded((side,), hypotheses)
 
 
 def _core_ak_1_3(mats, tol) -> Graded:
     """ak-1.3: s_j(B) <= s_j(A ⊕ C) when [[A,B],[B*,C]] is PSD."""
     a, b, c = mats
-    _, hypotheses = _psd_block(mats, tol)
+    _, hypotheses, _ = _psd_block(mats, tol)
     rhs = direct_sum_spectrum(singular_values(a), singular_values(c))
     side = _spectrum_side("main", singular_values(b), rhs)
     return Graded((side,), hypotheses)
@@ -414,14 +417,13 @@ def _core_ak_1_4(mats, tol) -> Graded:
     a, b = mats
     a_hermitian, _ = _hermitian("a", a, tol)
     ha, hb = _herm(a), _herm(b)
-    hypotheses = {
-        **a_hermitian,
-        **_psd_hypotheses("b", b, tol),
-        **_order_hypothesis("a_le_b", "min_eig_b_minus_a", ha, hb, tol),
-        **_order_hypothesis("minus_a_le_b", "min_eig_b_plus_a", -ha, hb, tol),
-    }
+    le, minus_eigs = _order_hypothesis("a_le_b", "min_eig_b_minus_a", ha, hb, tol)
+    ge, plus_eigs = _order_hypothesis("minus_a_le_b", "min_eig_b_plus_a", -ha, hb, tol)
+    hypotheses = {**a_hermitian, **_psd_hypotheses("b", b, tol)[0], **le, **ge}
     lhs = 2.0 * singular_values(a)
-    rhs = direct_sum_spectrum(singular_values(b + a), singular_values(b - a))
+    # The order hypotheses hold the eigenvalues of Hb ± Ha, which is B ± A
+    # where A and B equal their adjoints bit for bit (else up to rounding).
+    rhs = direct_sum_spectrum(singular_values(b + a, plus_eigs), singular_values(b - a, minus_eigs))
     side = _spectrum_side("main", lhs, rhs)
     return Graded((side,), hypotheses)
 
@@ -431,9 +433,9 @@ def _core_thm_2_1(mats, tol) -> Graded:
     (a,) = mats
     a1, a2 = cartesian(a)
     mid = singular_values(a)
-    left = _spectrum_side("left", _INV_SQRT2 * hermitian_singular_values(a1 + a2), mid)
+    left = _spectrum_side("left", _INV_SQRT2 * singular_values(a1 + a2), mid)
     abs_sum = abs_op(a1) + abs_op(a2)
-    right = _spectrum_side("right", mid, hermitian_singular_values(abs_sum))
+    right = _spectrum_side("right", mid, singular_values(abs_sum))
     return Graded((left, right), _normal("", a, tol))
 
 
@@ -443,25 +445,25 @@ def _core_thm_2_4(mats, tol) -> Graded:
     a1, a2 = cartesian(a)
     (plus1,) = jordan(a1, "plus")
     (plus2,) = jordan(a2, "plus")
-    rhs = direct_sum_spectrum(
-        hermitian_singular_values(2.0 * (plus1 + plus2)), hermitian_singular_values(a1 + a2)
-    )
+    # The order hypothesis holds the eigenvalues of A1 + A2.
+    order, w = _order_hypothesis("minus_a2_le_a1", "min_eig_a1_plus_a2", -a2, a1, tol)
+    rhs = direct_sum_spectrum(singular_values(2.0 * (plus1 + plus2)), singular_values(a1 + a2, w))
     side = _spectrum_side("main", singular_values(a), rhs)
-    order = _order_hypothesis("minus_a2_le_a1", "min_eig_a1_plus_a2", -a2, a1, tol)
     return Graded((side,), {**_normal("", a, tol), **order})
 
 
 def _core_thm_2_5(half: str):
     """thm-2.5-plus/-minus: s_j(A±) <= s_j(|A| ⊕ (|A|∓A)/2) for Hermitian A."""
 
+    # Every spectrum is a function of the ascending eigenvalues w of A: A⁺
+    # and A⁻ have max(±w, 0), |A| has |w|, and (|A| ∓ A)/2 is A∓.
     def core(mats, tol) -> Graded:
         h, _ = _require_hermitian(mats[0], "A")
-        plus, minus = jordan(h, "plus", "minus")
-        absa = plus + minus
-        part = plus if half == "plus" else minus
-        rest = (absa - h) / 2.0 if half == "plus" else (absa + h) / 2.0
-        rhs = direct_sum_spectrum(hermitian_singular_values(absa), hermitian_singular_values(rest))
-        return Graded((_spectrum_side("main", hermitian_singular_values(part), rhs),))
+        w = _eigvalsh(h)  # ascending, so -w descends
+        plus, minus = np.where(w > 0, w, 0.0)[:, ::-1], np.where(w < 0, -w, 0.0)
+        part, rest = (plus, minus) if half == "plus" else (minus, plus)
+        rhs = direct_sum_spectrum(np.sort(np.abs(w), axis=-1)[:, ::-1], rest)
+        return Graded((_spectrum_side("main", part, rhs),))
 
     return core
 
@@ -470,7 +472,7 @@ def _core_thm_2_7(mats, tol) -> Graded:
     """thm-2.7: sqrt2 s_j(A1+A2) <= s_j(A+iA*) <= 2 s_j(A1+A2) for any A."""
     (a,) = mats
     a1, a2 = cartesian(a)
-    s_sum = hermitian_singular_values(a1 + a2)
+    s_sum = singular_values(a1 + a2)
     t = singular_values(a + 1j * _adj(a))
     left = _spectrum_side("left", _SQRT2 * s_sum, t)
     right = _spectrum_side("right", t, 2.0 * s_sum)
@@ -489,9 +491,7 @@ def _core_thm_2_8(mats, tol) -> Graded:
     lhs = singular_values(a @ b + b @ a)
     gram_right = _herm(_adjoint(a) @ a + _adjoint(b) @ b)
     gram_left = _herm(a @ _adjoint(a) + b @ _adjoint(b))
-    rhs = direct_sum_spectrum(
-        hermitian_singular_values(gram_right), hermitian_singular_values(gram_left)
-    )
+    rhs = direct_sum_spectrum(singular_values(gram_right), singular_values(gram_left))
     side = _spectrum_side("main", lhs, rhs)
     return Graded((side,))
 
@@ -499,7 +499,7 @@ def _core_thm_2_8(mats, tol) -> Graded:
 def _core_cor_2_9(mats, tol) -> Graded:
     """cor-2.9: s_j(AB+BA) <= s_j((AA*+BB*) ⊕ (AA*+BB*)) for normal A, B."""
     a, b = mats
-    s_gram = hermitian_singular_values(_herm(a @ _adjoint(a) + b @ _adjoint(b)))
+    s_gram = singular_values(_herm(a @ _adjoint(a) + b @ _adjoint(b)))
     lhs = singular_values(a @ b + b @ a)
     side = _spectrum_side("main", lhs, direct_sum_spectrum(s_gram, s_gram))
     return Graded((side,), {**_normal("a_", a, tol), **_normal("b_", b, tol)})

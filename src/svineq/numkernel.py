@@ -7,16 +7,18 @@ adjoints, block assembly and Frobenius norms.  Every operation takes
 stacks of shape (k, n, n); one matrix ``a`` is the stack ``a[None]``.  All
 functions are pure and treat matrices as immutable complex128 values.
 
-Each spectral quantity has one route, the cheapest accurate one for the
-structure its operand has by construction.  Singular values come from
-the SVD, and every |A| is ``V diag(s) V*`` from the same SVD, so that
-order comparisons between absolute values share one route.  The
-singular values of an operand that is Hermitian by construction are its
-absolute eigenvalues.  A direct sum's spectrum is the union of its
+Each spectral quantity has one route, and the route of a matrix depends
+on its bits alone.  A matrix equal to its adjoint bit for bit has as
+singular values its absolute eigenvalues, from eigenvalues its caller
+already holds where it has them; every other matrix, one Hermitian only
+to within round-off included, takes the SVD.  Every |A| is
+``V diag(s) V*`` from the SVD, so that order comparisons between absolute
+values share one route.  A direct sum's spectrum is the union of its
 blocks' spectra, so a direct sum is never assembled just to be measured.
 No singular value is taken from the Gram matrix ``A*A``: that squares
 the condition number and loses half the digits of the small singular
-values.
+values.  No LAPACK call sees a matrix that holds an infinity or a NaN;
+its results are NaN.
 
 Matrices entering the system from outside (files, generator specs) are
 capped at ``MAX_DIM``; internally assembled block matrices may be up to
@@ -249,9 +251,20 @@ def _require_hermitian(x: np.ndarray, name: str = "matrix") -> tuple[np.ndarray,
     return (x + adj) / 2.0, norm
 
 
-def _lapack(fn, *args, **kwargs):
+def _lapack(fn, x: np.ndarray, **kwargs):
+    """``fn(x, **kwargs)``, a numpy.linalg decomposition, over the finite
+    slices of a stack; every number of a slice that holds an infinity or a
+    NaN is NaN.  Such a slice never reaches LAPACK: ``eigvalsh`` reads a
+    NaN diagonal as a number, and LAPACK's argument checks print to the
+    process's stdout."""
+    if not np.isfinite(x).all():
+        finite = np.isfinite(x).all(axis=(-2, -1))
+        out = _lapack(fn, np.where(finite[:, None, None], x, 0.0), **kwargs)
+        for part in out if isinstance(out, tuple) else (out,):
+            part[~finite] = np.nan
+        return out
     try:
-        return fn(*args, **kwargs)
+        return fn(x, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
 
@@ -299,31 +312,25 @@ def psd_sqrt(x: np.ndarray) -> np.ndarray:
     return _apply(w, v, np.sqrt(np.maximum(w, 0.0)))
 
 
-def _svd(x: np.ndarray, compute_uv: bool):
-    """LAPACK's SVD of the finite slices of a stack; every number of a
-    slice that holds an infinity or a NaN is NaN.  Such a slice never
-    reaches LAPACK, whose argument checks would print to the process's
-    stdout."""
-    if np.isfinite(x).all():
-        return _lapack(np.linalg.svd, x, full_matrices=False, compute_uv=compute_uv)
-    finite = np.isfinite(x).all(axis=(-2, -1))
-    out = _svd(np.where(finite[:, None, None], x, 0.0), compute_uv)
-    for part in out if compute_uv else (out,):
-        part[~finite] = np.nan
-    return out
-
-
-def singular_values(x: np.ndarray) -> np.ndarray:
-    """Nonincreasing singular values per slice, shape (k, n), by SVD."""
-    return _svd(x, compute_uv=False)
-
-
-def hermitian_singular_values(h: np.ndarray) -> np.ndarray:
-    """Singular values of Hermitian slices, shape (k, n): their absolute
-    eigenvalues, nonincreasing.  For operands that are Hermitian by
-    construction; a hypothesis that an operand is Hermitian is graded,
-    not assumed, so such an operand takes ``singular_values``."""
-    return np.sort(np.abs(_eigvalsh(h)), axis=-1)[:, ::-1]
+def singular_values(x: np.ndarray, eigs: np.ndarray | None = None) -> np.ndarray:
+    """Nonincreasing singular values per slice, shape (k, n).  A slice equal
+    to its adjoint bit for bit (under ``==``, so a zero's sign does not
+    count) has as singular values its absolute eigenvalues: ``eigs``, the
+    ascending eigenvalues of the Hermitian parts (X + X*)/2 of the stack,
+    where the caller holds them, else ``eigvalsh`` of the slice.  Every
+    other slice, one Hermitian only to within round-off included, takes
+    the SVD."""
+    herm = (x == _adj(x)).all(axis=(-2, -1))
+    count = np.count_nonzero(herm)
+    if not count:
+        return _lapack(np.linalg.svd, x, compute_uv=False)
+    if count < herm.size:
+        out = np.empty(x.shape[:-1])
+        out[~herm] = _lapack(np.linalg.svd, x[~herm], compute_uv=False)
+        out[herm] = singular_values(x[herm], None if eigs is None else eigs[herm])
+        return out
+    w = _eigvalsh(x) if eigs is None else eigs
+    return np.sort(np.abs(w), axis=-1)[:, ::-1]
 
 
 def direct_sum_spectrum(*spectra: np.ndarray) -> np.ndarray:
@@ -335,7 +342,7 @@ def direct_sum_spectrum(*spectra: np.ndarray) -> np.ndarray:
 def abs_op(x: np.ndarray) -> np.ndarray:
     """Operator absolute values |A| = (A* A)^(1/2) = V diag(s) V*, from the
     SVD A = U diag(s) V*; defined for any square A."""
-    _, s, vh = _svd(x, compute_uv=True)
+    _, s, vh = _lapack(np.linalg.svd, x, full_matrices=False)
     return _apply(s, _adj(vh), s)
 
 

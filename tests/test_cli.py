@@ -200,24 +200,27 @@ def test_fuzz_huge_dimension_range_exit_3(capsys):
     assert f"error: dimension {10**20} outside 1..64" in capsys.readouterr().err
 
 
-NO_CONVERGENCE_INPUTS = {
+OVERFLOWING_GRAM_INPUTS = {
     "ginibre-1e160": lambda: [draw("ginibre", 3, seed=0, index=i)[0].real * 1e160 for i in range(2)],
     "entries-1e200": lambda: [mat([[1e200, 1e200, 1], [1e200, 1e200, 0], [0, 1, 1e200]])] * 2,
 }
 
 
-@pytest.mark.parametrize("case", NO_CONVERGENCE_INPUTS)
-def test_verify_no_convergence_exit_3(case, tmp_path, capsys):
-    # Finite entries this large overflow the Grams A*A + B*B; the
-    # eigensolver then gives up (NoConvergence), which is an input error,
-    # not a "violated" verdict, and the error names the inequality.
-    inputs = NO_CONVERGENCE_INPUTS[case]()
+@pytest.mark.parametrize("case", OVERFLOWING_GRAM_INPUTS)
+def test_verify_overflowing_grams_exit_3(case, tmp_path, capsys):
+    # Finite entries this large overflow the Grams A*A + B*B.  A non-finite
+    # Gram never reaches the eigensolver; its spectrum is NaN, which is an
+    # input error, not a "violated" verdict, and the error names the
+    # inequality.
+    inputs = OVERFLOWING_GRAM_INPUTS[case]()
     files = [write_matrix(tmp_path, f"{name}.json", m) for name, m in zip("ab", inputs)]
     rc = main(["verify", "thm-2.8", *files])
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.out == ""
-    assert captured.err == "error: thm-2.8: Eigenvalues did not converge\n"
+    assert captured.err == (
+        "error: thm-2.8: inputs overflow the kernel (non-finite margins or residuals)\n"
+    )
 
 
 def test_verify_kernel_overflow_exit_3(tmp_path, capsys):

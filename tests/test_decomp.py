@@ -53,7 +53,7 @@ def classify(a, tol=DEFAULT_TOL):
     """The class flags of one matrix and the residuals behind them, from the
     hypothesis builders the checkers use."""
     x = np.asarray(a, dtype=np.complex128)[None]
-    hypotheses = {**_psd_hypotheses("a", x, tol), **_normal("a_", x, tol)}
+    hypotheses = {**_psd_hypotheses("a", x, tol)[0], **_normal("a_", x, tol)}
     flags = {name: bool(flag[0]) for name, (flag, _) in hypotheses.items()}
     residuals = {k: float(v[0]) for _, backing in hypotheses.values() for k, v in backing.items()}
     return SimpleNamespace(

@@ -185,7 +185,7 @@ def test_complex_scalars_count_as_hypothesis_violations(class_tag):
 def test_overflowing_campaign_is_config_invalid(target, cpus, graders, forks):
     # At scale 1e160 the products AB + BA overflow: the margins are NaN (NaN
     # margins used to reach the histogram as "cannot convert float NaN to
-    # integer"), or the eigensolver raises NoConvergence on the Grams.
+    # integer"), and so are the spectra of the overflowing Grams.
     # bk-1.1's PSD operands overflow as they are drawn.  Either way the
     # error alone reports it: every warning is an error here, in the forked
     # child too, and none may escape as a bare RuntimeWarning.

@@ -695,6 +695,20 @@ def test_check_rejects_kernel_overflow(ineq_id, inputs):
         check(ineq_id, inputs())
 
 
+
+# B*B and BB* of this finite B hold a NaN on the diagonal: conj(z)·z has the
+# real part inf and the imaginary part inf - inf.  eigvalsh reads a NaN
+# diagonal as a number, so thm-2.8 used to grade holds (margin 0.0) on
+# (0, B) and violated on (diag(1e-300, 0), B).
+NAN_GRAM_B = mat([[0, 1e200 * (1 + 1j)], [0, 0]])
+
+
+@pytest.mark.parametrize("a", [np.zeros((2, 2)), np.diag([1e-300, 0.0])])
+def test_check_rejects_a_gram_with_a_nan_diagonal(a, capfd):
+    with pytest.raises(InvalidMatrix, match="^thm-2.8: inputs overflow the kernel"):
+        check("thm-2.8", [a, NAN_GRAM_B])
+    assert capfd.readouterr().out == ""
+
 # Finite inputs that the kernel can grade although some intermediate sum of
 # squares overflows.  thm-2.7 takes singular values of A itself, never of a
 # product.  The others take Frobenius norms of residuals near 1e200 (the

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from svineq import inequalities, numkernel
+from svineq.decomp import jordan
+from svineq.fuzzer import _drawer
 from svineq.inequalities import check
 from svineq.numkernel import (
     DEFAULT_TOL,
@@ -29,12 +31,12 @@ from svineq.numkernel import (
     as_matrix,
     direct_sum_spectrum,
     hermitian_eig,
-    hermitian_singular_values,
     loewner_leq,
     one_blas_thread,
     psd_sqrt,
     singular_values,
 )
+from svineq.randgen import prng_stream
 
 from conftest import SHIFT_2, direct_sum, draw, frobenius_norm, mat
 
@@ -266,7 +268,7 @@ def test_singular_values_zero_matrix():
 
 
 def test_hermitian_singular_values_known_diagonal():
-    s = one(hermitian_singular_values, mat([[-5, 0, 0], [0, 2, 0], [0, 0, 3]]))
+    s = one(singular_values, mat([[-5, 0, 0], [0, 2, 0], [0, 0, 3]]))
     assert tuple(s) == (5.0, 3.0, 2.0)
 
 
@@ -336,25 +338,23 @@ def _within_bound(err: float, norm: float) -> bool:
 @pytest.mark.parametrize("kind", ENSEMBLES)
 def test_singular_values_match_mpmath_oracle(mpmath, kind):
     for seed in ORACLE_SEEDS:
-        for route, m in (
-            (singular_values, _general(kind, seed)),
-            (hermitian_singular_values, _hermitian(kind, seed)),
-        ):
+        for build in (_general, _hermitian):
+            m = build(kind, seed)
             exact = _oracle(mpmath, m)
-            err = np.max(np.abs(one(route, m) - exact))
-            assert _within_bound(err, exact[0]), (route.__name__, seed, err)
+            err = np.max(np.abs(one(singular_values, m) - exact))
+            assert _within_bound(err, exact[0]), (build.__name__, seed, err)
 
 
 @pytest.mark.parametrize("kind", ENSEMBLES)
 def test_direct_sum_spectrum_matches_mpmath_oracle(mpmath, kind):
     half = ORACLE_N // 2
     for seed in ORACLE_SEEDS:
-        for route, build in ((singular_values, _general), (hermitian_singular_values, _hermitian)):
+        for build in (_general, _hermitian):
             blocks = [build(kind, seed, half), build(kind, seed + 7, half)]
             exact = _oracle(mpmath, direct_sum(*blocks))
-            ours = one(direct_sum_spectrum, *(one(route, b) for b in blocks))
+            ours = one(direct_sum_spectrum, *(one(singular_values, b) for b in blocks))
             err = np.max(np.abs(ours - exact))
-            assert _within_bound(err, exact[0]), (route.__name__, seed, err)
+            assert _within_bound(err, exact[0]), (build.__name__, seed, err)
 
 
 @pytest.mark.parametrize("kind", ENSEMBLES)
@@ -364,6 +364,93 @@ def test_abs_op_matches_mpmath_oracle(mpmath, kind):
             exact = _oracle(mpmath, m, absolute=True)
             err = np.linalg.norm(one(abs_op, m) - exact, 2)
             assert _within_bound(err, np.linalg.norm(exact, 2)), (seed, err)
+
+
+
+# The checker cores take the singular values of bitwise-Hermitian operands
+# from eigenvalues: B ± A of ak-1.4 from its order hypotheses, the block of
+# tao-1.2 from its positivity hypothesis, A + B of bk-1.1 and the diagonal
+# blocks of ak-1.3 on their own, and all three spectra of thm-2.5 from one
+# eigvalsh of A.  On canonical draws at n <= 4 every such spectrum a side
+# uses is within ORACLE_C * n * eps * scale of 40 digits.  Each is also set
+# against the route it replaced, recomputed here: the SVD of the same
+# operands, or for thm-2.5 the absolute eigenvalues of the Jordan parts that
+# decomp.jordan assembles.  The thm-2.5 spectra are no less accurate than
+# that route in the worst case.  The SVD (LAPACK's gesdd) is more accurate
+# than eigvalsh: over 120 draws per id its worst error was 1.7-2.4
+# eps * scale against 3.0-3.5, so there only the common bound is asserted.
+
+ROUTE_DIMS = (2, 3, 4)
+ROUTE_TRIALS = 6
+# The operands whose singular values a side unites, and the row of the
+# side ("lhs" or "rhs") that holds them.
+SVD_ROUTES = {
+    "bk-1.1": (lambda a, b: [a + b], "lhs"),
+    "tao-1.2": (lambda a, b, c: [np.block([[a, b], [b.conj().T, c]])], "rhs"),
+    "ak-1.3": (lambda a, b, c: [a, c], "rhs"),
+    "ak-1.4": (lambda a, b: [b + a, b - a], "rhs"),
+}
+
+
+def _union(*spectra):
+    return np.sort(np.concatenate(spectra))[::-1]
+
+
+def _abs_eigenvalues(h):
+    return np.sort(np.abs(np.linalg.eigvalsh(h)))[::-1]
+
+
+def _routed_spectra(mpmath, ineq_id, mats, side):
+    """(dimension, scale, new, old, exact) for each spectrum that the side
+    ``(lhs, rhs)`` of ``ineq_id`` on one input set takes by the
+    eigenvalue route."""
+    lhs, rhs = side
+    n = mats[0].shape[0]
+    if ineq_id in SVD_ROUTES:
+        operands, end = SVD_ROUTES[ineq_id]
+        ops = operands(*mats)
+        exact = _union(*(_oracle(mpmath, op) for op in ops))
+        new = lhs[:n] if end == "lhs" else rhs
+        old = _union(*(np.linalg.svd(op, compute_uv=False) for op in ops))
+        return [(ops[0].shape[0], exact[0], new, old, exact)]
+    h = one(_herm, mats[0])
+    with mpmath.workdps(40):
+        w = np.array([float(x) for x in mpmath.eigh(mpmath.matrix(h.tolist()), eigvals_only=True)])
+    plus, minus = (np.sort(np.maximum(v, 0.0))[::-1] for v in (w, -w))
+    plus_old, minus_old = (p[0] for p in jordan(h[None], "plus", "minus"))
+    abs_old = plus_old + minus_old
+    if ineq_id == "thm-2.5-plus":
+        part, rest, part_old, rest_old = plus, minus, plus_old, (abs_old - h) / 2.0
+    else:
+        part, rest, part_old, rest_old = minus, plus, minus_old, (abs_old + h) / 2.0
+    scale = np.abs(w).max()
+    old_rhs = _union(*map(_abs_eigenvalues, (abs_old, rest_old)))
+    return [
+        (n, scale, lhs[:n], _abs_eigenvalues(part_old), part),
+        (n, scale, rhs, old_rhs, _union(np.abs(w), rest)),
+    ]
+
+
+@pytest.mark.parametrize("ineq_id", [*SVD_ROUTES, "thm-2.5-plus", "thm-2.5-minus"])
+def test_eigenvalue_routes_match_mpmath_oracle(mpmath, ineq_id):
+    entry = inequalities.catalog_entry(ineq_id)
+    draw_stack = _drawer(entry, entry.canonical_class)
+    worst = []
+    for n in ROUTE_DIMS:
+        mats = draw_stack(n, prng_stream(n, np.arange(ROUTE_TRIALS, dtype=np.uint64)), 1.0)
+        (side,) = entry.run(mats, DEFAULT_TOL).sides
+        for i in range(ROUTE_TRIALS):
+            trial = [m[i] for m in mats]
+            spectra = _routed_spectra(mpmath, ineq_id, trial, (side.lhs[i], side.rhs[i]))
+            for j, (dim, scale, new, old, exact) in enumerate(spectra):
+                err_new, err_old = (np.max(np.abs(x - exact)) / scale for x in (new, old))
+                assert err_new <= ORACLE_C * dim * np.finfo(float).eps, (n, i, j, err_new)
+                if j == len(worst):
+                    worst.append((0.0, 0.0))
+                worst[j] = (max(worst[j][0], err_new), max(worst[j][1], err_old))
+    if ineq_id not in SVD_ROUTES:
+        for j, (new_worst, old_worst) in enumerate(worst):
+            assert new_worst <= old_worst, (j, new_worst, old_worst)
 
 
 def _stack():
@@ -379,7 +466,7 @@ def _stack():
         (singular_values, False),
         (abs_op, False),
         (abs_op, True),
-        (hermitian_singular_values, True),
+        (singular_values, True),
     ],
 )
 def test_spectral_kernels_stacked_equal_single(route, hermitian):
@@ -398,20 +485,59 @@ def test_direct_sum_spectrum_stacked_equals_single():
         assert np.array_equal(stacked[i], direct_sum_spectrum(s[i : i + 1], t[i : i + 1])[0])
 
 
-@pytest.mark.parametrize("route", [singular_values, abs_op])
-def test_svd_kernels_give_nan_for_non_finite_slices(route):
-    # A slice holding an infinity or a NaN never reaches LAPACK (whose
-    # argument checks would print to the process's stdout); its result is
-    # NaN, and the other slices are what they are alone.
-    general, _ = _stack()
-    stack = general.copy()
-    stack[1, 0, 0] = np.inf
-    stack[3, 2, 1] = np.nan
-    out = route(stack)
+@pytest.mark.parametrize(
+    "route",
+    [
+        singular_values,
+        abs_op,
+        numkernel._eigvalsh,
+        lambda x: hermitian_eig(x)[0],
+        lambda x: hermitian_eig(x)[1],
+        psd_sqrt,
+        lambda x: loewner_leq(np.zeros_like(x), x)[0],
+    ],
+)
+def test_lapack_kernels_give_nan_for_non_finite_slices(route, capfd):
+    # A slice holding an infinity or a NaN never reaches LAPACK, whose
+    # argument checks would print to the process's stdout and whose
+    # eigvalsh reads a NaN diagonal as a number; its result is NaN, and the
+    # other slices are what they are alone.  The slices are PSD, so that
+    # psd_sqrt takes them.
+    _, herm = _stack()
+    stack = _herm(herm @ herm)
+    stack[1, 2, 2] = complex(np.nan, np.nan)
+    stack[3, 0, 0] = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = route(stack)
+        for i in (0, 2, 4):
+            assert np.array_equal(out[i], route(stack[i][None])[0])
     for i in (1, 3):
         assert np.isnan(out[i]).all()
-    for i in (0, 2, 4):
-        assert np.array_equal(out[i], route(general[i][None])[0])
+    assert capfd.readouterr().out == ""
+
+
+def test_singular_values_route_each_slice_by_its_own_symmetry():
+    # A slice equal to its adjoint bit for bit takes its absolute
+    # eigenvalues, the held ones where they are given; every other slice,
+    # one that misses by a single ulp included, takes the SVD.  Each
+    # result slice is the result for that slice alone.
+    general, herm = _stack()
+    nearly = herm[2].copy()
+    nearly[1, 0] = complex(np.nextafter(nearly[1, 0].real, np.inf), nearly[1, 0].imag)
+    stack = np.stack([herm[0], general[1], nearly, herm[3], general[4]])
+    held = np.linalg.eigvalsh(_herm(stack))
+    svd = np.linalg.svd(stack, compute_uv=False)
+    for eigs in (None, held):
+        out = singular_values(stack, eigs)
+        for i, m in enumerate(stack):
+            alone = singular_values(m[None], None if eigs is None else eigs[i : i + 1])
+            assert np.array_equal(out[i], alone[0])
+        for i in (1, 2, 4):
+            assert np.array_equal(out[i], svd[i])
+        w = np.linalg.eigvalsh(stack) if eigs is None else eigs
+        for i in (0, 3):
+            assert np.array_equal(out[i], np.sort(np.abs(w[i]))[::-1])
+    assert not np.array_equal(nearly, _adj(nearly[None])[0])
 
 
 # --- Loewner order --------------------------------------------------------------

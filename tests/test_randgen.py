@@ -220,5 +220,5 @@ def test_bulk_class_residuals(class_tag):
 @given(seed=seeds, n=st.sampled_from([2, 3, 5, 8]))
 def test_psd_output_classifies_as_psd(seed, n):
     (p,) = sample("psd", n, prng_stream(seed, 0))
-    (psd, _) = _psd_hypotheses("p", p[None], DEFAULT_TOL)["p_positive"]
+    (psd, _) = _psd_hypotheses("p", p[None], DEFAULT_TOL)[0]["p_positive"]
     assert psd[0]
