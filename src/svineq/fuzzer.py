@@ -61,6 +61,7 @@ from .inequalities import (
     check,
 )
 from .numkernel import (
+    CHUNK_ELEMENTS,
     DEFAULT_TOL,
     DimensionMismatch,
     InvalidMatrix,
@@ -74,10 +75,6 @@ from .numkernel import (
     one_blas_thread,
 )
 
-
-# Matrix entries per operand stack a campaign checks at once: bounds the
-# memory of one chunk (blocks of 2n x 2n entries and their temporaries).
-CHUNK_ELEMENTS = 1 << 14
 
 class ConfigInvalid(ValueError):
     """Campaign or search configuration is unusable."""

@@ -17,7 +17,17 @@ no longer gates the verdict, and its residuals are still reported.
 
 Structural requirements (an operand that must be Hermitian for the
 statement to even parse) raise ``NotHermitian`` instead of grading into a
-verdict.
+verdict.  They are judged at the fixed ``numkernel.HERMITIAN_RTOL``
+(1e-12 times ||A||_F), while a Hermitian hypothesis is judged at the
+user's ``tol``.  The two answer different questions.  A structural
+operand is symmetrised before it is decomposed, so its threshold bounds
+only the round-off that symmetrising may discard: it belongs to float
+arithmetic and must not follow ``tol``, or a loose ``tol`` would grade a
+visibly non-Hermitian operand as another matrix, and ``tol`` = 0 would
+reject operands that are Hermitian up to rounding.  A hypothesis is part
+of the statement under test; whether it holds at the user's tolerance is
+the user's question, and its failure is a verdict with the margins still
+reported.
 
 Two comparison kinds appear.  Spectrum sides compare singular values
 zero-padded to a common length with ``margin_j = rhs_j - lhs_j``.  Order
@@ -58,7 +68,7 @@ from .numkernel import (
     _herm,
     _require_hermitian,
     _zero_slices,
-    abs_op,
+    abs_ops,
     direct_sum_spectrum,
     loewner_leq,
     one_blas_thread,
@@ -434,8 +444,8 @@ def _core_thm_2_1(mats, tol) -> Graded:
     a1, a2 = cartesian(a)
     mid = singular_values(a)
     left = _spectrum_side("left", _INV_SQRT2 * singular_values(a1 + a2), mid)
-    abs_sum = abs_op(a1) + abs_op(a2)
-    right = _spectrum_side("right", mid, singular_values(abs_sum))
+    abs1, abs2 = abs_ops(a1, a2)
+    right = _spectrum_side("right", mid, singular_values(abs1 + abs2))
     return Graded((left, right), _normal("", a, tol))
 
 
@@ -511,9 +521,9 @@ def _core_loewner_cartesian(mats, tol) -> Graded:
     a1, a2 = cartesian(a)
     # Every |.| takes the same route as |A|: for Hermitian A, A1 is A bit
     # for bit and A2 is 0, so the right side's |A1|+|A2|-|A| is exactly 0.
-    absa = abs_op(a)
-    left = _order_side("left", _INV_SQRT2 * abs_op(a1 + a2), absa)
-    right = _order_side("right", absa, abs_op(a1) + abs_op(a2))
+    absa, abs_sum, abs1, abs2 = abs_ops(a, a1 + a2, a1, a2)
+    left = _order_side("left", _INV_SQRT2 * abs_sum, absa)
+    right = _order_side("right", absa, abs1 + abs2)
     return Graded((left, right))
 
 
@@ -526,7 +536,8 @@ def _core_proof_facts(mats, tol) -> Graded:
     squares = h1 @ h1 + h2 @ h2
     s = h1 + h2
     square = _order_side("square", s @ s, 2.0 * squares)
-    sqrt = _order_side("sqrt", psd_sqrt(_herm(squares)), abs_op(h1) + abs_op(h2))
+    abs1, abs2 = abs_ops(h1, h2)
+    sqrt = _order_side("sqrt", psd_sqrt(_herm(squares)), abs1 + abs2)
     sqrt.requires = "commute"
     commute = comm <= tol.effective(_fro(h1) * _fro(h2))
     return Graded((square, sqrt), {"commute": (commute, {"commutator_defect": comm})})

@@ -10,7 +10,9 @@ version.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -43,7 +45,68 @@ def document(kind: str, body: dict[str, Any]) -> dict[str, Any]:
 
 
 def dumps(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(doc, indent=2, allow_nan=False)`` and a newline, byte
+    for byte, with its ValueError for a non-finite float and its TypeError
+    for a value JSON has no form for.
+
+    With ``indent``, ``json.dumps`` skips its C encoder for a pure-Python
+    generator per container, whose closures leave reference cycles for the
+    garbage collector.  This writer joins each container's items once and
+    leaves none.  A document that contains itself raises RecursionError,
+    where ``json.dumps`` raises ValueError.
+    """
+    return _encode(doc, "\n") + "\n"
+
+
+def _float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+# How json.dumps writes a value of each scalar type.  Subclasses of str,
+# int and float (np.float64, IntEnum) take their base type's writer.
+_WRITERS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _key(key) -> str:
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = _encode(key, "")
+    return encode_basestring_ascii(key)
+
+
+def _encode(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, where
+    ``newline`` is a line break and the indent of the line it starts on."""
+    write = _WRITERS.get(type(value))
+    if write is not None:
+        return write(value)
+    get, inner = _WRITERS.get, newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [w(v) if (w := get(type(v))) else _encode(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            _key(k) + ": " + (w(v) if (w := get(type(v))) else _encode(v, inner))
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    for kind in (str, int, float):
+        if isinstance(value, kind):
+            return _WRITERS[kind](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def dumps_compact(doc: dict[str, Any]) -> str:

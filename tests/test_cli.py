@@ -660,6 +660,23 @@ def test_warm_main_leaves_no_argparse_garbage(normal_file, capsys):
     assert leaked == []
 
 
+def test_warm_search_leaves_no_cyclic_garbage(capsys):
+    # json.dumps with indent runs pure-Python generators whose closures
+    # are reference cycles; the document writer leaves none, nor does
+    # anything else a warm search call does.
+    assert main(SEARCH_LOEWNER) == 0
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(10):
+            assert main(SEARCH_LOEWNER) == 0
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _subprocess_env() -> dict:
     # A child interpreter imports the package this suite imported, whether
     # it came from PYTHONPATH or from pytest's own ``pythonpath`` setting.

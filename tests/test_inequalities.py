@@ -969,6 +969,17 @@ def test_outcome_is_invariant_under_power_of_two_scaling(case, k):
     assert outcome(ineq_id, [c * m for m in inputs]) == outcome(ineq_id, inputs)
 
 
+@pytest.mark.parametrize("k", [-300, -500, -531])
+def test_underflowing_normality_defect_still_grades_the_hypothesis(k):
+    # x is not normal; below about 2^-260 the squares of its normality
+    # defect underflow, and the defect must not read 0.  (At 2^-600 the
+    # products A*A and AA* underflow themselves: not graded here.)
+    x = mat([[1, 2j], [0.5, -1 + 1j]])
+    rep = check("thm-2.1", [2.0**k * x])
+    assert rep.verdict is Verdict.HYPOTHESIS_VIOLATED
+    assert rep.hypothesis_residuals["normality_defect"] > 0
+
+
 def test_scaled_down_witness_is_still_violated():
     # Margin -0.239 at unit scale: a counterexample at every scale.
     w = SEARCH_WITNESSES["search-thm-2.1-nonnormal"]

@@ -15,6 +15,7 @@ from svineq.fuzzer import _drawer
 from svineq.inequalities import check
 from svineq.numkernel import (
     DEFAULT_TOL,
+    GROUP_ELEMENTS,
     MAX_DIM,
     DimensionMismatch,
     InvalidMatrix,
@@ -28,6 +29,7 @@ from svineq.numkernel import (
     _herm,
     _require_hermitian,
     abs_op,
+    abs_ops,
     as_matrix,
     direct_sum_spectrum,
     hermitian_eig,
@@ -167,6 +169,18 @@ def test_frobenius_norm_rescales_overflowing_squares():
     stack = np.stack([m, m * 1e300, m * 1e308, mat([[np.inf, 0], [0, 1]])])
     assert _fro(stack).tolist() == [5.0, pytest.approx(5e300, rel=1e-15), np.inf, np.inf]
     assert float(one(_fro, m * 1e300)) == pytest.approx(5e300, rel=1e-15)
+
+
+def test_frobenius_norm_rescues_underflowing_squares():
+    # The squares of 3e-200 and 4e-200 underflow to 0, those of 3e-155
+    # and 4e-155 lose digits in the subnormal range; a zero slice stays 0.
+    m = mat([[3, 4j], [0, 0]])
+    stack = np.stack([m, m * 1e-155, m * 1e-200, 0 * m, m * 5e-324])
+    norms = _fro(stack).tolist()
+    assert norms[0] == 5.0 and norms[3] == 0.0
+    assert norms[1:3] == [pytest.approx(5e-155, rel=1e-15), pytest.approx(5e-200, rel=1e-15)]
+    assert norms[4] == pytest.approx(np.hypot(3, 4) * 5e-324, abs=5e-324)
+    assert float(one(_fro, m * 1e-200)) == pytest.approx(5e-200, rel=1e-15)
 
 
 def test_hermitian_part_is_exactly_hermitian():
@@ -475,6 +489,34 @@ def test_spectral_kernels_stacked_equal_single(route, hermitian):
     stacked = route(stack)
     for i, m in enumerate(stack):
         assert np.array_equal(stacked[i], route(m[None])[0])
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+@pytest.mark.parametrize(
+    "sizes, calls",
+    [
+        ((1, 1, 1, 1), [4]),  # parts of one matrix, as a check or a search step has
+        ((3, 1, 2), [6]),  # below the bound
+        ((30, 1, 33), [64]),  # 64 slices of 8 x 8: exactly GROUP_ELEMENTS entries
+        ((32, 33), [32, 33]),  # together one slice above it
+        ((100, 1, 1), [100, 2]),  # a stack above it alone, then the rest together
+    ],
+)
+def test_abs_ops_equal_abs_op_of_each_stack_alone(sizes, calls, hermitian, monkeypatch):
+    # Slices per abs_op call: as few calls as keep each within
+    # GROUP_ELEMENTS entries, unless one stack alone is larger.
+    n = 8
+    assert GROUP_ELEMENTS == 64 * n * n
+    rng = np.random.default_rng(sum(sizes))
+    stacks = [rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n)) for k in sizes]
+    if hermitian:
+        stacks = list(map(_herm, stacks))
+    counted = []
+    monkeypatch.setattr(numkernel, "abs_op", lambda x: counted.append(len(x)) or abs_op(x))
+    grouped = abs_ops(*stacks)
+    assert counted == calls
+    for stack, out in zip(stacks, grouped, strict=True):
+        assert np.array_equal(out, abs_op(stack))
 
 
 def test_direct_sum_spectrum_stacked_equals_single():

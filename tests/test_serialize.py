@@ -1,6 +1,7 @@
 """JSON schemas: strict parsing, lossless round-trips, deterministic output."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +247,84 @@ def test_document_json_is_deterministic_and_finite():
     assert dumps_compact(document("demo", body)).endswith("\n") is False
     with pytest.raises(ValueError):
         dumps({"bad": float("nan")})
+
+
+# --- the indent-2 writer ------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _json_dumps(doc) -> str:
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
+def test_dumps_writes_json_dumps_bytes_for_every_golden(path):
+    doc = loads_strict(path.read_text())
+    assert dumps(doc) == _json_dumps(doc) == path.read_text()
+
+
+_leaves = st.one_of(
+    st.text(),  # non-ASCII, control characters and quotes included
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é\u2028", "\U0001f600"]),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1.7e308, -1.7e308, 1e-300]),
+    st.none(),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=5).map(tuple),
+        st.dictionaries(st.text(), kids, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@given(doc=_trees)
+def test_dumps_writes_json_dumps_bytes(doc):
+    assert dumps(doc) == _json_dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {1: "int", 2.5: "float", True: "bool", None: "null"},  # keys json.dumps converts
+        {"n": 3, "entries": [[[1.0, -0.0]]], "empty": [[], {}, ()]},
+    ],
+)
+def test_dumps_writes_json_dumps_bytes_for_edge_cases(doc):
+    assert dumps(doc) == _json_dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        (float("nan"), ValueError),
+        ({"a": [1.0, float("inf")]}, ValueError),
+        ([np.float64("-inf")], ValueError),
+        ({float("nan"): 1}, ValueError),
+        ({"a": np.int64(3)}, TypeError),
+        ([np.True_], TypeError),
+        ([1, {2}], TypeError),
+        ({"a": 1j}, TypeError),
+        ({(1, 2): 3}, TypeError),
+        (b"bytes", TypeError),
+        ([float("nan"), object()], ValueError),  # the first offender in document order
+        ([object(), float("nan")], TypeError),
+    ],
+)
+def test_dumps_rejects_what_json_dumps_rejects(doc, error):
+    with pytest.raises(error) as ours:
+        dumps(doc)
+    with pytest.raises(error) as theirs:
+        _json_dumps(doc)
+    assert str(ours.value) == str(theirs.value)
 
 
 # --- witnesses -------------------------------------------------------------------
