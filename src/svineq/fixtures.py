@@ -188,9 +188,8 @@ def _reproduce_ex23() -> tuple[list[str], dict, bool]:
     oracle_s_abs = sorted((abs(m) + 1.0 for m in mu), reverse=True)
 
     # The right side of thm-2.1 compares s(A) with s(|A1|+|A2|).
-    right = theorem.side("right").entries
-    s_a = [e.lhs for e in right]
-    s_abs = [e.rhs for e in right]
+    right = theorem.side("right")
+    s_a, s_abs = right.lhs, right.rhs
     claim_s2, claim_abs2 = EX_2_3_S2_A, EX_2_3_S2_ABS
     values = [
         _value("s1(A)", s_a[0], oracle_s_a[0], None),

@@ -31,7 +31,7 @@ reported.
 
 Two comparison kinds appear.  Spectrum sides compare singular values
 zero-padded to a common length with ``margin_j = rhs_j - lhs_j``.  Order
-sides test a Loewner inequality ``X <= Y``; their per-index entries are
+sides test a Loewner inequality ``X <= Y``; their per-index margins are
 the ascending eigenvalues of ``Y - X`` (so ``j = 1`` is the decisive one)
 with ``lhs = 0``.
 
@@ -95,28 +95,22 @@ class Verdict(str, Enum):
 
 
 @dataclass(frozen=True)
-class IndexMargin:
-    """One per-index comparison: margin = rhs - lhs, negative means failure."""
-
-    j: int
-    lhs: float
-    rhs: float
-    margin: float
-
-
-@dataclass(frozen=True)
 class MarginSide:
-    """One side of an inequality: a full margin list plus its scale.
+    """One side of an inequality: its per-index columns plus its scale.
 
-    ``kind`` is "spectrum" for singular-value comparisons and "order" for
-    Loewner comparisons.  ``scale`` feeds the report tolerance: the larger
-    head value for spectra, the larger Frobenius norm of the two operands
-    for orders.
+    Index j of the comparison is position j - 1 of ``lhs``, ``rhs`` and
+    ``margin`` = rhs - lhs; a negative margin means failure.  ``kind`` is
+    "spectrum" for singular-value comparisons and "order" for Loewner
+    comparisons.  ``scale`` feeds the report tolerance: the larger head
+    value for spectra, the larger Frobenius norm of the two operands for
+    orders.
     """
 
     label: str
     kind: str
-    entries: tuple[IndexMargin, ...]
+    lhs: tuple[float, ...]
+    rhs: tuple[float, ...]
+    margin: tuple[float, ...]
     scale: float
     min_margin: float
 
@@ -128,7 +122,7 @@ class InequalityReport:
     ineq_id: str
     dims: tuple[int, ...]
     verdict: Verdict
-    min_margin: float | None
+    min_margin: float
     tol_used: float
     sides: tuple[MarginSide, ...]
     skipped: tuple[str, ...] = ()
@@ -174,16 +168,12 @@ class SideBatch:
 
     def margin_side(self, i: int) -> MarginSide:
         """The side of trial ``i`` as a report sees it."""
-        entries = tuple(
-            IndexMargin(j=j + 1, lhs=lhs, rhs=rhs, margin=margin)
-            for j, (lhs, rhs, margin) in enumerate(
-                zip(self.lhs[i].tolist(), self.rhs[i].tolist(), self.margin[i].tolist())
-            )
-        )
         return MarginSide(
             label=self.label,
             kind=self.kind,
-            entries=entries,
+            lhs=tuple(self.lhs[i].tolist()),
+            rhs=tuple(self.rhs[i].tolist()),
+            margin=tuple(self.margin[i].tolist()),
             scale=float(self.scale[i]),
             min_margin=float(self.min_margin[i]),
         )

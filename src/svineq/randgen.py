@@ -172,43 +172,6 @@ def _conjugate_diag(u: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return scaled @ _adj(u)
 
 
-def _sample(class_tag: str, dim: int, stream: Stream, scale: float) -> tuple[np.ndarray, ...]:
-    n = dim
-    if class_tag == "ginibre":
-        return (_ginibre(stream, n, scale),)
-    if class_tag == "hermitian":
-        return (_hermitian(stream, n, scale),)
-    if class_tag == "psd":
-        return (_psd(stream, n, scale),)
-    if class_tag == "unitary":
-        return (_unitary(stream, n),)
-    if class_tag == "normal":
-        u = _unitary(stream, n)
-        d = stream.complex_normals(n).reshape(-1, n) * scale
-        return (_conjugate_diag(u, d),)
-    if class_tag == "psd_block2":
-        p = _psd(stream, 2 * n, scale)
-        return (p[:, :n, :n].copy(), p[:, :n, n:].copy(), p[:, n:, n:].copy())
-    if class_tag == "dominated_pair":
-        a = _hermitian(stream, n, scale)
-        p = _psd(stream, n, scale)
-        return (a, _herm(abs_op(a) + p))
-    if class_tag == "normal_order_constrained":
-        u = _unitary(stream, n)
-        d2 = stream.normals(n).reshape(-1, n) * scale
-        offset = np.abs(stream.normals(n).reshape(-1, n)) * scale
-        d1 = -d2 + offset
-        return (_conjugate_diag(u, d1 + 1j * d2),)
-    if class_tag == "normal_pair_shared_basis":
-        u = _unitary(stream, n)
-        da = stream.complex_normals(n).reshape(-1, n) * scale
-        db = stream.complex_normals(n).reshape(-1, n) * scale
-        return (_conjugate_diag(u, da), _conjugate_diag(u, db))
-    if class_tag == "low_rank":
-        return (_low_rank(stream, n, scale),)
-    raise InvalidSpec(f"unknown class_tag {class_tag!r}")
-
-
 def sample(class_tag: str, dim: int, stream: Stream, scale: float = 1.0) -> tuple[np.ndarray, ...]:
     """Draw one input tuple for ``class_tag`` from an existing stream.
 
@@ -216,10 +179,42 @@ def sample(class_tag: str, dim: int, stream: Stream, scale: float = 1.0) -> tupl
     stack whose slice r is the draw from row r alone; from a single stream
     each comes as one (n, n) matrix.
     """
-    if class_tag not in CLASS_ARITY:
-        raise InvalidSpec(f"unknown class_tag {class_tag!r}")
     if not 1 <= dim <= MAX_DIM:
         raise InvalidSpec(f"dim must be in 1..{MAX_DIM}, got {dim!r}")
-    mats = _sample(class_tag, dim, stream, scale)
+    n = dim
+    if class_tag == "ginibre":
+        mats = (_ginibre(stream, n, scale),)
+    elif class_tag == "hermitian":
+        mats = (_hermitian(stream, n, scale),)
+    elif class_tag == "psd":
+        mats = (_psd(stream, n, scale),)
+    elif class_tag == "unitary":
+        mats = (_unitary(stream, n),)
+    elif class_tag == "normal":
+        u = _unitary(stream, n)
+        d = stream.complex_normals(n).reshape(-1, n) * scale
+        mats = (_conjugate_diag(u, d),)
+    elif class_tag == "psd_block2":
+        p = _psd(stream, 2 * n, scale)
+        mats = (p[:, :n, :n].copy(), p[:, :n, n:].copy(), p[:, n:, n:].copy())
+    elif class_tag == "dominated_pair":
+        a = _hermitian(stream, n, scale)
+        p = _psd(stream, n, scale)
+        mats = (a, _herm(abs_op(a) + p))
+    elif class_tag == "normal_order_constrained":
+        u = _unitary(stream, n)
+        d2 = stream.normals(n).reshape(-1, n) * scale
+        offset = np.abs(stream.normals(n).reshape(-1, n)) * scale
+        d1 = -d2 + offset
+        mats = (_conjugate_diag(u, d1 + 1j * d2),)
+    elif class_tag == "normal_pair_shared_basis":
+        u = _unitary(stream, n)
+        da = stream.complex_normals(n).reshape(-1, n) * scale
+        db = stream.complex_normals(n).reshape(-1, n) * scale
+        mats = (_conjugate_diag(u, da), _conjugate_diag(u, db))
+    elif class_tag == "low_rank":
+        mats = (_low_rank(stream, n, scale),)
+    else:
+        raise InvalidSpec(f"unknown class_tag {class_tag!r}")
     return mats if stream.stacked else tuple(m[0] for m in mats)
 

@@ -27,12 +27,7 @@ from .fuzzer import (
     TargetResult,
     Witness,
 )
-from .inequalities import (
-    IndexMargin,
-    InequalityReport,
-    MarginSide,
-    Verdict,
-)
+from .inequalities import InequalityReport, MarginSide, Verdict
 from .numkernel import InvalidMatrix, Tolerance, as_matrix
 
 SCHEMA_VERSION = 1
@@ -247,21 +242,23 @@ def _side_to_json(side: MarginSide) -> dict[str, Any]:
         "scale": side.scale,
         "min_margin": side.min_margin,
         "per_index": [
-            {"j": e.j, "lhs": e.lhs, "rhs": e.rhs, "margin": e.margin} for e in side.entries
+            {"j": j, "lhs": lhs, "rhs": rhs, "margin": margin}
+            for j, (lhs, rhs, margin) in enumerate(zip(side.lhs, side.rhs, side.margin), 1)
         ],
     }
 
 
 def _side_from_json(doc) -> MarginSide:
     doc = _object(doc)
-    entries = tuple(
-        IndexMargin(j=_int(e["j"]), lhs=_finite(e["lhs"]), rhs=_finite(e["rhs"]), margin=_finite(e["margin"]))
-        for e in map(_object, _list(doc["per_index"]))
-    )
+    rows = list(map(_object, _list(doc["per_index"])))
+    if [_int(row["j"]) for row in rows] != [*range(1, len(rows) + 1)]:
+        raise ValueError("the per-index j must run 1..m")
     return MarginSide(
         label=_str(doc["label"]),
         kind=_str(doc["kind"]),
-        entries=entries,
+        lhs=tuple(_finite(row["lhs"]) for row in rows),
+        rhs=tuple(_finite(row["rhs"]) for row in rows),
+        margin=tuple(_finite(row["margin"]) for row in rows),
         scale=_finite(doc["scale"]),
         min_margin=_finite(doc["min_margin"]),
     )
@@ -286,7 +283,7 @@ def report_from_json(doc) -> InequalityReport:
         ineq_id=_str(doc["id"]),
         dims=tuple(map(_int, _list(doc["dims"]))),
         verdict=Verdict(_str(doc["verdict"])),
-        min_margin=None if doc["min_margin"] is None else _finite(doc["min_margin"]),
+        min_margin=_finite(doc["min_margin"]),
         tol_used=_finite(doc["tol_used"]),
         sides=tuple(map(_side_from_json, _list(doc["sides"]))),
         skipped=tuple(map(_str, _list(doc["skipped"]))),
@@ -335,9 +332,8 @@ def witness_from_json(doc) -> Witness:
         raise MalformedWitness(f"cannot parse witness: {exc}") from exc
     report, n = witness.report, witness.dim
     if (report.ineq_id != witness.ineq_id or report.dims != (n,) * len(inputs)
-            or any(m.shape[0] != n for m in inputs)
-            or any([e.j for e in s.entries] != [*range(1, len(s.entries) + 1)] for s in report.sides)):
-        raise MalformedWitness("the report's id, dims or per-index j disagree with the witness")
+            or any(m.shape[0] != n for m in inputs)):
+        raise MalformedWitness("the report's id or dims disagree with the witness")
     return witness
 
 

@@ -109,6 +109,19 @@ def test_fuzz_complex_scalars_exit_0(capsys):
     assert "hypothesis_violated=3 " in capsys.readouterr().out
 
 
+def test_verify_no_convergence_exit_3(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    path = write_matrix(tmp_path, "h.json", mat([[1, 0], [0, -2]]))
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    rc = main(["verify", "thm-2.5-plus", path])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("error: thm-2.5-plus: Eigenvalues did not converge")
+    assert captured.out == ""
+
+
 def test_verify_unknown_id_exit_3(normal_file, capsys):
     rc = main(["verify", "thm-9.9", normal_file])
     assert rc == 3
@@ -523,6 +536,11 @@ def test_fuzz_unexpected_violations_exit_1(monkeypatch, capsys):
 def test_fuzz_bad_usage_exit_3(argv, capsys):
     assert main(argv) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_fuzz_empty_dimension_list_exit_3(capsys):
+    assert main(["fuzz", "--ineq", "thm-2.1", "--dims", ","]) == 3
+    assert "error: no dimensions in ','" in capsys.readouterr().err
 
 
 # --- search --------------------------------------------------------------------

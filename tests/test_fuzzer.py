@@ -97,6 +97,17 @@ def test_config_rejects_bad_seed():
         run_campaign(small_config(seed=2**64))
 
 
+def test_config_rejects_a_tolerance_that_is_not_a_tolerance():
+    with pytest.raises(ConfigInvalid, match="tol must be a Tolerance"):
+        run_campaign(small_config(tol=1e-9))
+
+
+@pytest.mark.parametrize("target", [5, "thm-2.1", ("thm-2.1",), ("thm-2.1", "normal", "x")])
+def test_config_rejects_a_target_that_is_not_a_pair(target):
+    with pytest.raises(ConfigInvalid, match="is not an \\(inequality, class\\) pair"):
+        run_campaign(small_config(targets=(target,)))
+
+
 LOEWNER = "loewner-cartesian-general"
 
 # bool subclasses int, so each of these used to run as if 1 or 0 was given.

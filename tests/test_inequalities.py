@@ -52,27 +52,25 @@ safe_reals = st.one_of(
 
 
 def margins(report, label):
-    return tuple(e.margin for e in report.side(label).entries)
+    return report.side(label).margin
 
 
 def lhs_values(report, label):
-    return tuple(e.lhs for e in report.side(label).entries)
+    return report.side(label).lhs
 
 
 def rhs_values(report, label):
-    return tuple(e.rhs for e in report.side(label).entries)
+    return report.side(label).rhs
 
 
 def assert_report_consistent(report):
     """Structural invariants every report must satisfy."""
-    if report.sides:
-        assert report.min_margin == min(s.min_margin for s in report.sides)
-        for side in report.sides:
-            assert side.min_margin == min(e.margin for e in side.entries)
-            for e in side.entries:
-                assert e.margin == e.rhs - e.lhs
-    else:
-        assert report.min_margin is None
+    assert report.sides
+    assert report.min_margin == min(s.min_margin for s in report.sides)
+    for side in report.sides:
+        assert len(side.lhs) == len(side.rhs) == len(side.margin)
+        assert side.min_margin == min(side.margin)
+        assert side.margin == tuple(r - l for l, r in zip(side.lhs, side.rhs))
 
 
 # --- scalar-1.6 -----------------------------------------------------------------
@@ -662,6 +660,22 @@ def test_check_rejects_a_tolerance_that_is_not_a_tolerance():
         check("thm-2.7", [np.eye(2)], tol=1e-9)
 
 
+def test_check_names_the_inequality_when_the_eigensolver_gives_up(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NoConvergence, match=r"^thm-2\.5-plus: Eigenvalues did not converge$"):
+        check("thm-2.5-plus", [mat([[1, 0], [0, -2]])])
+
+
+def test_report_side_of_an_unknown_label_is_a_key_error():
+    rep = check("thm-2.1", [mat([[1, 0], [0, -2]])])
+    assert rep.side("right") is rep.sides[1]
+    with pytest.raises(KeyError, match="nope"):
+        rep.side("nope")
+
+
 def test_check_dispatch_rejects_imaginary_scalar():
     with pytest.raises(ValueError):
         check("scalar-1.6", [mat([[1j]]), mat([[1]])])
@@ -935,7 +949,7 @@ def outcome(ineq_id, inputs):
         rep = check(ineq_id, inputs)
     except (ValueError, NoConvergence) as exc:
         return type(exc)
-    assert all(math.isfinite(e.margin) for side in rep.sides for e in side.entries)
+    assert all(math.isfinite(m) for side in rep.sides for m in side.margin)
     return rep.verdict, rep.skipped
 
 

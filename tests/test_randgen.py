@@ -118,9 +118,9 @@ def test_prng_stream_rejects_bools(seed, index):
 
 
 def test_sample_validates_class_and_dim():
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidSpec, match="^unknown class_tag 'weird'$"):
         sample("weird", 2, prng_stream(0, 0))
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidSpec, match="^dim must be in 1..64, got 0$"):
         sample("ginibre", 0, prng_stream(0, 0))
 
 

@@ -32,6 +32,7 @@ from svineq.serialize import (
 
 from conftest import draw, mat
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # --- matrices ---------------------------------------------------------------
 
@@ -191,6 +192,14 @@ def test_parse_matrix_text_integer_and_mixed_entries(square):
     _assert_bitwise_equal(parse_matrix_text(text), _reference_decode(entries))
 
 
+def test_matrix_from_json_takes_float_subclasses_as_floats():
+    # json.loads never builds np.float64, but a caller's own document may.
+    m = mat([[1.5 - 2j, 3e-17], [0, -4j]])
+    doc = matrix_to_json(m)
+    doc["entries"] = [[[np.float64(x) for x in pair] for pair in row] for row in doc["entries"]]
+    _assert_bitwise_equal(matrix_from_json(doc), m)
+
+
 def test_parse_matrix_text_negative_zero_integer():
     # JSON "-0" is the integer 0, so it decodes to +0.0, while "-0.0" keeps its sign.
     m = parse_matrix_text('{"n": 1, "entries": [[[-0, -0.0]]]}')
@@ -231,6 +240,58 @@ def test_report_round_trip_with_skipped_sides():
     assert report_from_json(report_to_json(rep)) == rep
 
 
+def _reports(node) -> list:
+    """Every report object inside a parsed document, in document order."""
+    if isinstance(node, list):
+        return [r for v in node for r in _reports(v)]
+    if not isinstance(node, dict):
+        return []
+    if "verdict" in node and "sides" in node:
+        return [node]
+    return [r for v in node.values() for r in _reports(v)]
+
+
+def test_every_golden_report_reads_back_to_the_same_json():
+    # Verify documents (n = 64 included), repro reports, search witnesses
+    # and campaign worst witnesses; the repro transcripts are plain text.
+    read = {}
+    for path in sorted(GOLDEN.iterdir()):
+        if path.name.startswith("repro-") and path.suffix == ".txt":
+            continue
+        for rep in _reports(loads_strict(path.read_text())):
+            assert dumps(report_to_json(report_from_json(rep))) == dumps(rep), path.name
+            read.setdefault(path.name, []).append(rep["dims"])
+    assert [64] in read["verify-thm-2.7-n64.txt"]
+    assert {"repro-ex-2.2.json", "repro-ex-2.3.json", "edge-campaign.json"} < set(read)
+    assert sum(name.startswith("search-") for name in read) == 3
+    assert sum(name.startswith("verify-") for name in read) == 6
+
+
+def _report_doc():
+    (a,) = draw("normal", 3, seed=4)
+    return report_to_json(check("thm-2.1", [a]))
+
+
+@pytest.mark.parametrize(
+    "js",
+    [[2, 1, 3], [0, 1, 2], [1, 2, 4], [1, 1, 2], [2, 3, 4]],
+    ids=["swapped", "from-0", "gap", "repeat", "from-2"],
+)
+def test_report_reader_refuses_j_out_of_sequence(js):
+    doc = _report_doc()
+    for row, j in zip(doc["sides"][1]["per_index"], js):
+        row["j"] = j
+    with pytest.raises(ValueError, match="per-index j must run 1..m"):
+        report_from_json(doc)
+
+
+def test_report_reader_refuses_a_null_min_margin():
+    doc = _report_doc()
+    doc["min_margin"] = None
+    with pytest.raises(ValueError, match="expected a number"):
+        report_from_json(doc)
+
+
 def test_report_document_header():
     (a,) = draw("normal", 2, seed=4)
     doc = report_document(check("thm-2.1", [a]), DEFAULT_TOL)
@@ -250,8 +311,6 @@ def test_document_json_is_deterministic_and_finite():
 
 
 # --- the indent-2 writer ------------------------------------------------------
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _json_dumps(doc) -> str:
@@ -363,6 +422,8 @@ def test_witness_json_rejects_missing_fields():
 
     with pytest.raises(MalformedWitness):
         witness_from_json({"id": "thm-2.1"})
+    with pytest.raises(MalformedWitness, match="must be a JSON object"):
+        witness_from_json([])
 
 
 @pytest.fixture(scope="module")
@@ -410,6 +471,7 @@ MALFORMED_WITNESS_FIELDS = [
     ("report.verdict", "1"),
     ("report.verdict", '"maybe"'),
     ("report.min_margin", "true"),
+    ("report.min_margin", "null"),
     ("report.min_margin", "1" + "0" * 400),
     ("report.tol_used", '"0"'),
     ("report.skipped", '"abc"'),
