@@ -3,21 +3,22 @@
 A campaign pairs inequality ids with generator classes and runs a fixed
 number of trials per dimension.  Trial ``t`` (numbered globally across
 the campaign in deterministic order: targets outermost, then dimensions,
-then repetitions) draws its inputs from ``prng_stream(seed, t)``, so the
-result is a pure function of the config and independent of execution
-order.  The trials of one (target, dimension) block are drawn and checked
-as stacks of at most ``CHUNK_ELEMENTS // n**2`` trials; the chunk size
-never shows in the result.  When the process may use two CPUs, the chunks
-are shared with a child process forked for the campaign.  Each process
-grades its own chunks straight into a fold of numbers (counts, extremes
-and the trial numbers they come from), and the child sends its whole fold
-to the caller in one message or sends nothing.  The fold does not depend
-on order, so the result is the one a single process gives; on any outcome
-but two whole folds the caller folds every chunk itself, so errors are
-those of one process too.  A violated target's worst witness is drawn
-again from the stream of its trial.  Campaigns and searches grade on one
-BLAS thread (see ``numkernel.one_blas_thread``), so that the BLAS thread
-count cannot change last bits.
+then repetitions) draws its inputs from the row of index t of a stacked
+``prng_stream(seed, trials)``, so the result is a pure function of the
+config and independent of execution order.  The trials of one (target,
+dimension) block are drawn and checked as stacks of at most
+``CHUNK_ELEMENTS // n**2`` trials; the chunk size never shows in the
+result.  When the process may use two CPUs, the chunks are shared with a
+child process forked for the campaign.  Each process grades its own
+chunks straight into a fold of numbers (counts, extremes and the trial
+numbers they come from), and the child sends its whole fold to the caller
+in one message or sends nothing.  The fold does not depend on order, so
+the result is the one a single process gives; on any outcome but two
+whole folds the caller folds every chunk itself, so errors are those of
+one process too.  A violated target's worst witness is drawn again from
+the stream of its trial.  Campaigns and searches grade on one BLAS thread
+(see ``numkernel.one_blas_thread``), so that the BLAS thread count cannot
+change last bits.
 
 Searches target statements that are false (or of unknown truth) in
 general: random restarts from an ambient parameterisation that preserves
@@ -198,9 +199,9 @@ def _drawer(entry: CatalogEntry, class_tag: str) -> Callable:
     ``split_cartesian`` checker, one draw of a class that emits the
     checker's arity directly, or ``arity`` draws of a 1-matrix class.
     """
-    if class_tag not in randgen.CLASS_ARITY:
+    if class_tag not in randgen.CLASSES:
         raise ConfigInvalid(f"unknown generator class {class_tag!r}")
-    class_arity = randgen.CLASS_ARITY[class_tag]
+    class_arity = randgen.CLASSES[class_tag].arity
     sample = functools.partial(randgen.sample, class_tag)
     if entry.split_cartesian and class_tag in SPLITTABLE_CLASSES:
         return lambda *args: cartesian(*sample(*args))
@@ -658,16 +659,17 @@ def _search_restarts(
 def search_counterexample(target: SearchTarget, seed: int) -> Witness | None:
     """Search for a robust violation of ``target``; None means exhausted.
 
-    Restart ``r`` draws from ``prng_stream(seed, r)`` and cycles through
-    the target's dimensions, so the search is a pure function of
-    (target, seed).  A restart scores its initial point, then takes
-    ``_search_depth(n)`` greedy steps per stacked call.  Restart 0 runs
-    alone.  Later restarts run in lock-step blocks of 1, 2, 4, ...: a block
-    holds as many restarts as have failed so far, capped so that their
-    trees together hold at most ``CHUNK_ELEMENTS`` matrix entries at the
-    largest n, and it is checked as one stack per dimension.  The lowest
-    qualifying restart of a block is the witness the restarts give when run
-    one after the other.  Only the witness gets a full report.
+    Restart ``r`` draws from the row of index r of a stacked
+    ``prng_stream(seed, restarts)`` and cycles through the target's
+    dimensions, so the search is a pure function of (target, seed).  A
+    restart scores its initial point, then takes ``_search_depth(n)``
+    greedy steps per stacked call.  Restart 0 runs alone.  Later restarts
+    run in lock-step blocks of 1, 2, 4, ...: a block holds as many restarts
+    as have failed so far, capped so that their trees together hold at most
+    ``CHUNK_ELEMENTS`` matrix entries at the largest n, and it is checked
+    as one stack per dimension.  The lowest qualifying restart of a block
+    is the witness the restarts give when run one after the other.  Only
+    the witness gets a full report.
     """
     if not randgen.is_integer(seed) or not 0 <= seed < 2**64:
         raise ConfigInvalid(f"seed must be an unsigned 64-bit integer, got {seed!r}")

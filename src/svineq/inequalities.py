@@ -75,6 +75,7 @@ from .numkernel import (
     psd_sqrt,
     singular_values,
 )
+from .randgen import CLASSES
 
 _INV_SQRT2 = 2.0 ** -0.5
 _SQRT2 = math.sqrt(2.0)
@@ -537,9 +538,7 @@ def _core_proof_facts(mats, tol) -> Graded:
 
 # Generator classes whose outputs are always normal matrices; used to decide
 # which (inequality, class) pairings are expected to hold.
-NORMAL_OUTPUT_CLASSES = frozenset(
-    {"hermitian", "psd", "unitary", "normal", "normal_order_constrained"}
-)
+NORMAL_OUTPUT_CLASSES = frozenset(tag for tag, row in CLASSES.items() if row.normal)
 
 # Classes whose single output a split_cartesian checker splits into its
 # Hermitian/skew parts: the commuting Hermitian pairs proof-facts-2.1 is

@@ -1,39 +1,23 @@
 """Seeded, reproducible random matrix generators.
 
 Randomness comes from a counter-based stream: every draw is a pure
-function of (seed, stream_index, position), built from a 64-bit avalanche
+function of (seed, stream index, position), built from a 64-bit avalanche
 mix of the counter.  Distinct stream indices give statistically
 independent streams, so parallel fuzz trials can each own index = trial
 number without coordination.
 
 Generator classes map onto the hypothesis classes the inequality catalog
-needs: plain Ginibre matrices, Hermitian/PSD/unitary/normal samples,
-PSD 2x2-block partitions, dominated Hermitian pairs (±A <= B by
-construction), order-constrained normal matrices (Hermitian part plus
-skew part PSD), normal pairs sharing one eigenbasis, and rank-deficient
-products U·V, whose small singular values are where a kernel's accuracy
-shows.
+needs; ``CLASSES`` holds one row per class.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from .numkernel import MAX_DIM, _adj, _herm, abs_op
-
-CLASS_ARITY: dict[str, int] = {
-    "ginibre": 1,
-    "hermitian": 1,
-    "psd": 1,
-    "unitary": 1,
-    "normal": 1,
-    "psd_block2": 3,
-    "dominated_pair": 2,
-    "normal_order_constrained": 1,
-    "normal_pair_shared_basis": 2,
-    "low_rank": 1,
-}
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
@@ -69,34 +53,32 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 
 class Stream:
-    """Deterministic scalar streams keyed by (seed, stream_index).
+    """Stacked deterministic streams, one row per (seed, stream index).
 
     Word i of a stream is mix(key + (i+1)*GOLDEN) where the key itself is a
     mix of seed and index, so draws at any position can be computed
     independently; the object only tracks how many words were consumed.
-    ``stream_index`` may be an array of k indices: every draw then returns
-    one row per index, and row r equals the draw of ``Stream(seed,
-    stream_index[r])`` on its own.
+    ``indices`` is a 1-D integer array of k stream indices: every draw
+    returns one row per index, and row r does not depend on the others.
     """
 
-    def __init__(self, seed: int, stream_index):
+    def __init__(self, seed: int, indices):
         seed = _check_u64(seed, "seed")
-        self.stacked = np.ndim(stream_index) > 0
-        if self.stacked:
-            indices = np.asarray(stream_index, dtype=_U64)
-        else:
-            indices = np.array([_check_u64(stream_index, "stream_index")], dtype=_U64)
+        indices = np.asarray(indices)
+        kind = indices.dtype.kind
+        if indices.ndim != 1 or not (kind == "u" or kind == "i" and (indices >= 0).all()):
+            raise InvalidSpec(f"stream indices must be a 1-D array in [0, 2**64), got {indices!r}")
+        indices = indices.astype(_U64)
         # mix(seed + GOLDEN) and mix(index + SALT) in one call.
         parts = _mix64(np.concatenate((np.array([seed], dtype=_U64) + _GOLDEN, indices + _SALT)))
         self._key = _mix64(parts[0] ^ parts[1:])[:, None]
         self._pos = 0
 
     def raw(self, count: int) -> np.ndarray:
-        """Next ``count`` uint64 words."""
+        """Next ``count`` uint64 words of every row."""
         idx = np.arange(self._pos + 1, self._pos + count + 1, dtype=_U64)
         self._pos += count
-        words = _mix64(self._key + idx * _GOLDEN)
-        return words if self.stacked else words[0]
+        return _mix64(self._key + idx * _GOLDEN)
 
     def uniforms(self, count: int) -> np.ndarray:
         """Uniform doubles in [0, 1) from the top 53 bits of each word."""
@@ -106,29 +88,24 @@ class Stream:
         """Standard real Gaussians via the Box-Muller transform."""
         pairs = (count + 1) // 2
         u = self.uniforms(2 * pairs)
-        u1, u2 = u[..., :pairs], u[..., pairs:]
+        u1, u2 = u[:, :pairs], u[:, pairs:]
         # log(1-u1) is safe: u1 < 1 exactly, and log1p(0) = 0 maps to z = 0.
         radius = np.sqrt(-2.0 * np.log1p(-u1))
         angle = (2.0 * math.pi) * u2
-        return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)[
-            ..., :count
-        ]
+        return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)[:, :count]
 
     def complex_normals(self, count: int) -> np.ndarray:
         """Standard complex Gaussians (E|z|^2 = 1)."""
         z = self.normals(2 * count)
-        return (z[..., :count] + 1j * z[..., count:]) * (2.0**-0.5)
+        return (z[:, :count] + 1j * z[:, count:]) * (2.0**-0.5)
 
 
-def prng_stream(seed: int, stream_index) -> Stream:
-    """The stream (seed, stream_index); an array of indices gives one
-    stacked stream whose rows are those streams."""
-    return Stream(seed, stream_index)
+def prng_stream(seed: int, indices) -> Stream:
+    """The stacked stream whose rows are the streams (seed, indices[r])."""
+    return Stream(seed, indices)
 
 
-# The generators below draw one stack of k inputs from a stream of k rows
-# (k = 1 for a single-index stream); every array they return has shape
-# (k, n, n).
+# The draws below take a stream of k rows and return (k, n, n) stacks.
 
 
 def _ginibre(stream: Stream, n: int, scale: float) -> np.ndarray:
@@ -172,49 +149,66 @@ def _conjugate_diag(u: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return scaled @ _adj(u)
 
 
+def _normal(stream: Stream, n: int, scale: float) -> tuple[np.ndarray, ...]:
+    u = _unitary(stream, n)
+    d = stream.complex_normals(n).reshape(-1, n) * scale
+    return (_conjugate_diag(u, d),)
+
+
+def _psd_block2(stream: Stream, n: int, scale: float) -> tuple[np.ndarray, ...]:
+    p = _psd(stream, 2 * n, scale)
+    return p[:, :n, :n].copy(), p[:, :n, n:].copy(), p[:, n:, n:].copy()
+
+
+def _dominated_pair(stream: Stream, n: int, scale: float) -> tuple[np.ndarray, ...]:
+    a = _hermitian(stream, n, scale)
+    p = _psd(stream, n, scale)
+    return a, _herm(abs_op(a) + p)
+
+
+def _normal_order_constrained(stream: Stream, n: int, scale: float) -> tuple[np.ndarray, ...]:
+    u = _unitary(stream, n)
+    d2 = stream.normals(n).reshape(-1, n) * scale
+    offset = np.abs(stream.normals(n).reshape(-1, n)) * scale
+    d1 = -d2 + offset
+    return (_conjugate_diag(u, d1 + 1j * d2),)
+
+
+def _normal_pair_shared_basis(stream: Stream, n: int, scale: float) -> tuple[np.ndarray, ...]:
+    u = _unitary(stream, n)
+    da = stream.complex_normals(n).reshape(-1, n) * scale
+    db = stream.complex_normals(n).reshape(-1, n) * scale
+    return _conjugate_diag(u, da), _conjugate_diag(u, db)
+
+
+class GeneratorClass(NamedTuple):
+    """A class's row: how many matrices a draw gives, whether every one of
+    them is normal, and ``draw(stream, n, scale)``, which gives them."""
+
+    arity: int
+    normal: bool
+    draw: Callable[[Stream, int, float], tuple[np.ndarray, ...]]
+
+
+CLASSES: dict[str, GeneratorClass] = {
+    "ginibre": GeneratorClass(1, False, lambda s, n, c: (_ginibre(s, n, c),)),
+    "hermitian": GeneratorClass(1, True, lambda s, n, c: (_hermitian(s, n, c),)),
+    "psd": GeneratorClass(1, True, lambda s, n, c: (_psd(s, n, c),)),
+    "unitary": GeneratorClass(1, True, lambda s, n, c: (_unitary(s, n),)),
+    "normal": GeneratorClass(1, True, _normal),
+    "psd_block2": GeneratorClass(3, False, _psd_block2),
+    "dominated_pair": GeneratorClass(2, True, _dominated_pair),
+    "normal_order_constrained": GeneratorClass(1, True, _normal_order_constrained),
+    "normal_pair_shared_basis": GeneratorClass(2, True, _normal_pair_shared_basis),
+    "low_rank": GeneratorClass(1, False, lambda s, n, c: (_low_rank(s, n, c),)),
+}
+
+
 def sample(class_tag: str, dim: int, stream: Stream, scale: float = 1.0) -> tuple[np.ndarray, ...]:
-    """Draw one input tuple for ``class_tag`` from an existing stream.
-
-    From a stacked stream of k rows each matrix comes as a (k, n, n)
-    stack whose slice r is the draw from row r alone; from a single stream
-    each comes as one (n, n) matrix.
-    """
-    if not 1 <= dim <= MAX_DIM:
+    """Draw one input tuple of ``class_tag`` from a stream of k rows: each
+    matrix is a (k, n, n) stack whose slice r is the draw of row r."""
+    if not is_integer(dim) or not 1 <= dim <= MAX_DIM:
         raise InvalidSpec(f"dim must be in 1..{MAX_DIM}, got {dim!r}")
-    n = dim
-    if class_tag == "ginibre":
-        mats = (_ginibre(stream, n, scale),)
-    elif class_tag == "hermitian":
-        mats = (_hermitian(stream, n, scale),)
-    elif class_tag == "psd":
-        mats = (_psd(stream, n, scale),)
-    elif class_tag == "unitary":
-        mats = (_unitary(stream, n),)
-    elif class_tag == "normal":
-        u = _unitary(stream, n)
-        d = stream.complex_normals(n).reshape(-1, n) * scale
-        mats = (_conjugate_diag(u, d),)
-    elif class_tag == "psd_block2":
-        p = _psd(stream, 2 * n, scale)
-        mats = (p[:, :n, :n].copy(), p[:, :n, n:].copy(), p[:, n:, n:].copy())
-    elif class_tag == "dominated_pair":
-        a = _hermitian(stream, n, scale)
-        p = _psd(stream, n, scale)
-        mats = (a, _herm(abs_op(a) + p))
-    elif class_tag == "normal_order_constrained":
-        u = _unitary(stream, n)
-        d2 = stream.normals(n).reshape(-1, n) * scale
-        offset = np.abs(stream.normals(n).reshape(-1, n)) * scale
-        d1 = -d2 + offset
-        mats = (_conjugate_diag(u, d1 + 1j * d2),)
-    elif class_tag == "normal_pair_shared_basis":
-        u = _unitary(stream, n)
-        da = stream.complex_normals(n).reshape(-1, n) * scale
-        db = stream.complex_normals(n).reshape(-1, n) * scale
-        mats = (_conjugate_diag(u, da), _conjugate_diag(u, db))
-    elif class_tag == "low_rank":
-        mats = (_low_rank(stream, n, scale),)
-    else:
+    if class_tag not in CLASSES:
         raise InvalidSpec(f"unknown class_tag {class_tag!r}")
-    return mats if stream.stacked else tuple(m[0] for m in mats)
-
+    return CLASSES[class_tag].draw(stream, dim, scale)

@@ -45,8 +45,9 @@ def mat(rows) -> np.ndarray:
 
 
 def draw(class_tag: str, dim: int, seed: int, index: int = 0, scale: float = 1.0):
-    """One deterministic generator draw for property tests."""
-    return sample(class_tag, dim, prng_stream(seed, index), scale)
+    """One deterministic generator draw for property tests: the matrices
+    of the stream (seed, index), as row 0 of a stack of one."""
+    return tuple(m[0] for m in sample(class_tag, dim, prng_stream(seed, [index]), scale))
 
 
 def frobenius_norm(m) -> float:

@@ -14,10 +14,9 @@ import pytest
 from svineq.cli import main
 from svineq.fuzzer import replay
 from svineq.numkernel import hermitian_eig
-from svineq.randgen import prng_stream, sample
 from svineq.serialize import loads_strict, witness_from_document, witness_from_json
 
-from conftest import frobenius_norm
+from conftest import draw, frobenius_norm
 
 C3_IDS = (
     "thm-2.1,thm-2.5-plus,thm-2.5-minus,thm-2.7,thm-2.8,"
@@ -184,7 +183,7 @@ def test_criterion_6_eigensolver_accuracy(verdict):
     count = 0
     for n in (2, 4, 8, 16, 32):
         for i in range(200):
-            (m,) = sample("hermitian", n, prng_stream(1234, count))
+            (m,) = draw("hermitian", n, 1234, count)
             count += 1
             w, v, _ = hermitian_eig(m[None])
             w, v = w[0], v[0]

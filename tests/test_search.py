@@ -52,7 +52,7 @@ def sequential_build(target_id: str, params: np.ndarray, n: int) -> tuple[np.nda
 def sequential_search(target: SearchTarget, seed: int) -> Witness | None:
     """Search for a robust violation of ``target``; None means exhausted.
 
-    Restart ``r`` draws from ``prng_stream(seed, r)`` and cycles through
+    Restart ``r`` draws from ``prng_stream(seed, [r])`` and cycles through
     the target's dimensions, so the search is a pure function of
     (target, seed).  Each restart takes up to ``fuzzer.PERTURB_STEPS``
     greedy steps.  Candidates are scored one at a time by the stacked
@@ -68,15 +68,15 @@ def sequential_search(target: SearchTarget, seed: int) -> Witness | None:
         return margin, margin < -10.0 * float(checked.tol_used[0]), checked
 
     for restart in range(target.budget):
-        stream = randgen.prng_stream(seed, restart)
+        stream = randgen.prng_stream(seed, [restart])
         n = dims[restart % len(dims)]
         length = sequential_length(target.target_id, n)
-        params = stream.normals(length)
+        params = stream.normals(length)[0]
         found_mats = sequential_build(target.target_id, params, n)
         best, qualifies, found = score(found_mats)
         sigma = 0.5
         for _ in range(0 if qualifies else fuzzer.PERTURB_STEPS):
-            candidate = params + sigma * stream.normals(length)
+            candidate = params + sigma * stream.normals(length)[0]
             found_mats = sequential_build(target.target_id, candidate, n)
             margin, qualifies, found = score(found_mats)
             if qualifies:
