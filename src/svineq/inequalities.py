@@ -543,7 +543,7 @@ NORMAL_OUTPUT_CLASSES = frozenset(tag for tag, row in CLASSES.items() if row.nor
 # Classes whose single output a split_cartesian checker splits into its
 # Hermitian/skew parts: the commuting Hermitian pairs proof-facts-2.1 is
 # about.
-SPLITTABLE_CLASSES = frozenset({"normal", "normal_order_constrained"})
+SPLITTABLE_CLASSES = frozenset(tag for tag, row in CLASSES.items() if row.splittable)
 
 
 @dataclass(frozen=True)

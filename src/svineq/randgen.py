@@ -183,11 +183,14 @@ def _normal_pair_shared_basis(stream: Stream, n: int, scale: float) -> tuple[np.
 
 class GeneratorClass(NamedTuple):
     """A class's row: how many matrices a draw gives, whether every one of
-    them is normal, and ``draw(stream, n, scale)``, which gives them."""
+    them is normal, ``draw(stream, n, scale)``, which gives them, and
+    whether a ``split_cartesian`` checker splits its one output into the
+    commuting Hermitian pair of its Cartesian parts."""
 
     arity: int
     normal: bool
     draw: Callable[[Stream, int, float], tuple[np.ndarray, ...]]
+    splittable: bool = False
 
 
 CLASSES: dict[str, GeneratorClass] = {
@@ -195,10 +198,10 @@ CLASSES: dict[str, GeneratorClass] = {
     "hermitian": GeneratorClass(1, True, lambda s, n, c: (_hermitian(s, n, c),)),
     "psd": GeneratorClass(1, True, lambda s, n, c: (_psd(s, n, c),)),
     "unitary": GeneratorClass(1, True, lambda s, n, c: (_unitary(s, n),)),
-    "normal": GeneratorClass(1, True, _normal),
+    "normal": GeneratorClass(1, True, _normal, splittable=True),
     "psd_block2": GeneratorClass(3, False, _psd_block2),
     "dominated_pair": GeneratorClass(2, True, _dominated_pair),
-    "normal_order_constrained": GeneratorClass(1, True, _normal_order_constrained),
+    "normal_order_constrained": GeneratorClass(1, True, _normal_order_constrained, splittable=True),
     "normal_pair_shared_basis": GeneratorClass(2, True, _normal_pair_shared_basis),
     "low_rank": GeneratorClass(1, False, lambda s, n, c: (_low_rank(s, n, c),)),
 }

@@ -751,3 +751,27 @@ def test_import_loads_no_thread_pool_or_logging():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_only_verify_loads_orjson(tmp_path):
+    # Only verify decodes matrix files, so orjson adds nothing to the
+    # start-up or the memory of fuzz and search.
+    path = write_matrix(tmp_path, "a.json", np.eye(2))
+    probe = "\n".join(
+        [
+            "import contextlib, io, sys, svineq.cli as cli",
+            "def loaded(*argv):",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert cli.main(list(argv)) == 0",
+            "    return 'orjson' in sys.modules",
+            "print('orjson' in sys.modules,"
+            " loaded('fuzz', '--ineq', 'thm-2.7', '--dims', '2', '--trials', '2'),"
+            " loaded('search', '--target', 'loewner-cartesian-general', '--budget', '4'),"
+            f" loaded('verify', 'thm-2.1', {path!r}))",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False False True\n"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from svineq.inequalities import NORMAL_OUTPUT_CLASSES, _psd_hypotheses
+from svineq.inequalities import NORMAL_OUTPUT_CLASSES, SPLITTABLE_CLASSES, _psd_hypotheses
 from svineq.numkernel import DEFAULT_TOL
 from svineq.randgen import CLASSES, InvalidSpec, _unitary, prng_stream, sample
 
@@ -79,6 +79,15 @@ def test_class_rows_match_their_draws(class_tag):
         assert max(d for _, d in defects) <= 1e-10
     else:
         assert max(d for n, d in defects if n >= 2) > 1e-3
+
+
+def test_splittable_rows_give_one_normal_matrix():
+    # A split_cartesian checker splits a draw's one matrix into its
+    # Cartesian parts, which commute only when that matrix is normal.
+    flagged = {tag for tag, row in CLASSES.items() if row.splittable}
+    assert flagged == SPLITTABLE_CLASSES == {"normal", "normal_order_constrained"}
+    for tag in flagged:
+        assert CLASSES[tag].arity == 1 and CLASSES[tag].normal
 
 
 # sha256 of every draw of a class from a 4-row stream at n = 1, 2, 5 and

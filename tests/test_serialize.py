@@ -1,6 +1,7 @@
 """JSON schemas: strict parsing, lossless round-trips, deterministic output."""
 
 import json
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,13 @@ def test_parse_matrix_text_round_trip():
     text = dumps(matrix_to_json(m))
     assert np.array_equal(parse_matrix_text(text), m)
 
+
+DEEP = (
+    "not valid JSON: maximum recursion depth exceeded while decoding a JSON array"
+    " from a unicode string"
+)
+# 1,000 nested lists, with a comma every four characters as in a matrix file.
+NESTED = "[0, " * 1000 + "0" + ", 0]" * 1000
 
 # Messages as the per-entry decoder gave them; the array decoder must keep
 # each one, including which offending entry it names first.
@@ -107,11 +115,20 @@ MALFORMED = [
     ('{"n": 1, "entries": [[[1e400,0]]]}', "matrix has non-finite entries"),
     ("[1,2,3]", "matrix document must be a JSON object"),
     ("not json", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
-    (  # nested deeper than the decoder's recursion limit
-        "[" * 100000 + "]" * 100000,
-        "not valid JSON: maximum recursion depth exceeded while decoding a JSON array"
-        " from a unicode string",
+    ("[" * 100000 + "]" * 100000, DEEP),  # nested deeper than json's recursion limit
+    # orjson reads each of the texts below otherwise than json does.
+    (  # orjson reads an integer beyond 64 bits as a float
+        '{"n": 123456789012345678901234567890, "entries": []}',
+        '"entries" must be a list of 123456789012345678901234567890 rows',
     ),
+    (NESTED, DEEP),  # orjson takes any depth
+    # A valid matrix beside a value nested too deep for json, under a key
+    # of its own or under an "n" that a repeated "n" replaces.
+    ('{"n": 1, "entries": [[[1, 0]]], "note": ' + NESTED + "}", DEEP),
+    ('{"n": ' + NESTED + ', "n": 1, "entries": [[[1, 0]]]}', DEEP),
+    # A pair nested too deep for json, where orjson's document is too deep
+    # for the repr that names the offending pair.
+    ('{"n": 1, "entries": [[' + NESTED + "]]}", DEEP),
 ]
 # A payload names its case, shortened when it is too long to read.
 MALFORMED_IDS = [p if len(p) <= 80 else f"{p[:8]}...({len(p)} chars)" for p, _ in MALFORMED]
@@ -164,18 +181,35 @@ FINITE_FLOATS = st.one_of(
     st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
 )
 
+# JSON spellings of a float that json reads as that float, sign included:
+# the shortest repr, 18 and 17 significant digits with a signed exponent of
+# at least two digits, and every digit of the exact value (up to 767).
+SPELLINGS = [repr, "{:.17e}".format, "{:.16E}".format, lambda x: f"{Decimal(x):E}"]
+
+# (value, spelling) pairs.
+SPELLED_FLOATS = st.tuples(FINITE_FLOATS, st.sampled_from(SPELLINGS)).map(
+    lambda p: (p[0], p[1](p[0]))
+)
+SPELLED_INTEGERS = st.integers(-(10**308), 10**308).map(lambda i: (i, str(i)))
+
 
 @st.composite
 def _square(draw_, values):
+    """n, the values of n x n entries and a JSON matrix text that spells them."""
     n = draw_(st.integers(1, 5))
-    return n, draw_(st.lists(values, min_size=2 * n * n, max_size=2 * n * n))
+    numbers = draw_(st.lists(values, min_size=2 * n * n, max_size=2 * n * n))
+    spelled = [s for _, s in numbers]
+    pairs = [f"[{re}, {im}]" for re, im in zip(spelled[::2], spelled[1::2])]
+    rows = ["[" + ", ".join(pairs[i : i + n]) + "]" for i in range(0, n * n, n)]
+    return n, [x for x, _ in numbers], '{"n": %d, "entries": [%s]}' % (n, ", ".join(rows))
 
 
-@given(_square(FINITE_FLOATS))
+@given(_square(SPELLED_FLOATS))
 def test_parse_matrix_text_round_trip_is_bitwise(square):
-    n, values = square
+    n, values, text = square
     m = np.array(values, dtype=np.float64).view(np.complex128).reshape(n, n)
     _assert_bitwise_equal(parse_matrix_text(dumps(matrix_to_json(m))), m)
+    _assert_bitwise_equal(parse_matrix_text(text), m)
 
 
 def _reference_decode(entries) -> np.ndarray:
@@ -183,13 +217,28 @@ def _reference_decode(entries) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in entries], dtype=np.complex128)
 
 
-@given(_square(st.one_of(FINITE_FLOATS, st.integers(-(10**308), 10**308))))
+@given(_square(st.one_of(SPELLED_FLOATS, SPELLED_INTEGERS)))
 def test_parse_matrix_text_integer_and_mixed_entries(square):
-    n, values = square
+    n, values, text = square
     pairs = [values[i : i + 2] for i in range(0, len(values), 2)]
     entries = [pairs[i : i + n] for i in range(0, len(pairs), n)]
-    text = json.dumps({"n": n, "entries": entries})
-    _assert_bitwise_equal(parse_matrix_text(text), _reference_decode(entries))
+    want = _reference_decode(entries)
+    _assert_bitwise_equal(parse_matrix_text(text), want)
+    _assert_bitwise_equal(parse_matrix_text(json.dumps({"n": n, "entries": entries})), want)
+
+
+def test_parse_matrix_text_rounds_a_long_tie_to_even():
+    # 1 + 2**-53, halfway between 1.0 and the next float, written with 774
+    # significant digits: it rounds to the even 1.0.
+    tie = "1.00000000000000011102230246251565404236316680908203125" + "0" * 720
+    m = parse_matrix_text('{"n": 1, "entries": [[[%s, 0]]]}' % tie)
+    _assert_bitwise_equal(m, np.array([[1.0 + 0j]]))
+
+
+def test_parse_matrix_text_keeps_keys_it_does_not_read():
+    # json reads a lone surrogate, so it does not spoil a valid matrix.
+    m = parse_matrix_text('{"n": 1, "entries": [[[1, 0]]], "note": "\\ud800"}')
+    _assert_bitwise_equal(m, np.array([[1.0 + 0j]]))
 
 
 def test_matrix_from_json_takes_float_subclasses_as_floats():
