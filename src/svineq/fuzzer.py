@@ -122,10 +122,6 @@ class MarginHistogram:
             idx = min(max(idx, 0), len(self.counts) - 1)
             self.counts[idx] += 1
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts) + self.underflow + self.overflow
-
 
 @dataclass
 class SideStats:
@@ -220,8 +216,7 @@ def _plan(config: CampaignConfig) -> list[tuple[CatalogEntry, str, Callable, tup
         raise ConfigInvalid("campaign has no targets")
     if not randgen.is_integer(config.trials_per_dim) or config.trials_per_dim < 1:
         raise ConfigInvalid(f"trials_per_dim must be >= 1, got {config.trials_per_dim!r}")
-    if not randgen.is_integer(config.seed) or not 0 <= config.seed < 2**64:
-        raise ConfigInvalid(f"seed must be an unsigned 64-bit integer, got {config.seed!r}")
+    randgen._check_u64(config.seed, "seed", ConfigInvalid)
     if not isinstance(config.tol, Tolerance):
         raise ConfigInvalid("tol must be a Tolerance")
     scale = config.scale
@@ -413,19 +408,19 @@ def _graded(config: CampaignConfig, plan: list, chunks: list) -> list:
     folding them in trial order does, and return the aggregators.
 
     With two usable CPUs and two chunks or more, a child forked here grades
-    half the chunks.  Chunks of one shape (dimension, trials) cost about
-    the same, so the chunks sorted by shape are dealt alternately, the
-    first to the child: which process grades a chunk depends on the plan
-    alone.  The child is an accelerator that gives a whole fold or nothing:
-    only after it has folded every chunk dealt to it does it send its
-    aggregators, as one pickle, and a chunk that raises ends it with
-    nothing sent.  The caller merges that message once its own fold has
-    finished too.  On any other outcome (an error in its own chunks, no
-    message or part of one, no process to fork) it kills and reaps the
-    child and folds every chunk itself, as on one CPU, which raises the
-    first error in trial order as it was raised.  The child ignores SIGINT
-    and ends with ``os._exit``; the caller kills and reaps it before it
-    returns, also on an interrupt.
+    half the chunks: sorted by shape (dimension, trials), they are dealt
+    alternately, the first to the child, so which process grades a chunk
+    depends on the plan alone.  The halves need not cost the same: chunks
+    of one shape differ in cost by target, up to 5x at n = 64.  The child
+    is an accelerator that gives a whole fold or nothing: only after it
+    has folded every chunk dealt to it does it send its aggregators, as
+    one pickle, and a chunk that raises ends it with nothing sent.  The
+    caller merges that message once its own fold has finished too.  On any
+    other outcome (an error in its own chunks, no message or part of one,
+    no process to fork) it kills and reaps the child and folds every chunk
+    itself, as on one CPU, which raises the first error in trial order as
+    it was raised.  The child ignores SIGINT and ends with ``os._exit``;
+    the caller kills and reaps it before it returns, also on an interrupt.
     """
     everything = range(len(chunks))
     # Fork only on Linux with numpy's OpenBLAS, whose fork handlers stop its
@@ -671,8 +666,7 @@ def search_counterexample(target: SearchTarget, seed: int) -> Witness | None:
     is the witness the restarts give when run one after the other.  Only
     the witness gets a full report.
     """
-    if not randgen.is_integer(seed) or not 0 <= seed < 2**64:
-        raise ConfigInvalid(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    randgen._check_u64(seed, "seed", ConfigInvalid)
     entry = catalog_entry(target.target_id)
     dims = target.dims or entry.search_dims
     cap = max(1, CHUNK_ELEMENTS // max((2 ** _search_depth(n) - 1) * n * n for n in dims))

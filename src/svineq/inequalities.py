@@ -67,7 +67,6 @@ from .numkernel import (
     _fro,
     _herm,
     _require_hermitian,
-    _zero_slices,
     abs_ops,
     direct_sum_spectrum,
     loewner_leq,
@@ -231,11 +230,7 @@ def _psd_hypotheses(name: str, x: np.ndarray, tol: Tolerance) -> tuple[dict, np.
     for a zero slice); positivity is backed by ``{name}_min_eigenvalue``,
     the smallest of them."""
     hypotheses, herm_tol = _hermitian(name, x, tol)
-    h = _herm(x)
-    eigs = _eigvalsh(h)
-    zero = _zero_slices(h)
-    if zero is not None:
-        eigs[zero] = 0.0
+    eigs = _eigvalsh(_herm(x))
     min_eig = eigs[:, 0]
     psd = hypotheses[f"{name}_hermitian"][0] & (min_eig >= -herm_tol)
     hypotheses[f"{name}_positive"] = (psd, {f"{name}_min_eigenvalue": min_eig})
@@ -453,20 +448,16 @@ def _core_thm_2_4(mats, tol) -> Graded:
     return Graded((side,), {**_normal("", a, tol), **order})
 
 
-def _core_thm_2_5(half: str):
+def _core_thm_2_5(half: str, mats, tol) -> Graded:
     """thm-2.5-plus/-minus: s_j(A±) <= s_j(|A| ⊕ (|A|∓A)/2) for Hermitian A."""
-
     # Every spectrum is a function of the ascending eigenvalues w of A: A⁺
     # and A⁻ have max(±w, 0), |A| has |w|, and (|A| ∓ A)/2 is A∓.
-    def core(mats, tol) -> Graded:
-        h, _ = _require_hermitian(mats[0], "A")
-        w = _eigvalsh(h)  # ascending, so -w descends
-        plus, minus = np.where(w > 0, w, 0.0)[:, ::-1], np.where(w < 0, -w, 0.0)
-        part, rest = (plus, minus) if half == "plus" else (minus, plus)
-        rhs = direct_sum_spectrum(np.sort(np.abs(w), axis=-1)[:, ::-1], rest)
-        return Graded((_spectrum_side("main", part, rhs),))
-
-    return core
+    h, _ = _require_hermitian(mats[0], "A")
+    w = _eigvalsh(h)  # ascending, so -w descends
+    plus, minus = np.where(w > 0, w, 0.0)[:, ::-1], np.where(w < 0, -w, 0.0)
+    part, rest = (plus, minus) if half == "plus" else (minus, plus)
+    rhs = direct_sum_spectrum(np.sort(np.abs(w), axis=-1)[:, ::-1], rest)
+    return Graded((_spectrum_side("main", part, rhs),))
 
 
 def _core_thm_2_7(mats, tol) -> Graded:
@@ -626,8 +617,8 @@ _register("ak-1.3", 3, "psd_block2", _core_ak_1_3)
 _register("ak-1.4", 2, "dominated_pair", _core_ak_1_4)
 _register("thm-2.1", 1, "normal", _core_thm_2_1)
 _register("thm-2.4", 1, "normal_order_constrained", _core_thm_2_4)
-_register("thm-2.5-plus", 1, "hermitian", _core_thm_2_5("plus"))
-_register("thm-2.5-minus", 1, "hermitian", _core_thm_2_5("minus"))
+_register("thm-2.5-plus", 1, "hermitian", functools.partial(_core_thm_2_5, "plus"))
+_register("thm-2.5-minus", 1, "hermitian", functools.partial(_core_thm_2_5, "minus"))
 _register("thm-2.7", 1, "ginibre", _core_thm_2_7)
 _register("thm-2.8", 2, "ginibre", _core_thm_2_8)
 _register("cor-2.9", 2, "normal_pair_shared_basis", _core_cor_2_9)

@@ -290,8 +290,13 @@ def _lapack(fn, x: np.ndarray, **kwargs):
 
 
 def _eigvalsh(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of (already symmetrised) Hermitian matrices."""
-    return _lapack(np.linalg.eigvalsh, h)
+    """Ascending eigenvalues of (already symmetrised) Hermitian matrices,
+    exactly 0 for a zero slice, which LAPACK gives as -0.0 for -0.0 entries."""
+    eigs = _lapack(np.linalg.eigvalsh, h)
+    zero = _zero_slices(h)
+    if zero is not None:
+        eigs[zero] = 0.0
+    return eigs
 
 
 def hermitian_eig(x: np.ndarray):
@@ -409,9 +414,4 @@ def loewner_leq(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     because the rounding in Y - X is relative to X and Y.
     """
     hx, hy = _herm(x), _herm(y)
-    diff = hy - hx
-    eigs = _eigvalsh(diff)
-    zero = _zero_slices(diff)
-    if zero is not None:
-        eigs[zero] = 0.0
-    return eigs, np.maximum(_fro(hx), _fro(hy))
+    return _eigvalsh(hy - hx), np.maximum(_fro(hx), _fro(hy))

@@ -36,9 +36,9 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_u64(value: int, name: str) -> int:
+def _check_u64(value: int, name: str, error: type[ValueError] = InvalidSpec) -> int:
     if not is_integer(value) or not 0 <= int(value) < 2**64:
-        raise InvalidSpec(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+        raise error(f"{name} must be an unsigned 64-bit integer, got {value!r}")
     return int(value)
 
 

@@ -9,10 +9,12 @@ version.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Any
 
 import numpy as np
@@ -262,113 +264,104 @@ def _object(value) -> dict:
     return _expect(value, (dict,), "an object")
 
 
-# --- tolerances and reports --------------------------------------------------
+# --- tolerances, reports and witnesses -----------------------------------------
+#
+# Each kind is one table of (key, attribute, write, read) rows in key order:
+# the writer sets ``key`` to ``write(obj.attribute)`` and the reader passes
+# ``read(doc[key])`` as ``attribute``, so each key is named once for both.
 
 
-def tolerance_to_json(tol: Tolerance) -> dict[str, float]:
-    return {"tol_rel": tol.tol_rel}
+def _same(value):
+    return value
 
 
-def tolerance_from_json(doc) -> Tolerance:
-    return Tolerance(tol_rel=_number(_object(doc)["tol_rel"]))
+def _tuple_of(read):
+    return lambda value: tuple(map(read, _list(value)))
+
+
+def _write(table, obj) -> dict[str, Any]:
+    doc = {}
+    for key, attr, write, _ in table:  # a loop: on Python 3.11 faster than a comprehension
+        doc[key] = write(getattr(obj, attr))
+    return doc
+
+
+def _read(table, cls, doc, **more):
+    """``cls`` from the object ``doc`` and the arguments ``more``; a missing
+    key raises KeyError."""
+    doc = _object(doc)
+    return cls(**{attr: read(doc[key]) for key, attr, _, read in table}, **more)
+
+
+_TOLERANCE = (("tol_rel", "tol_rel", _same, _number),)
+tolerance_to_json = functools.partial(_write, _TOLERANCE)
+tolerance_from_json = functools.partial(_read, _TOLERANCE, Tolerance)
+
+# A side's per-index columns follow these keys as the rows of "per_index".
+_SIDE = (
+    ("label", "label", _same, _str),
+    ("kind", "kind", _same, _str),
+    ("scale", "scale", _same, _finite),
+    ("min_margin", "min_margin", _same, _finite),
+)
 
 
 def _side_to_json(side: MarginSide) -> dict[str, Any]:
-    return {
-        "label": side.label,
-        "kind": side.kind,
-        "scale": side.scale,
-        "min_margin": side.min_margin,
-        "per_index": [
-            {"j": j, "lhs": lhs, "rhs": rhs, "margin": margin}
-            for j, (lhs, rhs, margin) in enumerate(zip(side.lhs, side.rhs, side.margin), 1)
-        ],
-    }
+    doc = _write(_SIDE, side)
+    doc["per_index"] = [
+        {"j": j, "lhs": lhs, "rhs": rhs, "margin": margin}
+        for j, (lhs, rhs, margin) in enumerate(zip(side.lhs, side.rhs, side.margin), 1)
+    ]
+    return doc
 
 
 def _side_from_json(doc) -> MarginSide:
-    doc = _object(doc)
-    rows = list(map(_object, _list(doc["per_index"])))
+    rows = list(map(_object, _list(_object(doc)["per_index"])))
     if [_int(row["j"]) for row in rows] != [*range(1, len(rows) + 1)]:
         raise ValueError("the per-index j must run 1..m")
-    return MarginSide(
-        label=_str(doc["label"]),
-        kind=_str(doc["kind"]),
-        lhs=tuple(_finite(row["lhs"]) for row in rows),
-        rhs=tuple(_finite(row["rhs"]) for row in rows),
-        margin=tuple(_finite(row["margin"]) for row in rows),
-        scale=_finite(doc["scale"]),
-        min_margin=_finite(doc["min_margin"]),
-    )
+    columns = {name: tuple(_finite(row[name]) for row in rows) for name in ("lhs", "rhs", "margin")}
+    return _read(_SIDE, MarginSide, doc, **columns)
 
 
-def report_to_json(report: InequalityReport) -> dict[str, Any]:
-    return {
-        "id": report.ineq_id,
-        "dims": list(report.dims),
-        "verdict": report.verdict.value,
-        "min_margin": report.min_margin,
-        "tol_used": report.tol_used,
-        "hypothesis_residuals": dict(report.hypothesis_residuals),
-        "skipped": list(report.skipped),
-        "sides": [_side_to_json(s) for s in report.sides],
-    }
+_REPORT = (
+    ("id", "ineq_id", _same, _str),
+    ("dims", "dims", list, _tuple_of(_int)),
+    ("verdict", "verdict", attrgetter("value"), lambda value: Verdict(_str(value))),
+    ("min_margin", "min_margin", _same, _finite),
+    ("tol_used", "tol_used", _same, _finite),
+    ("hypothesis_residuals", "hypothesis_residuals", dict,
+     lambda value: {name: _finite(x) for name, x in _object(value).items()}),
+    ("skipped", "skipped", list, _tuple_of(_str)),
+    ("sides", "sides", lambda sides: list(map(_side_to_json, sides)), _tuple_of(_side_from_json)),
+)
+report_to_json = functools.partial(_write, _REPORT)
+report_from_json = functools.partial(_read, _REPORT, InequalityReport)
 
-
-def report_from_json(doc) -> InequalityReport:
-    doc = _object(doc)
-    return InequalityReport(
-        ineq_id=_str(doc["id"]),
-        dims=tuple(map(_int, _list(doc["dims"]))),
-        verdict=Verdict(_str(doc["verdict"])),
-        min_margin=_finite(doc["min_margin"]),
-        tol_used=_finite(doc["tol_used"]),
-        sides=tuple(map(_side_from_json, _list(doc["sides"]))),
-        skipped=tuple(map(_str, _list(doc["skipped"]))),
-        hypothesis_residuals={
-            k: _finite(v) for k, v in _object(doc["hypothesis_residuals"]).items()
-        },
-    )
-
-
-# --- witnesses ---------------------------------------------------------------
-
-
-def witness_to_json(witness: Witness) -> dict[str, Any]:
-    return {
-        "ineq_id": witness.ineq_id,
-        "class": witness.class_tag,
-        "dim": witness.dim,
-        "seed": witness.seed,
-        "trial": witness.trial,
-        "tol": tolerance_to_json(witness.tol),
-        "inputs": [matrix_to_json(m) for m in witness.inputs],
-        "report": report_to_json(witness.report),
-    }
+_WITNESS = (
+    ("ineq_id", "ineq_id", _same, _str),
+    ("class", "class_tag", _same, _str),
+    ("dim", "dim", _same, _int),
+    ("seed", "seed", _same, _int),
+    ("trial", "trial", _same, _int),
+    ("tol", "tol", tolerance_to_json, tolerance_from_json),
+    ("inputs", "inputs", lambda inputs: list(map(matrix_to_json, inputs)),
+     _tuple_of(matrix_from_json)),
+    ("report", "report", report_to_json, report_from_json),
+)
+witness_to_json = functools.partial(_write, _WITNESS)
 
 
 def witness_from_json(doc) -> Witness:
     if not isinstance(doc, dict):
         raise MalformedWitness("witness document must be a JSON object")
-    required = ("ineq_id", "class", "dim", "seed", "trial", "tol", "inputs", "report")
-    missing = [k for k in required if k not in doc]
+    missing = [key for key, *_ in _WITNESS if key not in doc]
     if missing:
         raise MalformedWitness(f"witness document missing fields: {missing}")
     try:
-        inputs = tuple(map(matrix_from_json, _list(doc["inputs"])))
-        witness = Witness(
-            ineq_id=_str(doc["ineq_id"]),
-            class_tag=_str(doc["class"]),
-            dim=_int(doc["dim"]),
-            seed=_int(doc["seed"]),
-            trial=_int(doc["trial"]),
-            tol=tolerance_from_json(doc["tol"]),
-            inputs=inputs,
-            report=report_from_json(doc["report"]),
-        )
+        witness = _read(_WITNESS, Witness, doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedWitness(f"cannot parse witness: {exc}") from exc
-    report, n = witness.report, witness.dim
+    report, n, inputs = witness.report, witness.dim, witness.inputs
     if (report.ineq_id != witness.ineq_id or report.dims != (n,) * len(inputs)
             or any(m.shape[0] != n for m in inputs)):
         raise MalformedWitness("the report's id or dims disagree with the witness")

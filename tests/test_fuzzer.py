@@ -145,7 +145,7 @@ def test_campaign_aggregates_across_dims():
     assert t.trials == 12
     assert t.dims == (2, 3, 5)
     assert t.holds == 12  # theorem with its canonical class
-    assert t.histogram.total == 12
+    assert sum(t.histogram.counts) + t.histogram.underflow + t.histogram.overflow == 12
     assert "left" in t.side_stats and "right" in t.side_stats
 
 
@@ -172,7 +172,8 @@ def test_structurally_wrong_class_counts_hypothesis_violations():
     )
     (t,) = result.targets
     assert t.hypothesis_violated == t.trials == 12
-    assert t.histogram.total == 0  # no sided reports to bin
+    # No sided reports to bin.
+    assert sum(t.histogram.counts) + t.histogram.underflow + t.histogram.overflow == 0
     assert t.min_margin is None
     assert t.worst_witness is None
 
@@ -243,7 +244,7 @@ def test_non_hermitian_trial_in_a_chunk_is_rejected_alone():
     assert agg.floor == min((margins[0], 5), (margins[1], 7))
     t = agg.finish(small_config(), entry, "hermitian", None, (2,))
     assert (t.trials, t.holds, t.hypothesis_violated) == (3, 2, 1)
-    assert t.histogram.total == 2
+    assert sum(t.histogram.counts) + t.histogram.underflow + t.histogram.overflow == 2
     assert t.min_margin == min(margins)
 
 
@@ -924,7 +925,7 @@ def test_histogram_binning():
     h.add(1e5)
     assert h.underflow == 4
     assert h.overflow == 1
-    assert h.total == 6
+    assert sum(h.counts) + h.underflow + h.overflow == 6
     assert sum(h.counts) == 1
     assert h.counts[24] == 1  # log10(1.0) = 0 lands 24 half-decades above 1e-12
 

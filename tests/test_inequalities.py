@@ -7,13 +7,14 @@ from running the checker and copying its output.
 
 import dataclasses
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svineq import inequalities
+from svineq import inequalities, numkernel
 from svineq.fixtures import EX_2_2, EX_2_3
 from svineq.fuzzer import _drawer
 from svineq.inequalities import (
@@ -757,6 +758,67 @@ def test_stacked_checker_matches_single_checks(ineq_id):
     assert len(checked) == 5
     for i in range(5):
         assert checked.report(i) == check(ineq_id, [m[i] for m in mats])
+
+
+# The kernel calls of one stacked run on canonical draws (n = 3, k = 4):
+# (np.linalg.eigvalsh, np.linalg.eigh, np.linalg.svd, numkernel.abs_op).
+# The svd count includes the one inside each abs_op.  tao-1.2, ak-1.4,
+# thm-2.4 and thm-2.5 reuse the eigenvalues their hypotheses or cores
+# already hold for a bitwise-Hermitian spectrum; thm-2.1,
+# loewner-cartesian and proof-facts-2.1 take every |.| in one grouped call.
+KERNEL_CALLS = {
+    "scalar-1.6": (0, 0, 1, 0),
+    "bk-1.1": (3, 0, 1, 0),
+    "tao-1.2": (1, 0, 1, 0),
+    "ak-1.3": (3, 0, 1, 0),
+    "ak-1.4": (4, 0, 0, 0),
+    "thm-2.1": (2, 0, 2, 1),
+    "thm-2.4": (2, 2, 1, 0),
+    "thm-2.5-plus": (1, 0, 0, 0),
+    "thm-2.5-minus": (1, 0, 0, 0),
+    "thm-2.7": (1, 0, 1, 0),
+    "thm-2.8": (2, 0, 1, 0),
+    "cor-2.9": (1, 0, 1, 0),
+    "loewner-cartesian": (2, 0, 1, 1),
+    "proof-facts-2.1": (2, 1, 1, 1),
+    "bk-1.1-hermitian-B": (3, 0, 1, 0),
+    "thm-2.1-nonnormal": (2, 0, 2, 1),
+    "loewner-cartesian-general": (2, 0, 1, 1),
+    "proof-facts-2.1-general": (2, 1, 1, 1),
+}
+
+
+def test_kernel_calls_of_one_run_are_pinned(monkeypatch):
+    assert list(KERNEL_CALLS) == list(catalog_ids(include_variants=True))
+    counts = {}
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ("eigvalsh", "eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(numkernel, "abs_op", counting("abs_op", numkernel.abs_op))
+    got = {}
+    for ineq_id in KERNEL_CALLS:
+        entry = catalog_entry(ineq_id)
+        stream = prng_stream(7, np.arange(4, dtype=np.uint64))
+        mats = _drawer(entry, entry.canonical_class)(entry.fixed_dim or 3, stream, 1.0)
+        counts.update(eigvalsh=0, eigh=0, svd=0, abs_op=0)
+        entry.run(mats, DEFAULT_TOL)
+        got[ineq_id] = (counts["eigvalsh"], counts["eigh"], counts["svd"], counts["abs_op"])
+    assert got == KERNEL_CALLS
+
+
+def test_every_catalog_entry_pickles():
+    for ineq_id in catalog_ids(include_variants=True):
+        entry = catalog_entry(ineq_id)
+        back = pickle.loads(pickle.dumps(entry))
+        mats = _drawer(entry, entry.canonical_class)(entry.fixed_dim or 3, prng_stream(3, [0]), 1.0)
+        assert back.run(mats, DEFAULT_TOL).report(0) == entry.run(mats, DEFAULT_TOL).report(0)
 
 
 def test_a_skipped_side_never_sets_the_report_scale():

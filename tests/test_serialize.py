@@ -29,6 +29,8 @@ from svineq.serialize import (
     tolerance_to_json,
     witness_document,
     witness_from_document,
+    witness_from_json,
+    witness_to_json,
 )
 
 from conftest import draw, mat
@@ -159,7 +161,6 @@ def test_parse_matrix_text_rejects_integer_outside_float_range(pair):
 
 def test_witness_with_integer_outside_float_range_is_malformed():
     from svineq.fuzzer import MalformedWitness
-    from svineq.serialize import witness_from_json
 
     w = search_counterexample(
         SearchTarget(target_id="loewner-cartesian-general", budget=20), seed=0
@@ -453,6 +454,29 @@ def test_witness_document_round_trip():
         assert np.array_equal(x, y)
 
 
+def test_every_golden_witness_reads_and_writes_back_byte_for_byte():
+    # The search documents whole, and each worst witness of a campaign.
+    witnesses = []
+    for path in sorted(GOLDEN.glob("*.json")):
+        doc = loads_strict(path.read_text())
+        if doc["kind"] == "witness":
+            witness = witness_from_json(doc)
+            assert dumps(witness_document(witness)) == path.read_text(), path.name
+            witnesses.append(path.name)
+        for target in doc.get("results", ()):
+            if target["worst_witness"] is not None:
+                witness = witness_from_json(target["worst_witness"])
+                assert dumps(witness_to_json(witness)) == dumps(target["worst_witness"])
+                witnesses.append(path.name)
+    assert sorted(witnesses) == [
+        "edge-campaign.json",
+        "edge-campaign.json",
+        "search-bk-1.1-hermitian-B.json",
+        "search-loewner-cartesian-general.json",
+        "search-thm-2.1-nonnormal.json",
+    ]
+
+
 def test_witness_document_rejects_wrong_kind():
     w = search_counterexample(
         SearchTarget(target_id="loewner-cartesian-general", budget=20), seed=0
@@ -467,7 +491,6 @@ def test_witness_document_rejects_wrong_kind():
 
 def test_witness_json_rejects_missing_fields():
     from svineq.fuzzer import MalformedWitness
-    from svineq.serialize import witness_from_json
 
     with pytest.raises(MalformedWitness):
         witness_from_json({"id": "thm-2.1"})
