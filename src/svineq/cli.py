@@ -28,6 +28,7 @@ from .fixtures import FIXTURE_KEYS, _fmt, reproduce
 from .fuzzer import (
     CampaignConfig,
     SEARCH_TARGET_IDS,
+    WITNESS_FACTOR,
     SearchTarget,
     run_campaign,
     search_counterexample,
@@ -66,25 +67,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
+    """The dimensions ``text`` lists; ``fuzzer._validate_dims`` checks them."""
     text = text.strip()
     try:
         if ".." in text:
             lo, hi = map(int, text.split("..", 1))
+            # A range outside 1..MAX_DIM stands for its bounds, so that the
+            # check names one of them before a list that long is built.
+            dims = range(lo, hi + 1) if 1 <= lo and hi <= MAX_DIM else (lo, hi)
         else:
             dims = [int(p) for p in text.split(",") if p.strip() != ""]
     except ValueError:
         raise _UsageError(f"cannot parse dimensions {text!r}") from None
-    if ".." in text:
-        if lo > hi:
-            raise _UsageError(f"empty dimension range {text!r}")
-        # A range outside 1..MAX_DIM is reported by its bounds, before any
-        # list of that length is built.
-        dims = list(range(lo, hi + 1)) if 1 <= lo and hi <= MAX_DIM else [lo, hi]
     if not dims:
         raise _UsageError(f"no dimensions in {text!r}")
-    for d in dims:
-        if not 1 <= d <= MAX_DIM:
-            raise _UsageError(f"dimension {d} outside 1..{MAX_DIM}")
     return tuple(dims)
 
 
@@ -202,7 +198,8 @@ def cmd_search(args) -> int:
     report = witness.report
     found = (
         f"witness found: target={args.target} dim={witness.dim} restart={witness.trial}"
-        f" min_margin={_fmt(report.min_margin)} (threshold {_fmt(-10.0 * report.tol_used)})"
+        f" min_margin={_fmt(report.min_margin)}"
+        f" (threshold {_fmt(-WITNESS_FACTOR * report.tol_used)})"
     )
     _out_or_stdout(args.out, [found], dumps(witness_document(witness)))
     return EXIT_HOLDS
@@ -216,9 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``svineq`` parser, built on the first call and shared after it.
 
     Parsing leaves the parser unchanged and gives each call a fresh
-    namespace, so repeated ``main`` calls in one process share it.  Each
-    subcommand's ``func`` default is bound when the parser is built: a
-    ``cmd_*`` function replaced on this module afterwards is not called.
+    namespace, so repeated ``main`` calls in one process share it.
     """
     parser = _Parser(prog="svineq", description=__doc__)
     parser.add_argument("--version", action="version", version=f"svineq {__version__}")
@@ -229,12 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("files", nargs="+", help="matrix JSON files")
     p_verify.add_argument("--tol-rel", type=float, default=DEFAULT_TOL.tol_rel)
     p_verify.add_argument("--out", help="also write the report document to this file")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_repro = sub.add_parser("repro", help="reproduce an embedded fixture")
     p_repro.add_argument("fixture", choices=FIXTURE_KEYS)
     p_repro.add_argument("--out", help="also write the JSON document to this file")
-    p_repro.set_defaults(func=cmd_repro)
 
     p_fuzz = sub.add_parser("fuzz", help="run a seeded campaign")
     p_fuzz.add_argument(
@@ -248,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--tol-rel", type=float, default=DEFAULT_TOL.tol_rel)
     p_fuzz.add_argument("--out", help="write the campaign document to this file")
-    p_fuzz.set_defaults(func=cmd_fuzz)
 
     p_search = sub.add_parser("search", help="search for a counterexample")
     p_search.add_argument("--target", required=True, choices=SEARCH_TARGET_IDS)
@@ -256,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--dims", help="override the target's default dimensions")
     p_search.add_argument("--out", help="write the witness document to this file")
-    p_search.set_defaults(func=cmd_search)
 
     return parser
 
@@ -265,7 +256,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError, NoConvergence) as exc:
         # Usage errors and every error of the package but NoConvergence are
         # ValueErrors.

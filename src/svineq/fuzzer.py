@@ -24,12 +24,13 @@ Searches target statements that are false (or of unknown truth) in
 general: random restarts from an ambient parameterisation that preserves
 the statement's hypotheses, followed by greedy entrywise Gaussian
 perturbation with step-size halving.  A witness qualifies when its
-minimum margin is below ``-10 * tol_used``, well clear of numerical
-noise, and every witness replays deterministically through the same
-checker.  Candidates are scored as stacks: the next few greedy steps of
-a restart (fewer as n grows) as the tree of every candidate they could
-reach, and later restarts in lock-step blocks.  The witness is the one
-the restarts give when run one after the other, one candidate at a time.
+minimum margin is below ``-WITNESS_FACTOR * tol_used``, well clear of
+numerical noise, and every witness replays deterministically through the
+same checker.  Candidates are scored as stacks: the next few greedy
+steps of a restart (fewer as n grows) as the tree of every candidate
+they could reach, and later restarts in lock-step blocks.  The witness
+is the one the restarts give when run one after the other, one candidate
+at a time.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ class MarginHistogram:
     underflow: int = 0
     overflow: int = 0
 
-    _LO = -12.0
-    _HI = 4.0
+    LOG10_LO = -12.0
+    LOG10_HI = 4.0
 
     def add(self, margin: float) -> None:
         if margin < 1e-12:
@@ -117,8 +118,8 @@ class MarginHistogram:
         elif margin >= 1e4:
             self.overflow += 1
         else:
-            width = (self._HI - self._LO) / len(self.counts)
-            idx = int((math.log10(margin) - self._LO) / width)
+            width = (self.LOG10_HI - self.LOG10_LO) / len(self.counts)
+            idx = int((math.log10(margin) - self.LOG10_LO) / width)
             idx = min(max(idx, 0), len(self.counts) - 1)
             self.counts[idx] += 1
 
@@ -177,14 +178,15 @@ class CampaignResult:
         return sum(t.violated for t in self.targets if t.expected_to_hold)
 
 
-def _validate_dims(dims, where: str) -> tuple[int, ...]:
+def _validate_dims(dims) -> tuple[int, ...]:
+    """The one dimension rule of campaigns, searches and the CLI."""
     out = []
     for d in dims:
         if not randgen.is_integer(d) or not 1 <= int(d) <= MAX_DIM:
-            raise ConfigInvalid(f"{where}: dimension {d!r} outside 1..{MAX_DIM}")
+            raise ConfigInvalid(f"dimension {d!r} outside 1..{MAX_DIM}")
         out.append(int(d))
     if not out:
-        raise ConfigInvalid(f"{where}: at least one dimension required")
+        raise ConfigInvalid("at least one dimension required")
     return tuple(out)
 
 
@@ -223,7 +225,7 @@ def _plan(config: CampaignConfig) -> list[tuple[CatalogEntry, str, Callable, tup
     real = randgen.is_integer(scale) or isinstance(scale, float)
     if not (real and math.isfinite(scale) and scale > 0):
         raise ConfigInvalid(f"scale must be a positive finite real, got {config.scale!r}")
-    dims = _validate_dims(config.dims, "dims")
+    dims = _validate_dims(config.dims)
     jobs = []
     for item in config.targets:
         try:
@@ -490,6 +492,8 @@ SEARCH_TARGET_IDS = tuple(e.ineq_id for e in CATALOG.values() if e.search_dims)
 
 # Greedy perturbation steps each restart of a search runs at most.
 PERTURB_STEPS = 64
+# A search witness's minimum margin is below -WITNESS_FACTOR * tol_used.
+WITNESS_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -512,7 +516,7 @@ class SearchTarget:
         if not randgen.is_integer(self.budget) or self.budget < 0:
             raise ConfigInvalid(f"budget must be >= 0, got {self.budget!r}")
         if self.dims is not None:
-            object.__setattr__(self, "dims", _validate_dims(self.dims, "search dims"))
+            object.__setattr__(self, "dims", _validate_dims(self.dims))
 
 
 def _search_build(entry: CatalogEntry, params: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
@@ -598,7 +602,7 @@ def _search_restarts(
     def score(params: np.ndarray):
         mats = _search_build(entry, params, n)
         checked = entry.run(mats, DEFAULT_TOL)
-        return mats, checked, checked.min_margin < -10.0 * checked.tol_used
+        return mats, checked, checked.min_margin < -WITNESS_FACTOR * checked.tol_used
 
     stream = randgen.prng_stream(seed, np.array(restarts, dtype=np.uint64))
     params = stream.normals(length)

@@ -20,15 +20,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .fuzzer import (
-    CampaignConfig,
-    CampaignResult,
-    MalformedWitness,
-    MarginHistogram,
-    SideStats,
-    TargetResult,
-    Witness,
-)
+from .fuzzer import MalformedWitness, Witness
 from .inequalities import InequalityReport, MarginSide, Verdict
 from .numkernel import InvalidMatrix, Tolerance, as_matrix
 
@@ -381,61 +373,52 @@ def witness_from_document(doc) -> Witness:
 
 
 # --- campaigns ---------------------------------------------------------------
+#
+# Campaign documents are written, never read, so their tables have no readers.
+
+_HISTOGRAM = (
+    ("log10_lo", "LOG10_LO", _same, None),
+    ("log10_hi", "LOG10_HI", _same, None),
+    ("counts", "counts", list, None),
+    ("underflow", "underflow", _same, None),
+    ("overflow", "overflow", _same, None),
+)
+_SIDE_STATS = (
+    ("min_margin", "min_margin", _same, None),
+    ("max_abs_margin", "max_abs_margin", _same, None),
+)
+_TARGET = (
+    ("id", "ineq_id", _same, None),
+    ("class", "class_tag", _same, None),
+    ("dims", "dims", list, None),
+    ("trials", "trials", _same, None),
+    ("holds", "holds", _same, None),
+    ("violated", "violated", _same, None),
+    ("hypothesis_violated", "hypothesis_violated", _same, None),
+    ("expected_to_hold", "expected_to_hold", _same, None),
+    ("min_margin", "min_margin", _same, None),
+    ("histogram", "histogram", functools.partial(_write, _HISTOGRAM), None),
+    ("side_stats", "side_stats",
+     lambda stats: {label: _write(_SIDE_STATS, s) for label, s in stats.items()}, None),
+    ("worst_witness", "worst_witness", lambda w: None if w is None else witness_to_json(w), None),
+)
+_target_to_json = functools.partial(_write, _TARGET)
+_CONFIG = (
+    ("targets", "targets", lambda targets: list(map(list, targets)), None),
+    ("dims", "dims", list, None),
+    ("trials_per_dim", "trials_per_dim", _same, None),
+    ("seed", "seed", _same, None),
+    ("scale", "scale", _same, None),
+    ("tol", "tol", tolerance_to_json, None),
+)
+_CAMPAIGN = (
+    ("config", "config", functools.partial(_write, _CONFIG), None),
+    ("results", "targets", lambda targets: list(map(_target_to_json, targets)), None),
+)
 
 
-def _histogram_to_json(h: MarginHistogram) -> dict[str, Any]:
-    return {
-        "log10_lo": h._LO,
-        "log10_hi": h._HI,
-        "counts": list(h.counts),
-        "underflow": h.underflow,
-        "overflow": h.overflow,
-    }
-
-
-def _side_stats_to_json(stats: dict[str, SideStats]) -> dict[str, Any]:
-    return {
-        label: {"min_margin": s.min_margin, "max_abs_margin": s.max_abs_margin}
-        for label, s in stats.items()
-    }
-
-
-def _target_to_json(t: TargetResult) -> dict[str, Any]:
-    return {
-        "id": t.ineq_id,
-        "class": t.class_tag,
-        "dims": list(t.dims),
-        "trials": t.trials,
-        "holds": t.holds,
-        "violated": t.violated,
-        "hypothesis_violated": t.hypothesis_violated,
-        "expected_to_hold": t.expected_to_hold,
-        "min_margin": t.min_margin,
-        "histogram": _histogram_to_json(t.histogram),
-        "side_stats": _side_stats_to_json(t.side_stats),
-        "worst_witness": None if t.worst_witness is None else witness_to_json(t.worst_witness),
-    }
-
-
-def config_to_json(config: CampaignConfig) -> dict[str, Any]:
-    return {
-        "targets": [[ineq_id, class_tag] for ineq_id, class_tag in config.targets],
-        "dims": list(config.dims),
-        "trials_per_dim": config.trials_per_dim,
-        "seed": config.seed,
-        "scale": config.scale,
-        "tol": tolerance_to_json(config.tol),
-    }
-
-
-def campaign_document(result: CampaignResult) -> dict[str, Any]:
-    return document(
-        "campaign",
-        {
-            "config": config_to_json(result.config),
-            "results": [_target_to_json(t) for t in result.targets],
-        },
-    )
+def campaign_document(result) -> dict[str, Any]:
+    return document("campaign", _write(_CAMPAIGN, result))
 
 
 def report_document(report: InequalityReport, tol: Tolerance) -> dict[str, Any]:

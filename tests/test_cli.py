@@ -16,7 +16,14 @@ import svineq.cli as cli
 import svineq.fixtures as fixtures
 from svineq.cli import main
 from svineq.fixtures import EX_2_2
-from svineq.fuzzer import replay
+from svineq.fuzzer import (
+    SEARCH_TARGET_IDS,
+    CampaignConfig,
+    ConfigInvalid,
+    SearchTarget,
+    replay,
+    run_campaign,
+)
 from svineq.inequalities import check
 from svineq.serialize import (
     dumps,
@@ -211,6 +218,28 @@ def test_fuzz_huge_dimension_range_exit_3(capsys):
     # would not fit in a list.
     assert main(["fuzz", "--ineq", "thm-2.7", "--dims", f"1..{10**20}"]) == 3
     assert f"error: dimension {10**20} outside 1..64" in capsys.readouterr().err
+
+
+def _dims_through(entry: str, d: int, capsys) -> str:
+    """The error text that dimension ``d`` gets through ``entry``."""
+    if entry in ("fuzz", "search"):
+        target = ["--ineq", "thm-2.7"] if entry == "fuzz" else ["--target", SEARCH_TARGET_IDS[0]]
+        assert main([entry, *target, "--dims", str(d)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("\n")
+        return err[len("error: ") : -1]
+    with pytest.raises(ConfigInvalid) as info:
+        if entry == "run_campaign":
+            run_campaign(CampaignConfig((("thm-2.7", "ginibre"),), (d,), trials_per_dim=1, seed=0))
+        else:
+            SearchTarget(SEARCH_TARGET_IDS[0], budget=1, dims=(d,))
+    return str(info.value)
+
+
+@pytest.mark.parametrize("d", [0, 65])
+@pytest.mark.parametrize("entry", ["fuzz", "search", "run_campaign", "SearchTarget"])
+def test_dimension_rule_has_one_message(entry, d, capsys):
+    assert _dims_through(entry, d, capsys) == f"dimension {d} outside 1..64"
 
 
 OVERFLOWING_GRAM_INPUTS = {

@@ -1145,3 +1145,51 @@ def test_checked_finite_reads_only_the_rows_a_side_evaluated():
     assert checked.sides[sqrt].present.tolist() == [False] * 4 + [True] * 2
     assert _planted(checked, ("side", sqrt), 0, np.nan).finite()
     assert not _planted(checked, ("side", sqrt), 5, np.nan).finite()
+
+
+# --- scale invariance (ROADMAP item 1) ------------------------------------------
+#
+# Every catalog statement is positively homogeneous, so verdict(c·A) must be
+# verdict(A) for every c > 0.  Each case below grades otherwise today.
+
+_ITEM_1 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+
+
+@_ITEM_1
+def test_underflowed_normality_defect_is_not_a_violation():
+    # A*A and AA* underflow to zero at 2^-600, so the defect reads 0.0.
+    x = mat([[1, 2j], [0.5, -1 + 1j]])
+    assert check("thm-2.1", [x]).verdict is Verdict.HYPOTHESIS_VIOLATED
+    assert check("thm-2.1", [2.0**-600 * x]).verdict is Verdict.HYPOTHESIS_VIOLATED
+
+
+@_ITEM_1
+def test_scalar_near_the_float_limit_grades_holds():
+    assert check("scalar-1.6", [mat([[1e308]]), mat([[1e308]])]).verdict is Verdict.HOLDS
+
+
+def _hermitian_pair(seed: int):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(2):
+        x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        out.append((x + x.conj().T) / 2)
+    return out
+
+
+@_ITEM_1
+def test_lower_degree_side_keeps_its_violation_at_large_scale():
+    # The sqrt side (degree 1) is graded against the square side's
+    # (degree 2) tolerance, which at 2^30 hides its margin of -3.1e8.
+    h1, h2 = _hermitian_pair(18)
+    assert check("proof-facts-2.1-general", [h1, h2]).verdict is Verdict.VIOLATED
+    scaled = check("proof-facts-2.1-general", [2.0**30 * h1, 2.0**30 * h2])
+    assert scaled.verdict is Verdict.VIOLATED
+
+
+@_ITEM_1
+def test_subnormal_tolerance_is_not_a_violation():
+    # tol_rel * scale underflows to 0.0, below a rounding margin of -5e-324.
+    rng = np.random.default_rng(4)
+    a = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) * 1e-319
+    assert check("thm-2.7", [a]).verdict is Verdict.HOLDS
