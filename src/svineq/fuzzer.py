@@ -26,11 +26,12 @@ the statement's hypotheses, followed by greedy entrywise Gaussian
 perturbation with step-size halving.  A witness qualifies when its
 minimum margin is below ``-WITNESS_FACTOR * tol_used``, well clear of
 numerical noise, and every witness replays deterministically through the
-same checker.  Candidates are scored as stacks: the next few greedy
-steps of a restart (fewer as n grows) as the tree of every candidate
-they could reach, and later restarts in lock-step blocks.  The witness
-is the one the restarts give when run one after the other, one candidate
-at a time.
+same checker.  Candidates are scored as stacks: the next greedy steps of
+a restart as the tree of every candidate they could reach, and later
+restarts in lock-step blocks.  A restart's rounds take 1, 2, then 4
+steps, at most one more than it has taken, and fewer as n grows.  The
+witness is the one the restarts give when run one after the other, one
+candidate at a time.
 """
 
 from __future__ import annotations
@@ -343,9 +344,9 @@ def _witness(
 ) -> Witness:
     """The witness of ``inputs``, with the report replay() recomputes: that
     of ``checked`` when it graded ``inputs`` as a stack of one, else one
-    rebuilt through that path.  Most searches hit at restart 0's first
-    point, alone, where grading it again would add about a third to the
-    search."""
+    rebuilt through that path.  Most searches hit alone, at restart 0's
+    first point or first step, where grading it again would add a call to
+    the one or two one-row calls of the search."""
     if checked is None or len(checked) > 1:
         checked = entry.run([m[None] for m in inputs], tol)
     return Witness(entry.ineq_id, class_tag, dim, seed, trial, tol, inputs, checked.report(0))
@@ -543,15 +544,16 @@ def _search_build(entry: CatalogEntry, params: np.ndarray, n: int) -> tuple[np.n
     return tuple(mats)
 
 
-# Greedy steps a restart takes per stacked call: the call scores the
-# binary tree of the 2**depth - 1 candidates those steps could reach.
-# A deeper tree makes fewer calls but scores more candidates the walk
-# does not take, which stops paying once eigensolver work outweighs the
-# per-call overhead.  So the depth is the largest, up to _SEARCH_DEPTH,
-# whose tree holds at most _TREE_ELEMENTS matrix entries: 4 for n <= 4,
-# 3 for n = 5, 6, 2 for n = 7..10 and 1 (no tree) from n = 11 on.  Timed
-# on a 2-core x86-64 box with one BLAS thread, depths 1..4 at n = 2..16
-# for all three targets.
+# The cap on the greedy steps a restart takes per stacked call: the call
+# scores the binary tree of the 2**depth - 1 candidates those steps could
+# reach.  A deeper tree makes fewer calls but scores more candidates the
+# walk does not take, which stops paying once eigensolver work outweighs
+# the per-call overhead.  So the cap is the largest depth, up to
+# _SEARCH_DEPTH, whose tree holds at most _TREE_ELEMENTS matrix entries:
+# 4 for n <= 4, 3 for n = 5, 6, 2 for n = 7..10 and 1 (no tree) from
+# n = 11 on.  Timed on a 2-core x86-64 box with one BLAS thread, depths
+# 1..4 at n = 2..16 for all three targets.  Below the cap, a round takes
+# one more step than the walk has (1, 2, 4): most walks qualify early.
 _SEARCH_DEPTH = 4
 _TREE_ELEMENTS = 300
 
@@ -570,16 +572,17 @@ def _search_tree(depth: int) -> tuple[np.ndarray, np.ndarray]:
     Node k scores p + sigma * z_t, t its level.  Its children are 2k + 1
     (k accepted: p moves to its candidate) and 2k + 2 (k rejected: sigma
     halves).  Returns, per node, where its p comes from (0 for the
-    restart's parameters, 1 + j for the candidate of node j) and how many
-    times its sigma was halved.
+    restart's parameters, 1 + j for the candidate of node j) and the factor
+    0.5 ** halvings its sigma is scaled by; halving sigma is exact, so node
+    sigmas are too.
     """
-    source, halvings = [0], [0]
+    source, factor = [0], [1.0]
     for k in range(1, 2**depth - 1):
         parent = (k - 1) // 2
         accepted = k % 2 == 1
         source.append(1 + parent if accepted else source[parent])
-        halvings.append(halvings[parent] + (0 if accepted else 1))
-    return np.array(source), np.array(halvings)
+        factor.append(factor[parent] * (1.0 if accepted else 0.5))
+    return np.array(source), np.array(factor)
 
 
 def _search_restarts(
@@ -592,10 +595,12 @@ def _search_restarts(
     ``checked`` scored them.  None if no restart qualifies.
 
     Each restart follows the path it takes on its own: a round draws the
-    next ``depth`` perturbations of every active restart, scores every
-    candidate they could reach as one stack, and walks each restart's
-    tree by the greedy rule.  A restart stops at its witness, and
-    restarts above the lowest witness so far are dropped.
+    next ``depth`` perturbations of every active restart in one stream
+    call, scores every candidate they could reach as one stack, and walks
+    each restart's tree by the greedy rule.  ``depth`` is at most one more
+    than the steps taken so far (1, 2, 4, ...) and at most
+    ``_search_depth(n)``.  A restart stops at its witness, and restarts
+    above the lowest witness so far are dropped.
     """
     length = 2 * entry.arity * n * n
 
@@ -616,14 +621,13 @@ def _search_restarts(
     active = np.arange(hits[0] if hits.size else len(restarts))
     taken = 0
     while active.size and taken < steps:
-        depth = min(_search_depth(n), steps - taken)
+        depth = min(_search_depth(n), steps - taken, taken + 1)
         taken += depth
-        # Step t perturbs by the t-th normals(length) draw, as a restart
-        # alone draws; halving sigma is exact, so node sigmas are too.
-        z = np.stack([stream.normals(length) for _ in range(depth)], axis=-2)[active]
-        source, halvings = _search_tree(depth)
+        # Step t perturbs by the t-th normals(length) draw of its stream row.
+        z = stream.normals(length, depth)[active]
+        source, factor = _search_tree(depth)
         width = len(source)
-        node_sigma = sigma[active][:, None, None] * 0.5 ** halvings[:, None]
+        node_sigma = sigma[active][:, None, None] * factor[:, None]
         points = np.empty((len(active), 1 + width, length))
         points[:, 0] = params[active]
         for t in range(depth):
@@ -661,14 +665,14 @@ def search_counterexample(target: SearchTarget, seed: int) -> Witness | None:
     Restart ``r`` draws from the row of index r of a stacked
     ``prng_stream(seed, restarts)`` and cycles through the target's
     dimensions, so the search is a pure function of (target, seed).  A
-    restart scores its initial point, then takes ``_search_depth(n)``
-    greedy steps per stacked call.  Restart 0 runs alone.  Later restarts
-    run in lock-step blocks of 1, 2, 4, ...: a block holds as many restarts
-    as have failed so far, capped so that their trees together hold at most
-    ``CHUNK_ELEMENTS`` matrix entries at the largest n, and it is checked
-    as one stack per dimension.  The lowest qualifying restart of a block
-    is the witness the restarts give when run one after the other.  Only
-    the witness gets a full report.
+    restart scores its initial point, then takes 1, 2, 4, ... greedy steps
+    per stacked call, up to ``_search_depth(n)``.  Restart 0 runs alone.
+    Later restarts run in lock-step blocks of 1, 2, 4, ...: a block holds
+    as many restarts as have failed so far, capped so that their largest
+    trees together hold at most ``CHUNK_ELEMENTS`` matrix entries at the
+    largest n, and it is checked as one stack per dimension.  The lowest
+    qualifying restart of a block is the witness the restarts give when
+    run one after the other.  Only the witness gets a full report.
     """
     randgen._check_u64(seed, "seed", ConfigInvalid)
     entry = catalog_entry(target.target_id)

@@ -84,15 +84,20 @@ class Stream:
         """Uniform doubles in [0, 1) from the top 53 bits of each word."""
         return (self.raw(count) >> _U64(11)) * 2.0**-53
 
-    def normals(self, count: int) -> np.ndarray:
-        """Standard real Gaussians via the Box-Muller transform."""
+    def normals(self, count: int, draws: int | None = None) -> np.ndarray:
+        """Standard real Gaussians via the Box-Muller transform, shape
+        (k, count).  With ``draws``, the (k, draws, count) stack of that many
+        consecutive ``normals(count)`` draws, from one ``uniforms`` call."""
         pairs = (count + 1) // 2
-        u = self.uniforms(2 * pairs)
-        u1, u2 = u[:, :pairs], u[:, pairs:]
+        u = self.uniforms(2 * pairs * (draws or 1))
+        if draws is not None:
+            u = u.reshape(len(u), draws, 2 * pairs)
+        u1, u2 = u[..., :pairs], u[..., pairs:]
         # log(1-u1) is safe: u1 < 1 exactly, and log1p(0) = 0 maps to z = 0.
         radius = np.sqrt(-2.0 * np.log1p(-u1))
         angle = (2.0 * math.pi) * u2
-        return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)[:, :count]
+        z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+        return z[..., :count]
 
     def complex_normals(self, count: int) -> np.ndarray:
         """Standard complex Gaussians (E|z|^2 = 1)."""

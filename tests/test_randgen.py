@@ -34,6 +34,19 @@ def test_stacked_stream_rows_match_single_streams(count):
             assert np.array_equal(row[r], alone[0])
 
 
+@pytest.mark.parametrize("draws", [1, 2, 3, 4])
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("count", [1, 8, 9])
+def test_normals_draws_match_consecutive_draws(count, rows, draws):
+    stacked = prng_stream(5, np.arange(rows, dtype=np.uint64))
+    one_by_one = prng_stream(5, np.arange(rows, dtype=np.uint64))
+    got = stacked.normals(count, draws)
+    want = np.stack([one_by_one.normals(count) for _ in range(draws)], axis=1)
+    assert got.shape == (rows, draws, count)
+    assert np.array_equal(got, want)
+    assert np.array_equal(stacked.raw(1), one_by_one.raw(1))
+
+
 def test_stacked_1x1_normal_keeps_the_one_matrix_product():
     # numpy multiplies one 1x1 matrix by a length-1 spectrum with its
     # scalar-operand loop and a stack of them with its vector loop, which

@@ -20,7 +20,7 @@ from svineq.fuzzer import (
     _search_build,
     search_counterexample,
 )
-from svineq.inequalities import Checked, catalog_entry
+from svineq.inequalities import CatalogEntry, Checked, catalog_entry
 from svineq.numkernel import DEFAULT_TOL
 
 
@@ -257,3 +257,27 @@ def test_mixed_dimension_blocks_return_the_lowest_witness(dims, steps, seed, mon
     monkeypatch.setattr(fuzzer, "PERTURB_STEPS", steps)
     target = SearchTarget("thm-2.1-nonnormal", budget=40, dims=dims)
     assert_same_witness(search_counterexample(target, seed), sequential_search(target, seed))
+
+
+@pytest.mark.parametrize(
+    "seed,rows",
+    [
+        # Restart 0 qualifies at its first step: two one-row calls, and
+        # the witness is not graded again.
+        (24, [1, 1]),
+        # Restart 0 fails all 64 steps in rounds of 1, 2, 4, ..., 4 and 1
+        # steps; restart 1 qualifies at its initial point.
+        (2, [1, 1, 3] + [15] * 15 + [1, 1]),
+    ],
+)
+def test_search_rounds_grow_with_the_walk(seed, rows, monkeypatch):
+    seen = []
+    run = CatalogEntry.run
+
+    def counting_run(self, mats, tol):
+        seen.append(len(mats[0]))
+        return run(self, mats, tol)
+
+    monkeypatch.setattr(CatalogEntry, "run", counting_run)
+    witness = search_counterexample(SearchTarget("loewner-cartesian-general", 10000), seed)
+    assert witness is not None and seen == rows
