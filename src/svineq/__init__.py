@@ -3,11 +3,12 @@ of dense complex matrices.
 
 The package is organised bottom-up:
 
-- ``numkernel``: matrix primitives over (k, n, n) stacks (Hermitian
-  eigendecomposition, operator absolute values by SVD, singular spectra
+- ``numkernel``: matrix primitives over (k, n, n) stacks (functions of
+  Hermitian matrices, operator absolute values by SVD, singular spectra
   by SVD or, for Hermitian operands, by eigendecomposition, direct-sum
   spectra, the positive-semidefinite order check, block assembly).
-- ``decomp``: Hermitian/skew and positive/negative part splittings.
+- ``decomp``: Hermitian/skew splitting and the positive part of the
+  Jordan splitting.
 - ``inequalities``: the checker catalog, which grades every hypothesis;
   each checker returns a report with per-index margins and a verdict.
 - ``randgen``: counter-based deterministic random matrix generators.

@@ -1,15 +1,16 @@
 """Operator decompositions over stacks of matrices.
 
 Two splittings are provided: the Hermitian/skew (real/imaginary part)
-splitting A = A1 + i*A2 of an arbitrary square matrix, and the
-positive/negative part splitting H = H+ - H- of a Hermitian matrix.
+splitting A = A1 + i*A2 of an arbitrary square matrix, and the Jordan
+splitting H = H+ - H- of a Hermitian matrix, whose negative part is the
+positive part of -H.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numkernel import _adj, _apply, hermitian_eig
+from .numkernel import _adj, _hermitian_function
 
 
 def cartesian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -26,14 +27,8 @@ def cartesian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a1, a2
 
 
-def jordan(x: np.ndarray, *halves: str) -> list[np.ndarray]:
-    """The requested halves ("plus", "minus") of a Hermitian stack.
-
-    Computed from the eigendecomposition by clipping the spectrum, which
-    makes plus @ minus vanish exactly in exact arithmetic (the parts live
-    on orthogonal eigenspaces).  Raises NotHermitian for non-Hermitian
-    input.
-    """
-    w, v, _ = hermitian_eig(x)
-    return [_apply(w, v, np.maximum(w if h == "plus" else -w, 0.0)) for h in halves]
-
+def jordan(x: np.ndarray) -> np.ndarray:
+    """Positive parts H+ of the Hermitian parts H of a stack, by clipping
+    the spectrum at 0; H- is ``jordan(-x)``, and H+ @ H- vanishes in exact
+    arithmetic (the parts live on orthogonal eigenspaces)."""
+    return _hermitian_function(x, lambda w: np.maximum(w, 0.0))

@@ -439,8 +439,7 @@ def _core_thm_2_4(mats, tol) -> Graded:
     """thm-2.4: s_j(A) <= s_j(2(A1⁺+A2⁺) ⊕ (A1+A2)) for normal A with -A2 <= A1."""
     (a,) = mats
     a1, a2 = cartesian(a)
-    (plus1,) = jordan(a1, "plus")
-    (plus2,) = jordan(a2, "plus")
+    plus1, plus2 = jordan(a1), jordan(a2)
     # The order hypothesis holds the eigenvalues of A1 + A2.
     order, w = _order_hypothesis("minus_a2_le_a1", "min_eig_a1_plus_a2", -a2, a1, tol)
     rhs = direct_sum_spectrum(singular_values(2.0 * (plus1 + plus2)), singular_values(a1 + a2, w))
@@ -452,7 +451,7 @@ def _core_thm_2_5(half: str, mats, tol) -> Graded:
     """thm-2.5-plus/-minus: s_j(A±) <= s_j(|A| ⊕ (|A|∓A)/2) for Hermitian A."""
     # Every spectrum is a function of the ascending eigenvalues w of A: A⁺
     # and A⁻ have max(±w, 0), |A| has |w|, and (|A| ∓ A)/2 is A∓.
-    h, _ = _require_hermitian(mats[0], "A")
+    h = _require_hermitian(mats[0], "A")
     w = _eigvalsh(h)  # ascending, so -w descends
     plus, minus = np.where(w > 0, w, 0.0)[:, ::-1], np.where(w < 0, -w, 0.0)
     part, rest = (plus, minus) if half == "plus" else (minus, plus)
@@ -512,8 +511,8 @@ def _core_loewner_cartesian(mats, tol) -> Graded:
 def _core_proof_facts(mats, tol) -> Graded:
     """proof-facts-2.1: (A1+A2)^2 <= 2(A1^2+A2^2) for Hermitian A1, A2, and
     sqrt(A1^2+A2^2) <= |A1|+|A2| when they also commute."""
-    h1, _ = _require_hermitian(mats[0], "A1")
-    h2, _ = _require_hermitian(mats[1], "A2")
+    h1 = _require_hermitian(mats[0], "A1")
+    h2 = _require_hermitian(mats[1], "A2")
     comm = _fro(h1 @ h2 - h2 @ h1)
     squares = h1 @ h1 + h2 @ h2
     s = h1 + h2

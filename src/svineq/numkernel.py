@@ -1,11 +1,12 @@
 """Dense complex matrix primitives over stacks of matrices.
 
 Everything downstream is built on the handful of operations here:
-Hermitian eigendecomposition, PSD square roots, operator absolute values,
-singular spectra and the positive-semidefinite (Loewner) order test, plus
-adjoints, block assembly and Frobenius norms.  Every operation takes
-stacks of shape (k, n, n); one matrix ``a`` is the stack ``a[None]``.  All
-functions are pure and treat matrices as immutable complex128 values.
+functions of Hermitian matrices (the PSD square root here, the Jordan
+parts in ``decomp``), operator absolute values, singular spectra and the
+positive-semidefinite (Loewner) order test, plus adjoints, block assembly
+and Frobenius norms.  Every operation takes stacks of shape (k, n, n); one
+matrix ``a`` is the stack ``a[None]``.  All functions are pure and treat
+matrices as immutable complex128 values.
 
 Each spectral quantity has one route, and the route of a matrix depends
 on its bits alone.  A matrix equal to its adjoint bit for bit has as
@@ -13,12 +14,14 @@ singular values its absolute eigenvalues, from eigenvalues its caller
 already holds where it has them; every other matrix, one Hermitian only
 to within round-off included, takes the SVD.  Every |A| is
 ``V diag(s) V*`` from the SVD, so that order comparisons between absolute
-values share one route.  A direct sum's spectrum is the union of its
-blocks' spectra, so a direct sum is never assembled just to be measured.
-No singular value is taken from the Gram matrix ``A*A``: that squares
-the condition number and loses half the digits of the small singular
-values.  No LAPACK call sees a matrix that holds an infinity or a NaN;
-its results are NaN.
+values share one route.  Every f(H) is ``V f(w) V*`` from one ``eigh`` of
+the Hermitian part of the operand; its callers build it Hermitian, so
+nothing there is checked or raised.  A direct sum's spectrum is the union
+of its blocks' spectra, so a direct sum is never assembled just to be
+measured.  No singular value is taken from the Gram matrix ``A*A``: that
+squares the condition number and loses half the digits of the small
+singular values.  No LAPACK call sees a matrix that holds an infinity or
+a NaN; its results are NaN.
 
 Matrices entering the system from outside (files, generator specs) are
 capped at ``MAX_DIM``; internally assembled block matrices may be up to
@@ -50,14 +53,10 @@ CHUNK_ELEMENTS = 1 << 14
 # and four 32 x 32 matrices 6% less.
 GROUP_ELEMENTS = CHUNK_ELEMENTS // 4
 
-# Inputs to Hermitian-only operations may deviate from exact Hermitian
-# symmetry by this much times ||M||_F; beyond it they are rejected rather
-# than silently symmetrised.
+# An operand that a statement needs Hermitian may deviate from exact
+# Hermitian symmetry by this much times ||M||_F; beyond it the statement
+# rejects it rather than silently symmetrising it.
 HERMITIAN_RTOL = 1e-12
-
-# Eigenvalues of a nominally PSD matrix M down to this much times -||M||_F
-# are clamped to zero; anything lower means the matrix is not PSD.
-PSD_CLAMP_RTOL = 1e-12
 
 
 class DimensionMismatch(ValueError):
@@ -66,10 +65,6 @@ class DimensionMismatch(ValueError):
 
 class NotHermitian(ValueError):
     """An input required to be Hermitian deviates beyond tolerance."""
-
-
-class NotPSD(ValueError):
-    """An input required to be PSD has a significantly negative eigenvalue."""
 
 
 class NoConvergence(RuntimeError):
@@ -259,16 +254,15 @@ def _fro(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_hermitian(x: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrised stack and its per-slice norms; raises NotHermitian when
-    any slice deviates from symmetry beyond round-off."""
+def _require_hermitian(x: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """The symmetrised stack; raises NotHermitian when any slice deviates
+    from symmetry beyond round-off."""
     adj = _adj(x)
-    norm = _fro(x)
     defect = _fro(x - adj)
-    bad = defect > HERMITIAN_RTOL * norm
+    bad = defect > HERMITIAN_RTOL * _fro(x)
     if np.count_nonzero(bad):
         raise NotHermitian(f"{name} is not Hermitian (defect {defect[bad.argmax()]:.3e})")
-    return (x + adj) / 2.0, norm
+    return (x + adj) / 2.0
 
 
 def _lapack(fn, x: np.ndarray, **kwargs):
@@ -299,42 +293,29 @@ def _eigvalsh(h: np.ndarray) -> np.ndarray:
     return eigs
 
 
-def hermitian_eig(x: np.ndarray):
-    """(eigenvalues, eigenvectors, norms) of a Hermitian stack.
-
-    Eigenvalues are ascending and eigenvectors are columns.  Each slice may
-    deviate from exact symmetry by round-off (it is symmetrised); larger
-    defects raise NotHermitian.  A zero slice short-circuits to (zeros,
-    identity).
-    """
-    h, norm = _require_hermitian(x)
-    w, v = _lapack(np.linalg.eigh, h)
-    zero = _zero_slices(h)
-    if zero is not None:
-        w[zero] = 0.0
-        v[zero] = np.eye(h.shape[-1], dtype=np.complex128)
-    return w, v, norm
-
-
 def _apply(w: np.ndarray, v: np.ndarray, fw: np.ndarray) -> np.ndarray:
     """V f(w) V*, re-symmetrised, for spectra ``fw`` of shape (k, n)."""
     out = (v * fw[:, None, :]) @ _adj(v)
     return (out + _adj(out)) / 2.0
 
 
-def psd_sqrt(x: np.ndarray) -> np.ndarray:
-    """Unique PSD square roots of a PSD stack.
+def _hermitian_function(x: np.ndarray, f) -> np.ndarray:
+    """f(H) = V f(w) V* of the Hermitian parts H = (X + X*)/2 of a stack,
+    with ``f`` taking the ascending eigenvalues w, shape (k, n), to f(w).
+    A zero slice has w = 0 and V = I."""
+    h = _herm(x)
+    w, v = _lapack(np.linalg.eigh, h)
+    zero = _zero_slices(h)
+    if zero is not None:
+        w[zero] = 0.0
+        v[zero] = np.eye(h.shape[-1], dtype=np.complex128)
+    return _apply(w, v, f(w))
 
-    Eigenvalues in a small negative round-off band are clamped to zero;
-    genuinely negative spectrum raises NotPSD.
-    """
-    w, v, norm = hermitian_eig(x)
-    clamp = PSD_CLAMP_RTOL * norm
-    bad = w[:, 0] < -clamp
-    if np.count_nonzero(bad):
-        i = bad.argmax()
-        raise NotPSD(f"matrix has eigenvalue {w[i, 0]:.6e} below -{clamp[i]:.3e}")
-    return _apply(w, v, np.sqrt(np.maximum(w, 0.0)))
+
+def psd_sqrt(x: np.ndarray) -> np.ndarray:
+    """PSD square roots of the Hermitian parts of a stack, with every
+    negative eigenvalue, round-off of a PSD operand, taken as 0."""
+    return _hermitian_function(x, lambda w: np.sqrt(np.maximum(w, 0.0)))
 
 
 def singular_values(x: np.ndarray, eigs: np.ndarray | None = None) -> np.ndarray:

@@ -36,7 +36,7 @@ from svineq.inequalities import (
     catalog_ids,
     check,
 )
-from svineq.numkernel import DEFAULT_TOL, NotPSD, Tolerance
+from svineq.numkernel import DEFAULT_TOL, Tolerance
 from svineq.serialize import _target_to_json, campaign_document, dumps
 
 from conftest import draw, mat
@@ -539,8 +539,13 @@ def test_worker_reports_the_first_target_that_cannot_be_graded(graders, forks):
     assert_reaped(forks)
 
 
+class Planted(ValueError):
+    """A chunk error that is neither NotHermitian, which ``_check_chunk``
+    splits, nor one that ``_fold`` reports as ConfigInvalid."""
+
+
 def test_worker_raises_a_chunk_error_as_one_process_does(graders, forks, monkeypatch):
-    # NotPSD is no configuration error: it is raised as the chunk (trials
+    # Planted is no configuration error: it is raised as the chunk (trials
     # 4, 5) raised it, the child's second.  The child sleeps in each chunk
     # it grades, so the caller ends its own fold first, finds no message
     # and grades every chunk itself.
@@ -549,7 +554,7 @@ def test_worker_raises_a_chunk_error_as_one_process_does(graders, forks, monkeyp
 
     def failing(agg, entry, dim, first_trial, mats, tol):
         if first_trial == 4:
-            raise NotPSD("planted")
+            raise Planted("planted")
         if os.getpid() != caller:
             time.sleep(0.1)
         return check_chunk(agg, entry, dim, first_trial, mats, tol)
@@ -558,7 +563,7 @@ def test_worker_raises_a_chunk_error_as_one_process_does(graders, forks, monkeyp
     config = small_config(targets=(("thm-2.7", "ginibre"),) * 6, dims=(32,), trials_per_dim=2)
     for cpus in (1, 2):
         graders(cpus)
-        with pytest.raises(NotPSD, match="planted"):
+        with pytest.raises(Planted, match="planted"):
             run_campaign(config)
     assert len(forks) == 1
     assert_reaped(forks)
@@ -579,14 +584,14 @@ def test_caller_error_does_not_wait_for_the_child(graders, forks, monkeypatch):
             with pytest.raises(ChildProcessError):
                 os.waitpid(forks[0], os.WNOHANG)
         elif first_trial == 2:
-            raise NotPSD("planted")
+            raise Planted("planted")
         return check_chunk(agg, entry, dim, first_trial, mats, tol)
 
     monkeypatch.setattr(fuzzer, "_check_chunk", failing)
     config = small_config(targets=(("thm-2.7", "ginibre"),) * 8, dims=(32,), trials_per_dim=2)
     graded_by = graders(2)
     start = time.monotonic()
-    with pytest.raises(NotPSD, match="planted"):
+    with pytest.raises(Planted, match="planted"):
         run_campaign(config)
     assert time.monotonic() - start < 1.0
     assert [e for e in graded_by.log() if e[0] == "caller"] == [
@@ -807,7 +812,7 @@ def test_child_error_leaves_the_document_unchanged(graders, forks, monkeypatch):
 
     def failing(agg, entry, dim, first_trial, mats, tol):
         if os.getpid() != caller:
-            raise NotPSD("planted")
+            raise Planted("planted")
         return check_chunk(agg, entry, dim, first_trial, mats, tol)
 
     monkeypatch.setattr(fuzzer, "_check_chunk", failing)
@@ -823,7 +828,7 @@ def test_child_error_leaves_the_document_unchanged(graders, forks, monkeypatch):
 
 
 def _planted_error(*args):
-    raise NotPSD("planted")
+    raise Planted("planted")
 
 
 def _planted_interrupt(*args):
@@ -848,7 +853,7 @@ def test_no_child_outlives_a_stopped_campaign(graders, forks, monkeypatch, owner
     raised = []
     for cpus in (1, 2):
         graders(cpus)
-        with pytest.raises((NotPSD, KeyboardInterrupt)) as info:
+        with pytest.raises((Planted, KeyboardInterrupt)) as info:
             run_campaign(small_config(targets=ALL_TARGETS, dims=(32,), trials_per_dim=4))
         raised.append((type(info.value), str(info.value)))
     assert raised[0] == raised[1]

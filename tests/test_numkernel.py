@@ -20,10 +20,8 @@ from svineq.numkernel import (
     DimensionMismatch,
     InvalidMatrix,
     NotHermitian,
-    NotPSD,
     Tolerance,
     _adj,
-    _apply,
     _block2,
     _fro,
     _herm,
@@ -32,7 +30,6 @@ from svineq.numkernel import (
     abs_ops,
     as_matrix,
     direct_sum_spectrum,
-    hermitian_eig,
     loewner_leq,
     one_blas_thread,
     psd_sqrt,
@@ -40,7 +37,7 @@ from svineq.numkernel import (
 )
 from svineq.randgen import prng_stream
 
-from conftest import SHIFT_2, direct_sum, draw, frobenius_norm, mat
+from conftest import PAULI_Z, SHIFT_2, direct_sum, draw, frobenius_norm, mat
 
 # The kernels take (k, n, n) stacks; one matrix m is the stack m[None].
 
@@ -194,7 +191,7 @@ def test_hermitian_defect_of_shift():
 
 
 def test_require_hermitian_accepts_and_rejects():
-    h = _require_hermitian(mat([[1, 2], [2, 3]])[None], "M")[0][0]
+    h = _require_hermitian(mat([[1, 2], [2, 3]])[None], "M")[0]
     assert np.array_equal(h, h.conj().T)
     with pytest.raises(NotHermitian):
         _require_hermitian(SHIFT_2[None], "M")
@@ -203,32 +200,35 @@ def test_require_hermitian_accepts_and_rejects():
 # --- eigendecomposition -------------------------------------------------------
 
 
+def _spectral(f, m):
+    """(f(H), w) of one Hermitian matrix H from ``_hermitian_function``,
+    with w the eigenvalues it passed to ``f``."""
+    seen = []
+
+    def record(w):
+        seen.append(w.copy())
+        return f(w)
+
+    return one(lambda x: numkernel._hermitian_function(x, record), m), seen[0][0]
+
+
 @given(seed=seeds, n=dims)
 def test_hermitian_eig_reconstruction_and_unitarity(seed, n):
+    # V f(w) V* gives H back for f(w) = w and V V* = I for f(w) = 1, and
+    # the eigenvalues come ascending.
     (m,) = draw("hermitian", n, seed)
-    w, v, _ = hermitian_eig(m[None])
-    w, v = w[0], v[0]
+    recon, w = _spectral(lambda w: w, m)
+    unit, _ = _spectral(np.ones_like, m)
     norm = max(1.0, frobenius_norm(m))
-    assert frobenius_norm((v * w) @ v.conj().T - m) <= 1e-12 * norm
-    assert frobenius_norm(v.conj().T @ v - np.eye(n)) <= 1e-12 * math.sqrt(n)
+    assert frobenius_norm(recon - m) <= 1e-12 * norm
+    assert frobenius_norm(unit - np.eye(n)) <= 1e-12 * math.sqrt(n)
     assert list(w) == sorted(w)
 
 
 def test_hermitian_eig_zero_matrix():
-    w, v, _ = hermitian_eig(np.zeros((1, 3, 3), dtype=complex))
-    assert np.array_equal(w[0], np.zeros(3))
-    assert np.array_equal(v[0], np.eye(3))
-
-
-def test_spectral_apply():
-    w, v, _ = hermitian_eig(mat([[4, 0], [0, 9]])[None])
-    root = _apply(w, v, np.sqrt(w))[0]
-    assert root == pytest.approx(mat([[2, 0], [0, 3]]), abs=1e-14)
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        hermitian_eig(SHIFT_2[None])
+    out, w = _spectral(np.ones_like, np.zeros((3, 3), dtype=complex))
+    assert np.array_equal(w, np.zeros(3))
+    assert np.array_equal(out, np.eye(3))
 
 
 # --- psd square root and operator absolute value ------------------------------
@@ -246,12 +246,10 @@ def test_psd_sqrt_squares_to_input(seed, n):
     assert frobenius_norm(r @ r - p) <= 1e-10 * max(1.0, frobenius_norm(p))
 
 
-def test_psd_sqrt_clamps_roundoff_but_rejects_negative():
+def test_psd_sqrt_clamps_roundoff():
     near = mat([[1, 0], [0, -1e-14]])
     r = one(psd_sqrt, near)
     assert r[1, 1].real >= 0.0
-    with pytest.raises(NotPSD):
-        one(psd_sqrt, mat([[1, 0], [0, -1]]))
 
 
 def test_abs_op_of_hermitian_diagonal():
@@ -431,7 +429,7 @@ def _routed_spectra(mpmath, ineq_id, mats, side):
     with mpmath.workdps(40):
         w = np.array([float(x) for x in mpmath.eigh(mpmath.matrix(h.tolist()), eigvals_only=True)])
     plus, minus = (np.sort(np.maximum(v, 0.0))[::-1] for v in (w, -w))
-    plus_old, minus_old = (p[0] for p in jordan(h[None], "plus", "minus"))
+    plus_old, minus_old = one(jordan, h), one(jordan, -h)
     abs_old = plus_old + minus_old
     if ineq_id == "thm-2.5-plus":
         part, rest, part_old, rest_old = plus, minus, plus_old, (abs_old - h) / 2.0
@@ -533,8 +531,7 @@ def test_direct_sum_spectrum_stacked_equals_single():
         singular_values,
         abs_op,
         numkernel._eigvalsh,
-        lambda x: hermitian_eig(x)[0],
-        lambda x: hermitian_eig(x)[1],
+        lambda x: numkernel._hermitian_function(x, np.negative),
         psd_sqrt,
         lambda x: loewner_leq(np.zeros_like(x), x)[0],
     ],
@@ -607,6 +604,24 @@ def test_loewner_leq_reads_the_hermitian_parts():
     eigs, scale = loewner_leq(np.stack([eye, SHIFT_2]), np.stack([SHIFT_2, eye]))
     assert np.allclose(eigs, [[-1.5, -0.5], [0.5, 1.5]])
     assert scale.tolist() == [math.sqrt(2.0)] * 2
+
+
+@pytest.mark.parametrize(
+    "x, root, plus",
+    [
+        (SHIFT_2, mat([[1, 1], [1, 1]]) * (math.sqrt(2.0) / 4), mat([[1, 1], [1, 1]]) / 4),
+        (PAULI_Z, mat([[1, 0], [0, 0]]), mat([[1, 0], [0, 0]])),
+    ],
+    ids=["shift", "indefinite"],
+)
+def test_hermitian_functions_read_the_hermitian_parts(x, root, plus):
+    # As loewner_leq, psd_sqrt and jordan refuse no operand: the shift S is
+    # read as (S + S*)/2 bit for bit, and psd_sqrt reads a negative
+    # eigenvalue as 0.
+    for kernel, expected in ((psd_sqrt, root), (jordan, plus)):
+        out = kernel(x[None])
+        assert np.array_equal(out, kernel(_herm(x[None])))
+        assert np.allclose(out[0], expected, rtol=0.0, atol=1e-15)
 
 
 def test_loewner_leq_gives_the_whole_ascending_spectrum():
