@@ -533,6 +533,7 @@ def test_direct_sum_spectrum_stacked_equals_single():
         numkernel._eigvalsh,
         lambda x: numkernel._hermitian_function(x, np.negative),
         psd_sqrt,
+        lambda x: jordan(-x),
         lambda x: loewner_leq(np.zeros_like(x), x)[0],
     ],
 )
