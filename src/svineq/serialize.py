@@ -10,6 +10,7 @@ version.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import math
 from itertools import chain
@@ -198,19 +199,28 @@ def parse_matrix_text(text: str) -> np.ndarray:
     Refusals include a RecursionError: orjson's document can be nested
     deeper than ``repr`` can name in an InvalidMatrix message, where json
     stops at its own recursion limit.
-    """
-    if _orjson_reads_as_json(text):
-        import orjson  # only verify reads matrix files; other commands never load it
 
-        try:
-            return matrix_from_json(orjson.loads(text))
-        except (orjson.JSONDecodeError, InvalidMatrix, RecursionError):
-            pass
+    The cyclic collector is paused and left as found: the decode's acyclic
+    lists, freed by refcounting, cost 31-32 full passes per 1,500 verify runs.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        doc = loads_strict(text)
-    except (ValueError, RecursionError) as exc:
-        raise InvalidMatrix(f"not valid JSON: {exc}") from exc
-    return matrix_from_json(doc)
+        if _orjson_reads_as_json(text):
+            import orjson  # only verify reads matrix files; other commands never load it
+
+            try:
+                return matrix_from_json(orjson.loads(text))
+            except (orjson.JSONDecodeError, InvalidMatrix, RecursionError):
+                pass
+        try:
+            doc = loads_strict(text)
+        except (ValueError, RecursionError) as exc:
+            raise InvalidMatrix(f"not valid JSON: {exc}") from exc
+        return matrix_from_json(doc)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # --- strict readers of JSON values ---------------------------------------------

@@ -707,17 +707,28 @@ def test_warm_main_leaves_no_argparse_garbage(normal_file, capsys):
     assert leaked == []
 
 
-def test_warm_search_leaves_no_cyclic_garbage(capsys):
+def _verify_n64(tmp_path) -> list[str]:
+    (a,) = draw("normal", 64, seed=2)
+    return ["verify", "thm-2.1", write_matrix(tmp_path, "a.json", a)]
+
+
+@pytest.mark.parametrize(
+    "argv_of", [lambda _: SEARCH_LOEWNER, _verify_n64], ids=["search", "verify-n64"]
+)
+def test_warm_command_leaves_no_cyclic_garbage(argv_of, tmp_path, capsys):
     # json.dumps with indent runs pure-Python generators whose closures
     # are reference cycles; the document writer leaves none, nor does
-    # anything else a warm search call does.
-    assert main(SEARCH_LOEWNER) == 0
+    # anything else a warm search or verify call does.  verify decodes its
+    # file with the collector paused, so a decoder that built cycles would
+    # pile them up unseen; here they would be counted.
+    argv = argv_of(tmp_path)
+    assert main(argv) == 0
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(10):
-            assert main(SEARCH_LOEWNER) == 0
+            assert main(argv) == 0
         assert gc.collect() == 0
     finally:
         if enabled:

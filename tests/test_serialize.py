@@ -1,5 +1,7 @@
 """JSON schemas: strict parsing, lossless round-trips, deterministic output."""
 
+import contextlib
+import gc
 import json
 from decimal import Decimal
 from pathlib import Path
@@ -240,6 +242,55 @@ def test_parse_matrix_text_keeps_keys_it_does_not_read():
     # json reads a lone surrogate, so it does not spoil a valid matrix.
     m = parse_matrix_text('{"n": 1, "entries": [[[1, 0]]], "note": "\\ud800"}')
     _assert_bitwise_equal(m, np.array([[1.0 + 0j]]))
+
+
+# An n = 64 matrix text for orjson, and the same text with a string key,
+# which json decodes.
+N64 = matrix_to_json(draw("ginibre", 64, seed=8)[0])
+N64_TEXTS = [json.dumps(N64), json.dumps({**N64, "note": "\ud800"})]
+
+
+@pytest.mark.parametrize("text", N64_TEXTS, ids=["orjson", "json"])
+def test_parse_matrix_text_starts_no_collection(text):
+    # The decode builds about 4,160 lists, far past gen0's threshold, so a
+    # running collector would start passes inside it, full ones included.
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(hook)
+    try:
+        parse_matrix_text(text)
+    finally:
+        gc.callbacks.remove(hook)
+        if not enabled:
+            gc.disable()
+    assert starts == []
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        N64_TEXTS[0],
+        '{"n": 1, "entries": [[[true,0]]]}',  # InvalidMatrix
+        '{"n": 1, "entries": [[' + NESTED + "]]}",  # RecursionError on both routes
+    ],
+    ids=["accepted", "refused", "deep"],
+)
+def test_parse_matrix_text_leaves_the_collector_as_found(text, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with contextlib.suppress(InvalidMatrix):
+            parse_matrix_text(text)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_matrix_from_json_takes_float_subclasses_as_floats():
