@@ -211,6 +211,8 @@ def cmd_search(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``svineq`` parser, built on the first call and shared after it.
+    Its ``subcommands`` attribute maps each subcommand name to that
+    subcommand's own parser.
 
     Parsing leaves the parser unchanged and gives each call a fresh
     namespace, so repeated ``main`` calls in one process share it.
@@ -249,13 +251,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--dims", help="override the target's default dimensions")
     p_search.add_argument("--out", help="write the witness document to this file")
 
+    parser.subcommands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
+    """Run ``svineq`` on ``argv`` (default ``sys.argv[1:]``); return the
+    exit code.  When ``argv[0]`` names a subcommand, the rest is parsed in
+    one pass by that subcommand's parser, to which the full parser would
+    hand it; every other ``argv`` goes to the full parser.  Either way the
+    namespace, ``error:`` line, help text and exit code are the full
+    parser's."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.subcommands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if sub is None:
+            args = parser.parse_args(argv)
+        else:
+            args = sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError, NoConvergence) as exc:
         # Usage errors and every error of the package but NoConvergence are

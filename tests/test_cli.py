@@ -636,6 +636,93 @@ def test_unknown_subcommand_exit_3(capsys):
     assert main(["frobnicate"]) == 3
 
 
+LOEWNER = "loewner-cartesian-general"
+
+
+def parse_outcome(parse, argv, capsys):
+    """("namespace", ns), ("error", stderr line, exit code) or ("exit",
+    stdout, exit code) of the full parser on ``argv``."""
+    try:
+        return "namespace", parse(argv)
+    except cli._UsageError as exc:
+        return "error", f"error: {exc}\n", cli.EXIT_USAGE
+    except SystemExit as exc:
+        return "exit", capsys.readouterr().out, exc.code
+
+
+def main_outcome(argv, capsys, monkeypatch):
+    """The same outcome of ``main``'s dispatch, with every handler replaced
+    by one that records its namespace."""
+    seen = []
+    for name in cli.build_parser().subcommands:
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: seen.append(args) or 0)
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        return "exit", capsys.readouterr().out, exc.code
+    if seen:
+        assert rc == 0 and len(seen) == 1
+        return "namespace", seen[0]
+    return "error", capsys.readouterr().err, rc
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # every subcommand with every option, and with its defaults
+        ["verify", "thm-2.1", "a.json", "b.json", "--tol-rel", "1e-6", "--out", "r.json"],
+        ["verify", "--out", "r.json", "thm-2.1", "a.json"],
+        ["verify", "thm-2.1", "--", "-a.json"],
+        ["repro", "ex-2.2", "--out", "x.json"],
+        ["repro", "ex-2.3"],
+        ["fuzz", "--ineq", "thm-2.1", "--class", "normal", "--dims", "2..4", "--trials", "5",
+         "--seed", "7", "--tol-rel", "1e-6", "--out", "c.json"],
+        ["fuzz", "--ineq", "all"],
+        ["search", "--target", LOEWNER, "--budget", "3", "--seed", "-5", "--dims", "2",
+         "--out", "w.json"],
+        ["search", "--target=bk-1.1-hermitian-B"],
+        # abbreviated options, one of them ambiguous
+        ["verify", "thm-2.1", "a.json", "--tol", "1e-6"],
+        ["search", "--target", LOEWNER, "--bud", "3"],
+        ["fuzz", "--ineq", "all", "--t", "3"],
+        # missing required arguments, bad values, unrecognized trailing arguments
+        ["verify"],
+        ["verify", "thm-2.1"],
+        ["repro"],
+        ["fuzz"],
+        ["search"],
+        ["search", "--target", "no-such-target"],
+        ["repro", "ex-9.9"],
+        ["fuzz", "--ineq", "all", "--trials", "x"],
+        ["search", "--target", LOEWNER, "extra"],
+        ["repro", "ex-2.2", "--bogus"],
+        ["fuzz", "--ineq", "all", "--seed", "1", "--seed"],
+        # --version after a subcommand, and help for each subcommand
+        ["search", "--target", LOEWNER, "--version"],
+        ["verify", "--version"],
+        ["verify", "-h"],
+        ["repro", "-h"],
+        ["fuzz", "--help"],
+        ["search", "--target", LOEWNER, "-h"],
+        # the full parser's own cases
+        ["--version"],
+        ["-h"],
+        [],
+        ["frobnicate"],
+        ["sea"],
+        ["--bogus", "search"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_one_pass_parse_is_the_full_parse(argv, capsys, monkeypatch):
+    full = parse_outcome(cli.build_parser().parse_args, argv, capsys)
+    assert main_outcome(argv, capsys, monkeypatch) == full
+    if full[0] == "error":
+        assert full[2] == 3
+    elif full[0] == "exit":
+        assert full[2] == 0 and full[1]
+
+
 # --- one parser per process ------------------------------------------------------
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

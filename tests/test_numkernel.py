@@ -26,6 +26,7 @@ from svineq.numkernel import (
     _fro,
     _herm,
     _require_hermitian,
+    _zero_slices,
     abs_op,
     abs_ops,
     as_matrix,
@@ -153,6 +154,21 @@ def test_block2_assembles_and_validates():
         check("tao-1.2", (i2, np.zeros((2, 3)), i2))
 
 
+def assert_stack_of_one_is_stacked(stack):
+    """``_fro`` and ``_zero_slices`` of each slice alone, as a stack of one,
+    equal bit for bit their result for that slice within the stack."""
+    norms = _fro(stack)
+    zero = _zero_slices(stack)
+    assert zero is None or (zero.dtype == bool and zero.shape == (len(stack),) and zero.any())
+    for i in range(len(stack)):
+        alone = _fro(stack[i : i + 1])
+        assert alone.dtype == norms.dtype and alone.shape == (1,)
+        assert alone.tobytes() == norms[i : i + 1].tobytes()
+        zero_alone = _zero_slices(stack[i : i + 1])
+        assert zero_alone is None or zero_alone.tolist() == [True]
+        assert (zero_alone is not None) == (zero is not None and bool(zero[i]))
+
+
 def test_frobenius_norm_matches_numpy():
     m = mat([[3, 4j], [0, 0]])
     assert float(one(_fro, m)) == pytest.approx(np.linalg.norm(m))
@@ -166,6 +182,7 @@ def test_frobenius_norm_rescales_overflowing_squares():
     stack = np.stack([m, m * 1e300, m * 1e308, mat([[np.inf, 0], [0, 1]])])
     assert _fro(stack).tolist() == [5.0, pytest.approx(5e300, rel=1e-15), np.inf, np.inf]
     assert float(one(_fro, m * 1e300)) == pytest.approx(5e300, rel=1e-15)
+    assert_stack_of_one_is_stacked(np.concatenate([stack, -stack]))
 
 
 def test_frobenius_norm_rescues_underflowing_squares():
@@ -178,6 +195,45 @@ def test_frobenius_norm_rescues_underflowing_squares():
     assert norms[1:3] == [pytest.approx(5e-155, rel=1e-15), pytest.approx(5e-200, rel=1e-15)]
     assert norms[4] == pytest.approx(np.hypot(3, 4) * 5e-324, abs=5e-324)
     assert float(one(_fro, m * 1e-200)) == pytest.approx(5e-200, rel=1e-15)
+    assert_stack_of_one_is_stacked(np.concatenate([stack, -stack]))
+
+
+def test_zero_slices_of_a_stack_of_one_are_the_stacked_ones():
+    # Signed zeros are zero; subnormals, NaN and infinities, in either
+    # part, are not.
+    tiny = 5e-324
+    values = [0.0, -0.0, tiny, -tiny, 2.2e-308, np.nan, np.inf, -np.inf, 1.0]
+    slices = [np.zeros((2, 2), dtype=complex), np.full((2, 2), complex(-0.0, -0.0))]
+    for v in values:
+        for entry in (complex(v, -0.0), complex(-0.0, v)):
+            m = np.full((2, 2), complex(-0.0, 0.0))
+            m[1, 0] = entry
+            slices.append(m)
+    stack = np.stack(slices)
+    assert _zero_slices(stack).tolist() == [True, True] + [v == 0 for v in values for _ in "ri"]
+    assert_stack_of_one_is_stacked(stack)
+
+
+_signed_magnitudes = st.builds(
+    lambda sign, x: sign * x,
+    st.sampled_from([1.0, -1.0]),
+    st.one_of(st.just(0.0), st.floats(min_value=1e-320, max_value=1e300)),
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(
+            st.lists(_signed_magnitudes, min_size=2 * n * n, max_size=2 * n * n),
+            min_size=1,
+            max_size=4,
+        )
+    )
+)
+def test_stack_of_one_is_the_stacked_path(parts):
+    k, n = len(parts), math.isqrt(len(parts[0]) // 2)
+    assert_stack_of_one_is_stacked(np.array(parts).view(np.complex128).reshape(k, n, n))
 
 
 def test_hermitian_part_is_exactly_hermitian():
